@@ -10,7 +10,7 @@ mixed-state measures, conditional probabilities by three routes, exact
 embeddability verdicts, and the opinion-poll mapping.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .conditional import (
     ConditionalQuery,
@@ -42,7 +42,6 @@ from .geometry import (
     angle_between,
     cap_area_fraction,
     cap_intersection_fraction,
-    sample_uniform_cap,
     sample_uniform_sphere,
     sector_angles,
     unit_vector_at_angle,

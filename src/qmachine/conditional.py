@@ -5,8 +5,9 @@ other experiment, starting from a base measure):
 
 * conditional_quad   -- the definitional integral over the conditioned
                         measure (authoritative),
-* conditional_mc     -- seeded sampling from the conditioned measure plus
-                        hidden-measurement trials,
+* conditional_mc     -- seeded projections of conditioned states on the
+                        target axis, streamed in fixed chunks through the
+                        hidden-measurement trial kernel,
 * conditional_closed_form -- the closed-form expression for the symmetric
                         d = c = 0 case, evaluated exactly as written, with
                         regime/domain diagnostics.  Its Heaviside regimes
@@ -26,14 +27,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .geometry import Z_AXIS, angle_between, unit_vector_at_angle
-from .machine import EpsilonExperiment, Outcome, p1_given_projection
-from .measures import (
+from .machine import EpsilonExperiment, Outcome, chunk_sizes, count_o1, p1_given_projection
+from .measures import (  # sample_state_array: perfbench/tracing.py wraps it here by name
     MixedState,
     OutcomeSet,
     Uniform,
     condition,
     eig_set,
     outcome_probability_mixed,
+    sample_projection,
     sample_state_array,
 )
 
@@ -123,28 +125,22 @@ def conditional_quad(q: ConditionalQuery, tol: float = 1e-8) -> ConditionalResul
 
 
 def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> ConditionalResult:
-    """Frequency estimate: draw states from the conditioned measure, run one
-    hidden-measurement trial each.  Deterministic given the seed."""
+    """Frequency estimate: draw states from the conditioned measure (only
+    their projections on the target axis, MC_CHUNK at a time), run one
+    hidden-measurement trial each.  Deterministic given the seed; both
+    target outcomes share one stream, so their counts sum to `trials`."""
     if trials < 1:
         raise ValueError("trial count must be at least 1")
     cap = _conditioning_cap(q)
+    axis = q.target.axis
     rng = np.random.default_rng(seed)
     if cap.half_angle <= 0.0:
-        states = np.tile(cap.center.as_array(), (trials, 1))
+        pinned = cap.center.dot(axis)
+        hits = sum(count_o1(q.target, pinned, k, rng) for k in chunk_sizes(trials))
     else:
         mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))
-        states = sample_state_array(mu, rng, trials)
-    x = states @ q.target.axis.as_array()
-    if q.target.epsilon == 0.0:
-        up = x > q.target.d
-        ties = x == q.target.d
-        if ties.any():
-            up = up.copy()
-            up[ties] = rng.integers(0, 2, int(ties.sum())).astype(bool)
-    else:
-        breaks = rng.uniform(q.target.band_low, q.target.band_high, trials)
-        up = breaks < x
-    n_hit = int(np.count_nonzero(up if q.target_outcome is Outcome.O1 else ~up))
+        hits = sum(count_o1(q.target, sample_projection(mu, axis, rng, k), k, rng) for k in chunk_sizes(trials))
+    n_hit = hits if q.target_outcome is Outcome.O1 else trials - hits
     p_hat = n_hit / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     diag = {"trials": trials, "seed": seed if isinstance(seed, int) else list(seed)}

@@ -185,22 +185,6 @@ def sample_uniform_sphere_array(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
 
 
-def sample_uniform_cap(rng: np.random.Generator, cap: SectorCap) -> UnitVector:
-    """One draw uniform on the cap's surface."""
-    if cap.half_angle <= 0.0:
-        raise ValueError("cannot sample a zero-radius cap")
-    z = rng.uniform(math.cos(cap.half_angle), 1.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    r = math.sqrt(max(0.0, 1.0 - z * z))
-    e1, e2 = orthonormal_frame(cap.center)
-    c = cap.center
-    return UnitVector.normalized(
-        z * c.x + r * (math.cos(phi) * e1.x + math.sin(phi) * e2.x),
-        z * c.y + r * (math.cos(phi) * e1.y + math.sin(phi) * e2.y),
-        z * c.z + r * (math.cos(phi) * e1.z + math.sin(phi) * e2.z),
-    )
-
-
 def sample_uniform_cap_array(rng: np.random.Generator, cap: SectorCap, n: int) -> np.ndarray:
     if cap.half_angle <= 0.0:
         raise ValueError("cannot sample a zero-radius cap")

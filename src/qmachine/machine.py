@@ -97,46 +97,53 @@ def outcome_probabilities(e: EpsilonExperiment, state: UnitVector) -> OutcomeDis
     return OutcomeDistribution(p1_given_projection(e, state.dot(e.axis)))
 
 
+# Monte Carlo runs its trials MC_CHUNK at a time, so memory is bounded for
+# any trial count.
+MC_CHUNK = 65_536
+
+
+def chunk_sizes(n: int) -> list[int]:
+    """n trials as MC_CHUNK-sized pieces, the last one shorter."""
+    return [min(MC_CHUNK, n - start) for start in range(0, n, MC_CHUNK)]
+
+
+def _trials(e: EpsilonExperiment, x, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n hidden-measurement trials at projection(s) x, a float or an array of
+    n: the break points, uniform on the band, and the outcome-1 flags,
+    break < x.  For epsilon = 0 the band is the point d and a tie x = d goes
+    to a fair coin."""
+    xs = np.broadcast_to(x, (n,))
+    if e.epsilon > 0.0:
+        breaks = rng.uniform(e.band_low, e.band_high, n)
+        return breaks, breaks < xs
+    up = xs > e.d
+    ties = xs == e.d
+    up[ties] = rng.integers(0, 2, int(np.count_nonzero(ties))).astype(bool)
+    return np.broadcast_to(e.d, (n,)), up
+
+
+def count_o1(e: EpsilonExperiment, x, n: int, rng: np.random.Generator) -> int:
+    """Outcome-1 count of n hidden-measurement trials at projection(s) x."""
+    return int(np.count_nonzero(_trials(e, x, n, rng)[1]))
+
+
 def run_trial(e: EpsilonExperiment, state: UnitVector, rng: np.random.Generator) -> TrialResult:
     """One seeded measurement: draw the hidden break point, collapse the state."""
-    x = state.dot(e.axis)
-    if e.epsilon == 0.0:
-        break_point = e.d
-        if x > e.d:
-            up = True
-        elif x < e.d:
-            up = False
-        else:
-            up = bool(rng.integers(0, 2))
-    else:
-        break_point = rng.uniform(e.band_low, e.band_high)
-        up = break_point < x
-    if up:
-        return TrialResult(Outcome.O1, e.axis, break_point)
-    return TrialResult(Outcome.O2, -e.axis, break_point)
+    breaks, up = _trials(e, state.dot(e.axis), 1, rng)
+    if up[0]:
+        return TrialResult(Outcome.O1, e.axis, float(breaks[0]))
+    return TrialResult(Outcome.O2, -e.axis, float(breaks[0]))
 
 
 def estimate_probability_mc(
     e: EpsilonExperiment, state: UnitVector, n: int, seed: int
 ) -> tuple[float, float]:
     """Outcome-1 frequency over n seeded trials, with its standard error.
-
-    Trials are drawn in one vectorized pass; each is the same uniform break
-    plus comparison that run_trial performs.
-    """
+    The trials run through run_trial's kernel MC_CHUNK at a time."""
     if n < 1:
         raise ValueError("trial count must be at least 1")
     rng = np.random.default_rng(seed)
     x = state.dot(e.axis)
-    if e.epsilon == 0.0:
-        if x > e.d:
-            hits = n
-        elif x < e.d:
-            hits = 0
-        else:
-            hits = int(rng.integers(0, 2, n).sum())
-    else:
-        breaks = rng.uniform(e.band_low, e.band_high, n)
-        hits = int(np.count_nonzero(breaks < x))
+    hits = sum(count_o1(e, x, k, rng) for k in chunk_sizes(n))
     p_hat = hits / n
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)

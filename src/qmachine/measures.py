@@ -27,9 +27,7 @@ from .geometry import (
     angle_between,
     cap_intersection_fraction,
     clamped_acos,
-    sample_uniform_cap,
     sample_uniform_cap_array,
-    sample_uniform_sphere,
     sample_uniform_sphere_array,
 )
 from .machine import EpsilonExperiment, Outcome, p1_given_projection
@@ -286,14 +284,24 @@ def condition(mu: MixedState, f: EpsilonExperiment, a: OutcomeSet, tol: float = 
     return Mixture(tuple((w / total, m) for w, m in parts))
 
 
-def sample_state(mu: MixedState, rng: np.random.Generator) -> UnitVector:
+def sample_projection(mu: MixedState, axis: UnitVector, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Projections v . axis of n states drawn from mu.
+
+    Uniform: x ~ U(-1, 1) (hat-box).  Cap of half-angle rho, center gamma
+    from the axis: x = z cos gamma + sqrt(1 - z^2) cos(phi) sin gamma with
+    z ~ U(cos rho, 1), phi ~ U(0, 2 pi).  Mixture: a multinomial split, in
+    component order (callers count outcomes, which ignores order).
+    """
     if isinstance(mu, Uniform):
-        return sample_uniform_sphere(rng)
+        return rng.uniform(-1.0, 1.0, n)
     if isinstance(mu, CapUniform):
-        return sample_uniform_cap(rng, mu.cap)
-    weights = [w for w, _ in mu.components]
-    idx = rng.choice(len(weights), p=weights)
-    return sample_state(mu.components[idx][1], rng)
+        gamma = angle_between(mu.cap.center, axis)
+        z = rng.uniform(math.cos(mu.cap.half_angle), 1.0, n)
+        cos_phi = np.cos(rng.uniform(0.0, 2.0 * math.pi, n))
+        return z * math.cos(gamma) + np.sqrt(1.0 - z * z) * cos_phi * math.sin(gamma)
+    weights = np.array([w for w, _ in mu.components])
+    counts = rng.multinomial(n, weights / weights.sum())
+    return np.concatenate([sample_projection(m, axis, rng, k) for (_, m), k in zip(mu.components, counts)])
 
 
 def sample_state_array(mu: MixedState, rng: np.random.Generator, n: int) -> np.ndarray:

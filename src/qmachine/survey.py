@@ -33,7 +33,7 @@ from .embedding import (
 )
 from .errors import InconsistentDataError
 from .geometry import Z_AXIS, sample_uniform_sphere_array, unit_vector_at_angle
-from .machine import EpsilonExperiment, Outcome
+from .machine import EpsilonExperiment, Outcome, chunk_sizes
 
 # Denominator cap when snapping numerically computed conditionals to exact
 # rationals.  Large enough to keep the snap error ~1e-4 at most, small
@@ -184,30 +184,34 @@ class RegionCensus:
     seed: int
 
 
+def _region_codes(dots: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Per point, the three questions' statuses (0 undetermined, 1 certain
+    yes, 2 certain no) read as one base-3 number."""
+    yes = dots >= high
+    status = yes + np.int8(2) * ((dots <= low) & ~yes)
+    return 9 * status[:, 0] + 3 * status[:, 1] + status[:, 2]
+
+
 def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
+    """Tally uniformly drawn respondent states by predetermination region,
+    MC_CHUNK draws at a time into 27 bins, so memory stays bounded."""
     if len(m.questions) != 3:
         raise ValueError("the census is defined for exactly three questions")
     if trials < 1:
         raise ValueError("trial count must be at least 1")
     rng = np.random.default_rng(seed)
-    pts = sample_uniform_sphere_array(rng, trials)
-    codes = np.zeros(trials, dtype=np.int64)
-    for k, fq in enumerate(m.questions):
-        e = fq.experiment
-        dots = pts @ e.axis.as_array()
-        status = np.where(dots >= e.band_high, 1, np.where(dots <= e.band_low, 2, 0))
-        codes = codes * 3 + status
+    axes = np.array([fq.experiment.axis.as_array() for fq in m.questions]).T
+    high = np.array([fq.experiment.band_high for fq in m.questions])
+    low = np.array([fq.experiment.band_low for fq in m.questions])
+    tally = np.zeros(27, dtype=np.int64)
+    for k in chunk_sizes(trials):
+        tally += np.bincount(_region_codes(sample_uniform_sphere_array(rng, k) @ axes, low, high), minlength=27)
     names = ("none", "yes", "no")
     fractions = {}
     errors = {}
-    for code, count in zip(*np.unique(codes, return_counts=True)):
-        key = []
-        c = int(code)
-        for _ in range(3):
-            key.append(names[c % 3])
-            c //= 3
-        key_t = tuple(reversed(key))
-        p = count / trials
+    for code in np.flatnonzero(tally):
+        key_t = (names[code // 9], names[code // 3 % 3], names[code % 3])
+        p = tally[code] / trials
         fractions[key_t] = p
         errors[key_t] = math.sqrt(p * (1.0 - p) / trials)
     return RegionCensus(fractions, errors, trials, seed)

@@ -1,8 +1,11 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+import qmachine
 from qmachine.cli import main
 
 SQ2 = "0.7071067811865476"
@@ -53,6 +56,22 @@ def test_simulate_reruns_are_byte_identical(capsys):
     payload = json.loads(out1)
     assert payload["seed"] == 9 and payload["trials"] == 100000 and "version" in payload
     assert payload["estimate"] == pytest.approx(0.75, abs=4 * payload["std_error"])
+
+
+def test_version_matches_pyproject():
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == qmachine.__version__
+
+
+def test_conditional_mc_reruns_are_byte_identical(capsys):
+    args = ("conditional", "--epsilon", SQ2, "--alpha", "60", "--degrees", "--method", "mc", "--trials", "100000", "--seed", "5")
+    code1, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    payload = json.loads(out1)
+    assert payload["seed"] == 5 and payload["trials"] == 100000
+    assert payload["value"] == pytest.approx(0.78, abs=0.01)
 
 
 def test_simulate_zero_trials_exits_2(capsys):
@@ -225,6 +244,15 @@ def test_survey_pipeline(tmp_path, capsys):
     assert payload["census"]["trials"] == 50000 and payload["census"]["seed"] == 11
     assert len(payload["census"]["fractions"]) == 13
     assert payload["questions"][0]["epsilon"] == pytest.approx(float(SQ2))
+
+
+def test_survey_reruns_are_byte_identical(tmp_path, capsys):
+    args = ("survey", "--input", survey_file(tmp_path), "--census-trials", "100000", "--seed", "12")
+    code1, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert json.loads(out1)["census"]["seed"] == 12
 
 
 def test_survey_fitted_epsilon_without_forcing(tmp_path, capsys):

@@ -12,8 +12,9 @@ from qmachine.conditional import (
     sweep,
     symmetric_query,
 )
-from qmachine.geometry import Z_AXIS, unit_vector_at_angle
-from qmachine.machine import EpsilonExperiment, Outcome
+from qmachine.geometry import Z_AXIS, SectorCap, unit_vector_at_angle
+from qmachine.machine import MC_CHUNK, EpsilonExperiment, Outcome
+from qmachine.measures import UNIFORM, CapUniform, Mixture
 
 SQ2 = math.sqrt(2) / 2
 
@@ -66,9 +67,12 @@ def test_complement_law_quadrature():
 def test_complement_law_monte_carlo_same_seed():
     q1 = symmetric_query(0.6, 1.3, target_outcome=Outcome.O1)
     q2 = symmetric_query(0.6, 1.3, target_outcome=Outcome.O2)
-    a = conditional_mc(q1, 50_000, 9)
-    b = conditional_mc(q2, 50_000, 9)
-    assert a.value + b.value == pytest.approx(1.0, abs=1e-12)
+    for n in (50_000, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 7):
+        a = conditional_mc(q1, n, 9)
+        b = conditional_mc(q2, n, 9)
+        assert a.value + b.value == pytest.approx(1.0, abs=1e-12)
+        # Both outcomes see one stream, so the counts are exact complements.
+        assert round(a.value * n) + round(b.value * n) == n
 
 
 def test_antipodal_symmetry():
@@ -88,6 +92,33 @@ def test_monte_carlo_agrees_with_quadrature():
         exact = conditional_quad(q).value
         mc = conditional_mc(q, 20_000, seed=100 + i)
         assert abs(mc.value - exact) <= 4 * max(mc.error_bound, 1e-9)
+
+
+MIXED_BASE = Mixture(((0.4, UNIFORM), (0.6, CapUniform(SectorCap(Z_AXIS, 2.0)))))
+
+
+@pytest.mark.parametrize(
+    "epsilon, d, c, alpha, target_outcome",
+    [
+        # The cap lies inside the conditioning region: a genuine two-cap mixture.
+        (0.2, 0.3, -0.7, 1.1, Outcome.O1),
+        # The conditioning region lies inside the cap: both parts restrict to it.
+        (0.2, 0.3, 0.1, 1.1, Outcome.O2),
+        # epsilon = 0 targets: the step kernel under cap-uniform states.
+        (0.0, 0.2, -0.5, 0.9, Outcome.O1),
+        (0.0, -0.1, 0.3, 2.0, Outcome.O2),
+    ],
+)
+def test_monte_carlo_agrees_with_quadrature_on_a_mixture_base(epsilon, d, c, alpha, target_outcome):
+    q = ConditionalQuery(
+        target=EpsilonExperiment(unit_vector_at_angle(Z_AXIS, alpha), epsilon, d),
+        cond=EpsilonExperiment(Z_AXIS, epsilon, c),
+        target_outcome=target_outcome,
+        base=MIXED_BASE,
+    )
+    exact = conditional_quad(q, 1e-10).value
+    mc = conditional_mc(q, 200_000, seed=[31, int(1000 * alpha)])
+    assert abs(mc.value - exact) <= 5 * mc.error_bound
 
 
 def test_monte_carlo_validates_trials():

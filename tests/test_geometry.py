@@ -12,7 +12,6 @@ from qmachine.geometry import (
     angle_between,
     cap_area_fraction,
     cap_intersection_fraction,
-    sample_uniform_cap,
     sample_uniform_cap_array,
     sample_uniform_sphere,
     sample_uniform_sphere_array,
@@ -164,7 +163,7 @@ def test_cap_sampler_full_sphere_matches_sphere_stats():
 
 def test_cap_sampler_rejects_zero_radius():
     with pytest.raises(ValueError):
-        sample_uniform_cap(np.random.default_rng(0), SectorCap(Z_AXIS, 0.0))
+        sample_uniform_cap_array(np.random.default_rng(0), SectorCap(Z_AXIS, 0.0), 10)
 
 
 def test_boundary_flag_is_data_only():
