@@ -38,7 +38,7 @@ from .embedding import (
     atom_label,
     check_hilbert2d,
     check_kolmogorov,
-    classify,
+    model_class,
     parse_event,
 )
 from .errors import DomainError
@@ -214,11 +214,12 @@ def _cmd_check(args) -> int:
         _emit(_hilbert_payload(check_hilbert2d(Fraction(args.gamma2))))
     else:
         triad = _load_triad(args.triad)
-        gamma2 = Fraction(args.gamma2)
+        kolmogorov = check_kolmogorov(triad)
+        hilbert = check_hilbert2d(Fraction(args.gamma2))
         payload = {
-            "classification": classify(triad, gamma2).value,
-            "kolmogorov": _kolmogorov_payload(check_kolmogorov(triad)),
-            "hilbert2d": _hilbert_payload(check_hilbert2d(gamma2)),
+            "classification": model_class(kolmogorov, hilbert).value,
+            "kolmogorov": _kolmogorov_payload(kolmogorov),
+            "hilbert2d": _hilbert_payload(hilbert),
         }
         _emit(payload)
     return 0

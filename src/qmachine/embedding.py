@@ -4,8 +4,11 @@ check_kolmogorov asks whether one joint probability space over three
 events can reproduce the given marginals and Bayes-rule conditionals; the
 unknowns are the eight atom probabilities of the U/V/W sign table, and
 feasibility is decided by exact Fourier-Motzkin elimination over
-rationals.  Infeasible instances come with a certificate: a pair of
-implied bounds on a single atom that contradict each other.
+rationals.  Each equality constraint is substituted when its atom is
+eliminated, so the row count stays linear; inequalities are paired only
+for atoms no remaining equality involves.  Infeasible instances come
+with a certificate: a pair of implied bounds on a single atom that
+contradict each other.
 
 check_hilbert2d asks whether the symmetric transition-probability table
 (all cyclically adjacent pairs gamma^2, all skew pairs delta^2) can be
@@ -21,10 +24,9 @@ them.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 VARIABLES = ("U", "V", "W")
 N_ATOMS = 8
@@ -160,38 +162,22 @@ def joint_constraints(t: TriadData) -> list[LinearConstraint]:
 Row = tuple[tuple[Fraction, ...], Fraction]
 
 
-def _canonical(row: Row) -> Row:
+def _negated(row: Row) -> Row:
     coeffs, rhs = row
-    denom_lcm = 1
-    for f in list(coeffs) + [rhs]:
-        denom_lcm = denom_lcm * f.denominator // math.gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in coeffs]
-    r = int(rhs * denom_lcm)
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g == 0:
-        return tuple(coeffs), rhs  # constant row, keep as-is
-    return tuple(Fraction(v, g) for v in ints), Fraction(r, g)
-
-
-def _dedupe(rows: Iterable[Row]) -> list[Row]:
-    best: dict[tuple[Fraction, ...], Fraction] = {}
-    constants: list[Row] = []
-    for row in rows:
-        coeffs, rhs = _canonical(row)
-        if all(c == 0 for c in coeffs):
-            if rhs < 0:
-                constants.append((coeffs, rhs))
-            continue  # 0 <= rhs >= 0 is vacuous
-        if coeffs not in best or rhs < best[coeffs]:
-            best[coeffs] = rhs
-    return constants + [(c, r) for c, r in best.items()]
+    return tuple(-c for c in coeffs), -rhs
 
 
 def _eliminate(rows: list[Row], var: int) -> tuple[list[Row], list[Row]]:
     """Project the system onto the remaining variables; returns (projected
-    rows, the rows that involved `var`, kept for back-substitution)."""
+    rows, the rows that involved `var`, kept for back-substitution).
+
+    When an equality (a row whose exact negation is also present) involves
+    `var`, it is substituted: every upper row meets only the equality's
+    lower half and every lower row its upper half.  That is the same exact
+    projection as pairing all uppers with all lowers, and it keeps the row
+    count linear.  Substitution maps equality pairs to equality pairs, so
+    later steps find theirs again.
+    """
     uppers, lowers, rest = [], [], []
     for coeffs, rhs in rows:
         c = coeffs[var]
@@ -201,14 +187,20 @@ def _eliminate(rows: list[Row], var: int) -> tuple[list[Row], list[Row]]:
             lowers.append((coeffs, rhs))
         else:
             rest.append((coeffs, rhs))
+    negated_lowers = {_negated(row) for row in lowers}
+    up = next((row for row in uppers if row in negated_lowers), None)
+    if up is None:
+        pairs = [(u, lo) for u in uppers for lo in lowers]
+    else:
+        down = _negated(up)
+        pairs = [(u, down) for u in uppers if u != up] + [(up, lo) for lo in lowers if lo != down]
     combined = []
-    for uc, ur in uppers:
-        for lc, lr in lowers:
-            scale_u = -lc[var]
-            scale_l = uc[var]
-            coeffs = tuple(scale_u * a + scale_l * b for a, b in zip(uc, lc))
-            combined.append((coeffs, scale_u * ur + scale_l * lr))
-    return _dedupe(rest + combined), uppers + lowers
+    for (uc, ur), (lc, lr) in pairs:
+        scale_u = -lc[var]
+        scale_l = uc[var]
+        coeffs = tuple(scale_u * a + scale_l * b for a, b in zip(uc, lc))
+        combined.append((coeffs, scale_u * ur + scale_l * lr))
+    return rest + combined, uppers + lowers
 
 
 def _bounds_on(rows: list[Row], var: int) -> tuple[Optional[Fraction], Optional[Fraction], bool]:
@@ -235,21 +227,18 @@ def _project_to_atom(equalities: list[LinearConstraint], target: int):
     rows: list[Row] = []
     for con in equalities:
         rows.append((con.coeffs, con.rhs))
-        rows.append((tuple(-c for c in con.coeffs), -con.rhs))
+        rows.append(_negated((con.coeffs, con.rhs)))
     for i in range(N_ATOMS):
         coeffs = tuple(Fraction(-1) if j == i else Fraction(0) for j in range(N_ATOMS))
         rows.append((coeffs, Fraction(0)))
-    rows = _dedupe(rows)
     stack = []
-    violated = False
     for var in range(N_ATOMS):
         if var == target:
             continue
         rows, used = _eliminate(rows, var)
         stack.append((var, used))
-        violated = violated or any(all(c == 0 for c in coeffs) and rhs < 0 for coeffs, rhs in rows)
-    lower, upper, const_bad = _bounds_on(rows, target)
-    return lower, upper, violated or const_bad, stack
+    lower, upper, violated = _bounds_on(rows, target)
+    return lower, upper, violated, stack
 
 
 def _back_substitute(stack, target: int, target_value: Fraction) -> tuple[Fraction, ...]:
@@ -355,14 +344,17 @@ class ModelClass(enum.Enum):
     NEITHER = "neither"
 
 
-def classify(t: TriadData, gamma2: RationalLike) -> ModelClass:
-    """Combine the two feasibility verdicts."""
-    k = check_kolmogorov(t).feasible
-    h = check_hilbert2d(gamma2).feasible
-    if k and h:
+def model_class(kolmogorov: KolmogorovVerdict, hilbert: HilbertVerdict) -> ModelClass:
+    """Combine two feasibility verdicts already computed."""
+    if kolmogorov.feasible and hilbert.feasible:
         return ModelClass.BOTH
-    if k:
+    if kolmogorov.feasible:
         return ModelClass.KOLMOGOROVIAN
-    if h:
+    if hilbert.feasible:
         return ModelClass.HILBERTIAN_2D
     return ModelClass.NEITHER
+
+
+def classify(t: TriadData, gamma2: RationalLike) -> ModelClass:
+    """Run both feasibility checks and combine their verdicts."""
+    return model_class(check_kolmogorov(t), check_hilbert2d(gamma2))

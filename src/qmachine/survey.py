@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .conditional import ConditionalQuery, conditional_quad
-from .embedding import (
+from .embedding import (  # classify: perfbench/tracing.py wraps it here by name
     CondProb,
     HilbertVerdict,
     KolmogorovVerdict,
@@ -30,6 +30,7 @@ from .embedding import (
     check_hilbert2d,
     check_kolmogorov,
     classify,
+    model_class,
 )
 from .errors import InconsistentDataError
 from .geometry import Z_AXIS, sample_uniform_sphere_array, unit_vector_at_angle
@@ -272,4 +273,4 @@ def classify_survey(m: SurveyModel, tol: float = 1e-9) -> SurveyClassification:
     gamma2 = _snap(p_v_w)
     kolmogorov = check_kolmogorov(triad)
     hilbert = check_hilbert2d(gamma2)
-    return SurveyClassification(triad, gamma2, kolmogorov, hilbert, classify(triad, gamma2))
+    return SurveyClassification(triad, gamma2, kolmogorov, hilbert, model_class(kolmogorov, hilbert))

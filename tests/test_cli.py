@@ -211,6 +211,17 @@ def test_check_classify(tmp_path, capsys):
     assert payload["classification"] == "neither"
 
 
+def test_check_classify_runs_each_check_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("check_kolmogorov", "check_hilbert2d"):
+        check = getattr(qmachine.cli, name)
+        monkeypatch.setattr(qmachine.cli, name, lambda arg, check=check, name=name: calls.append(name) or check(arg))
+    code, out, _ = run_cli(capsys, "check", "classify", "--triad", triad_file(tmp_path), "--gamma2", "0.78")
+    assert code == 0
+    assert sorted(calls) == ["check_hilbert2d", "check_kolmogorov"]
+    assert json.loads(out)["kolmogorov"]["certificate"]["lower"] == "7/25"
+
+
 def test_check_missing_flags(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["check", "kolmogorov"])

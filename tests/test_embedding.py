@@ -118,6 +118,48 @@ def test_random_joint_round_trips_feasible():
             assert sum(c * x for c, x in zip(con.coeffs, verdict.witness)) == con.rhs
 
 
+def test_rank_deficient_random_joints_are_feasible():
+    # Fewer than three conditionals leave atoms free: elimination must fall
+    # back to pairing inequalities once the equalities run out.
+    rnd = random.Random(7)
+    for case in range(30):
+        atoms = atoms_from_random_joint(rnd)
+        full = triad_from_atoms(atoms)
+        t = TriadData(full.marginals, tuple(rnd.sample(full.conditionals, case % 3)))
+        verdict = check_kolmogorov(t)
+        assert verdict.feasible
+        for con in joint_constraints(t):
+            assert sum(c * x for c, x in zip(con.coeffs, verdict.witness)) == con.rhs
+        assert all(x >= 0 for x in verdict.witness)
+
+
+@pytest.mark.parametrize(
+    "marg, conds",
+    [
+        # P(V | V) must be 1.
+        ({"U": HALF, "V": HALF, "W": HALF}, [("V", "V", "39/100")]),
+        # One conditional given twice with different values.
+        ({"U": HALF, "V": HALF, "W": HALF}, [("V", "W", "1/2"), ("U", "W", "1/2"), ("V", "W", "3/5")]),
+        # Near-empty V and parallel equalities: pairing all their rows blows up.
+        (
+            {"U": "19/25", "V": "1/100", "W": "77/100"},
+            [
+                ("not W", "V", "2/25"),
+                ("V", "V", "39/100"),
+                ("not V", "not W", "2/5"),
+                ("not U", "not V", "3/5"),
+                ("not W", "not U", "7/100"),
+            ],
+        ),
+    ],
+)
+def test_inconsistent_inputs_are_infeasible_with_certificate(marg, conds):
+    verdict = check_kolmogorov(triad(marg, conds))
+    assert not verdict.feasible
+    assert verdict.witness is None
+    assert verdict.certificate.lower > verdict.certificate.upper
+
+
 def _grid_oracle_finds_feasible(t, steps=200):
     """Brute-force oracle: fix the not-U&V&W atom on a 1/steps grid, solve the
     remaining 7x7 exact linear system, and look for a nonnegative solution."""
@@ -173,6 +215,7 @@ def test_checker_agrees_with_grid_oracle():
                 ],
             )
         verdict = check_kolmogorov(t)
+        oracle_feasible = _grid_oracle_finds_feasible(t)
         if verdict.feasible:
             n_feasible += 1
             for con in joint_constraints(t):
@@ -182,8 +225,8 @@ def test_checker_agrees_with_grid_oracle():
             cert = verdict.certificate
             assert cert.lower > cert.upper
             # Wherever the grid oracle exhibits a joint, the checker must agree.
-            assert not _grid_oracle_finds_feasible(t)
-        if _grid_oracle_finds_feasible(t):
+            assert not oracle_feasible
+        if oracle_feasible:
             assert verdict.feasible
     assert 10 < n_feasible < 90  # the case mix actually exercises both verdicts
 

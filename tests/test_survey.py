@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmachine import survey
 from qmachine.embedding import ModelClass
 from qmachine.errors import InconsistentDataError
 from qmachine.geometry import cap_area_fraction, sector_angles
@@ -138,6 +139,15 @@ def test_classify_flagship_is_neither():
     cert = outcome.kolmogorov.certificate
     assert float(cert.lower) == pytest.approx(0.28, abs=0.01)
     assert float(cert.upper) == pytest.approx(0.11, abs=0.01)
+
+
+def test_classify_runs_each_check_once(monkeypatch):
+    calls = []
+    for name in ("check_kolmogorov", "check_hilbert2d"):
+        check = getattr(survey, name)
+        monkeypatch.setattr(survey, name, lambda arg, check=check, name=name: calls.append(name) or check(arg))
+    classify_survey(flagship_model(force=SQ2))
+    assert sorted(calls) == ["check_hilbert2d", "check_kolmogorov"]
 
 
 def test_classify_all_predetermined_narrow_angles_is_kolmogorovian():
