@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .geometry import Z_AXIS, angle_between, unit_vector_at_angle
-from .machine import EpsilonExperiment, Outcome, chunk_sizes, count_o1, p1_given_projection
+from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, count_o1, p1_given_projection
 from .measures import (  # sample_state_array: perfbench/tracing.py wraps it here by name
     MixedState,
     OutcomeSet,
@@ -126,20 +126,27 @@ def conditional_quad(q: ConditionalQuery, tol: float = 1e-8) -> ConditionalResul
 
 def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> ConditionalResult:
     """Frequency estimate: draw states from the conditioned measure (only
-    their projections on the target axis, MC_CHUNK at a time), run one
-    hidden-measurement trial each.  Deterministic given the seed; both
-    target outcomes share one stream, so their counts sum to `trials`."""
+    their projections on the target axis, MC_CHUNK at a time, into buffers
+    reused by every chunk), run one hidden-measurement trial each.
+    Deterministic given the seed; both target outcomes share one stream, so
+    their counts sum to `trials`."""
     if trials < 1:
         raise ValueError("trial count must be at least 1")
     cap = _conditioning_cap(q)
     axis = q.target.axis
     rng = np.random.default_rng(seed)
+    # One workspace serves every chunk: row 0 takes the projections, rows 1-2
+    # are the sampler's scratch, and row 1 then takes the break points.
+    rows, up = chunk_workspace(trials, 3)
     if cap.half_angle <= 0.0:
         pinned = cap.center.dot(axis)
-        hits = sum(count_o1(q.target, pinned, k, rng) for k in chunk_sizes(trials))
+        hits = sum(count_o1(q.target, pinned, rng, rows[1, :k], up[:k]) for k in chunk_sizes(trials))
     else:
         mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))
-        hits = sum(count_o1(q.target, sample_projection(mu, axis, rng, k), k, rng) for k in chunk_sizes(trials))
+        hits = 0
+        for k in chunk_sizes(trials):
+            x = sample_projection(mu, axis, rng, rows[0, :k], rows[1:])
+            hits += count_o1(q.target, x, rng, rows[1, :k], up[:k])
     n_hit = hits if q.target_outcome is Outcome.O1 else trials - hits
     p_hat = n_hit / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)

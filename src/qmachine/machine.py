@@ -107,29 +107,46 @@ def chunk_sizes(n: int) -> list[int]:
     return [min(MC_CHUNK, n - start) for start in range(0, n, MC_CHUNK)]
 
 
-def _trials(e: EpsilonExperiment, x, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n hidden-measurement trials at projection(s) x, a float or an array of
-    n: the break points, uniform on the band, and the outcome-1 flags,
-    break < x.  For epsilon = 0 the band is the point d and a tie x = d goes
-    to a fair coin."""
-    xs = np.broadcast_to(x, (n,))
+def chunk_workspace(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for every chunk of an n-trial call: `rows` float rows and
+    one row of outcome flags, each as long as the longest chunk."""
+    m = min(n, MC_CHUNK)
+    return np.empty((rows, m)), np.empty(m, dtype=bool)
+
+
+def uniform_into(rng: np.random.Generator, low: float, high: float, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with U(low, high) draws in place: bitwise the values and
+    the stream use of rng.uniform(low, high, len(out))."""
+    rng.random(out=out)
+    out *= high - low
+    out += low
+    return out
+
+
+def _trials(e: EpsilonExperiment, x, rng: np.random.Generator, breaks: np.ndarray, up: np.ndarray) -> None:
+    """Hidden-measurement trials at projection(s) x, a float or an array,
+    one per slot of the caller's buffers: `breaks` gets the break points,
+    uniform on the band, and `up` the outcome-1 flags, break < x.  For
+    epsilon = 0 the band is the point d and a tie x = d goes to a fair coin."""
     if e.epsilon > 0.0:
-        breaks = rng.uniform(e.band_low, e.band_high, n)
-        return breaks, breaks < xs
-    up = xs > e.d
-    ties = xs == e.d
+        np.less(uniform_into(rng, e.band_low, e.band_high, breaks), x, out=up)
+        return
+    breaks.fill(e.d)
+    np.greater(x, e.d, out=up)
+    ties = np.broadcast_to(x, up.shape) == e.d
     up[ties] = rng.integers(0, 2, int(np.count_nonzero(ties))).astype(bool)
-    return np.broadcast_to(e.d, (n,)), up
 
 
-def count_o1(e: EpsilonExperiment, x, n: int, rng: np.random.Generator) -> int:
-    """Outcome-1 count of n hidden-measurement trials at projection(s) x."""
-    return int(np.count_nonzero(_trials(e, x, n, rng)[1]))
+def count_o1(e: EpsilonExperiment, x, rng: np.random.Generator, breaks: np.ndarray, up: np.ndarray) -> int:
+    """Outcome-1 count of len(up) hidden-measurement trials at projection(s) x."""
+    _trials(e, x, rng, breaks, up)
+    return int(np.count_nonzero(up))
 
 
 def run_trial(e: EpsilonExperiment, state: UnitVector, rng: np.random.Generator) -> TrialResult:
     """One seeded measurement: draw the hidden break point, collapse the state."""
-    breaks, up = _trials(e, state.dot(e.axis), 1, rng)
+    (breaks,), up = chunk_workspace(1, 1)
+    _trials(e, state.dot(e.axis), rng, breaks, up)
     if up[0]:
         return TrialResult(Outcome.O1, e.axis, float(breaks[0]))
     return TrialResult(Outcome.O2, -e.axis, float(breaks[0]))
@@ -139,11 +156,13 @@ def estimate_probability_mc(
     e: EpsilonExperiment, state: UnitVector, n: int, seed: int
 ) -> tuple[float, float]:
     """Outcome-1 frequency over n seeded trials, with its standard error.
-    The trials run through run_trial's kernel MC_CHUNK at a time."""
+    The trials run through run_trial's kernel MC_CHUNK at a time, in one
+    pair of buffers reused by every chunk."""
     if n < 1:
         raise ValueError("trial count must be at least 1")
     rng = np.random.default_rng(seed)
     x = state.dot(e.axis)
-    hits = sum(count_o1(e, x, k, rng) for k in chunk_sizes(n))
+    (breaks,), up = chunk_workspace(n, 1)
+    hits = sum(count_o1(e, x, rng, breaks[:k], up[:k]) for k in chunk_sizes(n))
     p_hat = hits / n
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)

@@ -30,7 +30,7 @@ from .geometry import (
     sample_uniform_cap_array,
     sample_uniform_sphere_array,
 )
-from .machine import EpsilonExperiment, Outcome, p1_given_projection
+from .machine import EpsilonExperiment, Outcome, p1_given_projection, uniform_into
 from .quadrature import adaptive_simpson
 
 
@@ -284,24 +284,41 @@ def condition(mu: MixedState, f: EpsilonExperiment, a: OutcomeSet, tol: float = 
     return Mixture(tuple((w / total, m) for w, m in parts))
 
 
-def sample_projection(mu: MixedState, axis: UnitVector, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Projections v . axis of n states drawn from mu.
+def sample_projection(
+    mu: MixedState, axis: UnitVector, rng: np.random.Generator, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Fill `out` with the projections v . axis of len(out) states drawn
+    from mu, and return it; `work` is float scratch of shape (2, >= len(out)).
 
     Uniform: x ~ U(-1, 1) (hat-box).  Cap of half-angle rho, center gamma
     from the axis: x = z cos gamma + sqrt(1 - z^2) cos(phi) sin gamma with
-    z ~ U(cos rho, 1), phi ~ U(0, 2 pi).  Mixture: a multinomial split, in
-    component order (callers count outcomes, which ignores order).
+    z ~ U(cos rho, 1), phi ~ U(0, 2 pi).  Mixture: a multinomial split, each
+    component filling the next slice of `out` in component order (callers
+    count outcomes, which ignores order).
     """
+    n = len(out)
     if isinstance(mu, Uniform):
-        return rng.uniform(-1.0, 1.0, n)
+        return uniform_into(rng, -1.0, 1.0, out)
     if isinstance(mu, CapUniform):
         gamma = angle_between(mu.cap.center, axis)
-        z = rng.uniform(math.cos(mu.cap.half_angle), 1.0, n)
-        cos_phi = np.cos(rng.uniform(0.0, 2.0 * math.pi, n))
-        return z * math.cos(gamma) + np.sqrt(1.0 - z * z) * cos_phi * math.sin(gamma)
+        z = uniform_into(rng, math.cos(mu.cap.half_angle), 1.0, out)
+        cos_phi, ring = work[0, :n], work[1, :n]
+        np.cos(uniform_into(rng, 0.0, 2.0 * math.pi, cos_phi), out=cos_phi)
+        np.multiply(z, z, out=ring)
+        np.subtract(1.0, ring, out=ring)
+        np.sqrt(ring, out=ring)
+        ring *= cos_phi
+        ring *= math.sin(gamma)
+        z *= math.cos(gamma)
+        z += ring
+        return z
     weights = np.array([w for w, _ in mu.components])
     counts = rng.multinomial(n, weights / weights.sum())
-    return np.concatenate([sample_projection(m, axis, rng, k) for (_, m), k in zip(mu.components, counts)])
+    start = 0
+    for (_, m), k in zip(mu.components, counts):
+        sample_projection(m, axis, rng, out[start : start + k], work)
+        start += k
+    return out
 
 
 def sample_state_array(mu: MixedState, rng: np.random.Generator, n: int) -> np.ndarray:

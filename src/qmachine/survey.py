@@ -33,8 +33,12 @@ from .embedding import (  # classify: perfbench/tracing.py wraps it here by name
     model_class,
 )
 from .errors import InconsistentDataError
-from .geometry import Z_AXIS, sample_uniform_sphere_array, unit_vector_at_angle
-from .machine import EpsilonExperiment, Outcome, chunk_sizes
+from .geometry import (  # sample_uniform_sphere_array: perfbench/tracing.py wraps it here by name
+    Z_AXIS,
+    sample_uniform_sphere_array,
+    unit_vector_at_angle,
+)
+from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, uniform_into
 
 # Denominator cap when snapping numerically computed conditionals to exact
 # rationals.  Large enough to keep the snap error ~1e-4 at most, small
@@ -185,28 +189,53 @@ class RegionCensus:
     seed: int
 
 
-def _region_codes(dots: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """Per point, the three questions' statuses (0 undetermined, 1 certain
-    yes, 2 certain no) read as one base-3 number."""
-    yes = dots >= high
-    status = yes + np.int8(2) * ((dots <= low) & ~yes)
-    return 9 * status[:, 0] + 3 * status[:, 1] + status[:, 2]
-
-
 def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
     """Tally uniformly drawn respondent states by predetermination region,
-    MC_CHUNK draws at a time into 27 bins, so memory stays bounded."""
+    MC_CHUNK draws at a time into 27 bins, in buffers reused by every chunk.
+
+    build_survey_model puts every axis in the x-z plane, so a respondent
+    needs only z ~ U(-1, 1) and x = sqrt(1 - z^2) cos(phi), phi ~ U(0, 2 pi)
+    (the stream sample_uniform_sphere_array draws, without its y column).
+    Each question's status is 0 undetermined, 1 certain yes or 2 certain no,
+    and the three statuses read as one base-3 number index the tally.
+    """
     if len(m.questions) != 3:
         raise ValueError("the census is defined for exactly three questions")
     if trials < 1:
         raise ValueError("trial count must be at least 1")
+    experiments = [fq.experiment for fq in m.questions]
+    if any(e.axis.y != 0.0 for e in experiments):
+        raise ValueError("the census needs every axis in the x-z plane, where build_survey_model puts them")
     rng = np.random.default_rng(seed)
-    axes = np.array([fq.experiment.axis.as_array() for fq in m.questions]).T
-    high = np.array([fq.experiment.band_high for fq in m.questions])
-    low = np.array([fq.experiment.band_low for fq in m.questions])
+    (z, x, dot, zpart), yes = chunk_workspace(trials, 4)
+    no = np.empty_like(yes)
+    # Statuses add up in uint8, the flags viewed as 0/1 bytes so that no cast
+    # runs; bincount wants intp, copied once per chunk.
+    yes8, no8 = yes.view(np.uint8), no.view(np.uint8)
+    digits, codes = np.empty(len(yes), dtype=np.uint8), np.empty(len(yes), dtype=np.intp)
     tally = np.zeros(27, dtype=np.int64)
     for k in chunk_sizes(trials):
-        tally += np.bincount(_region_codes(sample_uniform_sphere_array(rng, k) @ axes, low, high), minlength=27)
+        zk, xk, dk, pk, ck = z[:k], x[:k], dot[:k], zpart[:k], digits[:k]
+        uniform_into(rng, -1.0, 1.0, zk)
+        np.cos(uniform_into(rng, 0.0, 2.0 * math.pi, xk), out=xk)
+        np.multiply(zk, zk, out=dk)
+        np.subtract(1.0, dk, out=dk)
+        np.sqrt(dk, out=dk)
+        xk *= dk
+        ck.fill(0)
+        for e in experiments:
+            np.multiply(xk, e.axis.x, out=dk)
+            np.multiply(zk, e.axis.z, out=pk)
+            dk += pk
+            np.greater_equal(dk, e.band_high, out=yes[:k])
+            # On a zero-width band (epsilon = 0) the edge itself is certain yes.
+            (np.less_equal if e.band_low < e.band_high else np.less)(dk, e.band_low, out=no[:k])
+            ck *= 3
+            ck += yes8[:k]
+            ck += no8[:k]
+            ck += no8[:k]
+        np.copyto(codes[:k], ck)
+        tally += np.bincount(codes[:k], minlength=27)
     names = ("none", "yes", "no")
     fractions = {}
     errors = {}

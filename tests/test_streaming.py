@@ -43,6 +43,19 @@ def test_peak_memory_is_bounded(name):
     assert peak < 8_000_000
 
 
+def test_census_peak_memory_is_lean():
+    # The census draws two in-plane coordinates per respondent into buffers
+    # reused by every chunk: about 2.8 MB at 2e6 draws, where whole (k, 3)
+    # points per chunk peaked near 4.2 MB.
+    tracemalloc.start()
+    try:
+        CALLS["region_census"](2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_chunk_boundaries_are_reproducible(name):
     for n in BOUNDARY_NS:

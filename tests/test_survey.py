@@ -1,14 +1,26 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qmachine import survey
 from qmachine.embedding import ModelClass
 from qmachine.errors import InconsistentDataError
-from qmachine.geometry import cap_area_fraction, sector_angles
+from qmachine.geometry import (
+    UnitVector,
+    cap_area_fraction,
+    cap_intersection_fraction,
+    sample_uniform_sphere_array,
+    sector_angles,
+)
+from qmachine.machine import MC_CHUNK, EpsilonExperiment, chunk_sizes
+from qmachine.measures import OutcomeSet, eig_set
 from qmachine.survey import (
+    FitDiagnostics,
+    FittedQuestion,
     QuestionStats,
+    SurveyModel,
     build_survey_model,
     classify_survey,
     fit_epsilon_model,
@@ -128,6 +140,80 @@ def test_census_needs_three_questions():
     model = build_survey_model(stats, [0.0, 1.0])
     with pytest.raises(ValueError):
         region_census(model, 100, seed=0)
+
+
+BOUNDARY_NS = (MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 7)
+STATUS_NAMES = ("none", "yes", "no")
+
+
+def whole_point_census(m, trials, seed):
+    """The census by whole points: per chunk, uniform (k, 3) states times
+    the axes, statuses and a 27-bin count, on the census's own stream."""
+    rng = np.random.default_rng(seed)
+    axes = np.array([fq.experiment.axis.as_array() for fq in m.questions]).T
+    high = np.array([fq.experiment.band_high for fq in m.questions])
+    low = np.array([fq.experiment.band_low for fq in m.questions])
+    tally = np.zeros(27, dtype=np.int64)
+    for k in chunk_sizes(trials):
+        dots = sample_uniform_sphere_array(rng, k) @ axes
+        yes = dots >= high
+        status = yes + 2 * ((dots <= low) & ~yes)
+        tally += np.bincount(status @ np.array([9, 3, 1]), minlength=27)
+    return {
+        (STATUS_NAMES[c // 9], STATUS_NAMES[c // 3 % 3], STATUS_NAMES[c % 3]): int(tally[c])
+        for c in np.flatnonzero(tally)
+    }
+
+
+def census_counts(census):
+    return {key: round(p * census.trials) for key, p in census.fractions.items()}
+
+
+def random_coplanar_model(rng, epsilon):
+    """Three questions sharing epsilon, offsets d anywhere in
+    [-(1 - epsilon), 1 - epsilon], axes at random angles in the plane."""
+    stats = []
+    for label in ("a", "b", "c"):
+        d = rng.uniform(-(1.0 - epsilon), 1.0 - epsilon)
+        stats.append(QuestionStats(label, 0.5 * (1.0 - d), 0.5 * (1.0 - epsilon - d), 0.5 * (1.0 - epsilon + d)))
+    return build_survey_model(stats, list(rng.uniform(-math.pi, math.pi, 3)), force_epsilon=epsilon)
+
+
+def test_census_equals_whole_point_census():
+    # Regression oracle: the in-plane census draws the same stream as whole
+    # points and must put every draw in the same region.
+    rng = np.random.default_rng(2024)
+    epsilons = [0.0, 1.0] + list(rng.uniform(0.0, 1.0, 18))
+    models = [flagship_model(force=SQ2)] + [random_coplanar_model(rng, eps) for eps in epsilons]
+    for i, m in enumerate(models):
+        for n in BOUNDARY_NS:
+            assert census_counts(region_census(m, n, i)) == whole_point_census(m, n, i), (i, n)
+
+
+def test_census_pair_overlaps_match_cap_intersections():
+    # Independent oracle: the share of respondents predetermined yes on two
+    # questions is the uniform measure of the two yes-caps' overlap.
+    n = 1_000_000
+    rng = np.random.default_rng(77)
+    models = [flagship_model(force=SQ2), random_coplanar_model(rng, 0.3), random_coplanar_model(rng, 0.05)]
+    for seed, m in enumerate(models):
+        census = region_census(m, n, seed)
+        caps = [eig_set(fq.experiment, OutcomeSet.O1) for fq in m.questions]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            share = sum(p for key, p in census.fractions.items() if key[i] == key[j] == "yes")
+            expected = cap_intersection_fraction(caps[i], caps[j], 1e-12)
+            se = math.sqrt(expected * (1.0 - expected) / n)
+            assert abs(share - expected) <= 5 * se + 1e-12, (seed, i, j, share, expected)
+
+
+def test_census_rejects_axes_off_the_plane():
+    model = flagship_model(force=SQ2)
+    tilted = UnitVector.normalized(0.6, 0.1, math.sqrt(1.0 - 0.37))
+    fq = model.questions[1]
+    off_plane = FittedQuestion(fq.label, EpsilonExperiment(tilted, SQ2, 0.0), fq.angle, FitDiagnostics(0.5, 0.0, False))
+    bad = SurveyModel(model.epsilon, (model.questions[0], off_plane, model.questions[2]))
+    with pytest.raises(ValueError, match="plane"):
+        region_census(bad, 1_000, seed=0)
 
 
 def test_classify_flagship_is_neither():
