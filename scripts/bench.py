@@ -4,15 +4,16 @@
 Times conditional_mc on the flagship query (its conditioned state is
 uniform on a cap, so every trial runs the cap sampler), estimate_probability_mc
 on one pure state, and region_census on the flagship survey.  For each it
-reports the median of k runs in ms per 1e6 trials (with the runs'
-quartiles), the median count of minor page faults per call, and the
-tracemalloc peak of one more call; then the Python, numpy and qmachine
+reports the median of REPEATS runs of TRIALS trials each, in ms per 1e6
+trials (with the runs' quartiles), the median count of minor page faults
+per call, and the tracemalloc peak of one more call; then the Python, numpy and qmachine
 versions and a machine note.  Standard library and numpy only.
 
     PYTHONPATH=src python scripts/bench.py --out BENCH_<n>.json
 
 Page faults come from resource.getrusage of this process alone, so run it
 on an otherwise quiet machine and compare files made on the same one.
+TRIALS and REPEATS are fixed so that every BENCH_<n>.json is comparable.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from qmachine.machine import EpsilonExperiment, estimate_probability_mc
 from qmachine.survey import QuestionStats, build_survey_model, region_census
 
 SQ2 = math.sqrt(2) / 2
+TRIALS = 10_000_000
+REPEATS = 5
 
 
 def _flagship_model():
@@ -53,23 +56,23 @@ KERNELS = {
 }
 
 
-def measure(call, trials: int, repeats: int) -> dict:
+def measure(call) -> dict:
     call(1_000, 0)  # warm caches and lazy set-up before timing
     times, faults = [], []
-    for seed in range(repeats):
+    for seed in range(REPEATS):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
-        call(trials, seed)
+        call(TRIALS, seed)
         times.append(time.perf_counter() - start)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     tracemalloc.start()
     try:
-        call(trials, repeats)
+        call(TRIALS, REPEATS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    per_1e6 = sorted(t * 1e9 / trials for t in times)
-    q1, _, q3 = statistics.quantiles(per_1e6, n=4) if repeats > 1 else (per_1e6[0],) * 3
+    per_1e6 = sorted(t * 1e9 / TRIALS for t in times)
+    q1, _, q3 = statistics.quantiles(per_1e6, n=4)
     return {
         "ms_per_1e6_trials": statistics.median(per_1e6),
         "ms_per_1e6_trials_quartiles": [q1, q3],
@@ -91,18 +94,14 @@ def _cpu_model() -> str:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=10_000_000, help="trials per call")
-    parser.add_argument("--repeats", type=int, default=5, help="timed calls per kernel (k)")
     parser.add_argument("--out", type=str, default=None, help="JSON output path (default: print only)")
     args = parser.parse_args()
-    if args.trials < 1 or args.repeats < 1:
-        parser.error("--trials and --repeats must be at least 1")
 
     result = {
         "layer": "mc_kernels",
-        "trials_per_call": args.trials,
-        "repeats": args.repeats,
-        "kernels": {name: measure(call, args.trials, args.repeats) for name, call in KERNELS.items()},
+        "trials_per_call": TRIALS,
+        "repeats": REPEATS,
+        "kernels": {name: measure(call) for name, call in KERNELS.items()},
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,

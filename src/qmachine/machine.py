@@ -123,6 +123,19 @@ def uniform_into(rng: np.random.Generator, low: float, high: float, out: np.ndar
     return out
 
 
+def ring_into(rng: np.random.Generator, zlow: float, z: np.ndarray, ring: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill `z` with z ~ U(zlow, 1), then `ring` with sqrt(1 - z^2) cos(phi),
+    phi ~ U(0, 2 pi): the coordinates along and across a pole of points
+    uniform on the cap z >= zlow (zlow = -1: the whole sphere).  `scratch`
+    is a float buffer as long as `z`."""
+    uniform_into(rng, zlow, 1.0, z)
+    np.cos(uniform_into(rng, 0.0, 2.0 * math.pi, ring), out=ring)
+    np.multiply(z, z, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    ring *= scratch
+
+
 def _trials(e: EpsilonExperiment, x, rng: np.random.Generator, breaks: np.ndarray, up: np.ndarray) -> None:
     """Hidden-measurement trials at projection(s) x, a float or an array,
     one per slot of the caller's buffers: `breaks` gets the break points,

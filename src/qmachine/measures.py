@@ -30,7 +30,7 @@ from .geometry import (
     sample_uniform_cap_array,
     sample_uniform_sphere_array,
 )
-from .machine import EpsilonExperiment, Outcome, p1_given_projection, uniform_into
+from .machine import EpsilonExperiment, Outcome, p1_given_projection, ring_into, uniform_into
 from .quadrature import adaptive_simpson
 
 
@@ -301,13 +301,8 @@ def sample_projection(
         return uniform_into(rng, -1.0, 1.0, out)
     if isinstance(mu, CapUniform):
         gamma = angle_between(mu.cap.center, axis)
-        z = uniform_into(rng, math.cos(mu.cap.half_angle), 1.0, out)
-        cos_phi, ring = work[0, :n], work[1, :n]
-        np.cos(uniform_into(rng, 0.0, 2.0 * math.pi, cos_phi), out=cos_phi)
-        np.multiply(z, z, out=ring)
-        np.subtract(1.0, ring, out=ring)
-        np.sqrt(ring, out=ring)
-        ring *= cos_phi
+        z, ring = out, work[0, :n]
+        ring_into(rng, math.cos(mu.cap.half_angle), z, ring, work[1, :n])
         ring *= math.sin(gamma)
         z *= math.cos(gamma)
         z += ring

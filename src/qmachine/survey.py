@@ -38,7 +38,7 @@ from .geometry import (  # sample_uniform_sphere_array: perfbench/tracing.py wra
     sample_uniform_sphere_array,
     unit_vector_at_angle,
 )
-from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, uniform_into
+from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, ring_into
 
 # Denominator cap when snapping numerically computed conditionals to exact
 # rationals.  Large enough to keep the snap error ~1e-4 at most, small
@@ -216,12 +216,7 @@ def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
     tally = np.zeros(27, dtype=np.int64)
     for k in chunk_sizes(trials):
         zk, xk, dk, pk, ck = z[:k], x[:k], dot[:k], zpart[:k], digits[:k]
-        uniform_into(rng, -1.0, 1.0, zk)
-        np.cos(uniform_into(rng, 0.0, 2.0 * math.pi, xk), out=xk)
-        np.multiply(zk, zk, out=dk)
-        np.subtract(1.0, dk, out=dk)
-        np.sqrt(dk, out=dk)
-        xk *= dk
+        ring_into(rng, -1.0, zk, xk, dk)
         ck.fill(0)
         for e in experiments:
             np.multiply(xk, e.axis.x, out=dk)
