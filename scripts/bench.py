@@ -1,19 +1,31 @@
 #!/usr/bin/env python3
-"""Kernel-layer benchmark of the three Monte Carlo paths.
+"""Layer benchmark: the three Monte Carlo kernels and the exact checker.
 
-Times conditional_mc on the flagship query (its conditioned state is
-uniform on a cap, so every trial runs the cap sampler), estimate_probability_mc
-on one pure state, and region_census on the flagship survey.  For each it
-reports the median of REPEATS runs of TRIALS trials each, in ms per 1e6
-trials (with the runs' quartiles), the median count of minor page faults
-per call, and the tracemalloc peak of one more call; then the Python, numpy and qmachine
-versions and a machine note.  Standard library and numpy only.
+MC kernel layer: times conditional_mc on the flagship query (its
+conditioned state is uniform on a cap, so every trial runs the cap
+sampler), estimate_probability_mc on one pure state, and region_census on
+the flagship survey.  For each it reports the median of REPEATS runs of
+TRIALS trials each, in ms per 1e6 trials (with the runs' quartiles), the
+median count of minor page faults per call, and the tracemalloc peak of
+one more call.
+
+Exact-checker layer: times check_kolmogorov on CHECKER_TRIADS seeded
+triads of each family (random rational joints with the three standard
+conditionals, the half-marginal family, random rational triads with 0-5
+random conditionals, constant-contradiction cases among them).  Each
+triad's time is the median of CHECKER_REPEATS calls; each family reports
+the median ms per triad with the triads' quartiles, its verdict mix, and
+the median and largest tracemalloc peak of one call per triad.
+
+Then the Python, numpy and qmachine versions and a machine note.
+Standard library and numpy only.
 
     PYTHONPATH=src python scripts/bench.py --out BENCH_<n>.json
 
 Page faults come from resource.getrusage of this process alone, so run it
 on an otherwise quiet machine and compare files made on the same one.
-TRIALS and REPEATS are fixed so that every BENCH_<n>.json is comparable.
+TRIALS, REPEATS and the checker constants are fixed so that every
+BENCH_<n>.json is comparable.
 """
 
 from __future__ import annotations
@@ -23,16 +35,19 @@ import json
 import math
 import os
 import platform
+import random
 import resource
 import statistics
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 
 import qmachine
 from qmachine.conditional import conditional_mc, symmetric_query
+from qmachine.embedding import VARIABLES, CondProb, TriadData, check_kolmogorov
 from qmachine.geometry import Z_AXIS, unit_vector_at_angle
 from qmachine.machine import EpsilonExperiment, estimate_probability_mc
 from qmachine.survey import QuestionStats, build_survey_model, region_census
@@ -40,6 +55,11 @@ from qmachine.survey import QuestionStats, build_survey_model, region_census
 SQ2 = math.sqrt(2) / 2
 TRIALS = 10_000_000
 REPEATS = 5
+CHECKER_TRIADS = 100  # per family
+CHECKER_REPEATS = 5
+CHECKER_SEED = 5
+SENTINEL = "0 (constant contradiction)"
+ATOM_BIT = {"U": 4, "V": 2, "W": 1}  # bit of each event in an atom index
 
 
 def _flagship_model():
@@ -81,6 +101,86 @@ def measure(call) -> dict:
     }
 
 
+def _joint_triad(rnd: random.Random) -> TriadData:
+    """Marginals and the three standard conditionals of a random rational
+    joint: feasible by construction."""
+    weights = [rnd.randint(1, 1000) for _ in range(8)]
+    total = sum(weights)
+
+    def prob(*events) -> Fraction:
+        hits = (w for i, w in enumerate(weights) if all(bool(i & ATOM_BIT[n]) == pos for n, pos in events))
+        return Fraction(sum(hits), total)
+
+    marginals = {name: prob((name, True)) for name in VARIABLES}
+    conds = (
+        CondProb(("V", True), ("W", True), prob(("V", True), ("W", True)) / marginals["W"]),
+        CondProb(("U", True), ("W", True), prob(("U", True), ("W", True)) / marginals["W"]),
+        CondProb(("U", False), ("V", True), prob(("U", False), ("V", True)) / marginals["V"]),
+    )
+    return TriadData(marginals, conds)
+
+
+def _half_triad(rnd: random.Random) -> TriadData:
+    """Half marginals with conditionals g, 1 - g, 1 - g: feasible iff
+    g <= 2/3; g = 2/3 and 3/4 each one time in ten."""
+    pick = rnd.random()
+    g = Fraction(2, 3) if pick < 0.1 else Fraction(3, 4) if pick < 0.2 else Fraction(rnd.randint(1, 9999), 10_000)
+    half = Fraction(1, 2)
+    conds = (
+        CondProb(("V", True), ("W", True), g),
+        CondProb(("U", True), ("W", True), 1 - g),
+        CondProb(("U", False), ("V", True), 1 - g),
+    )
+    return TriadData({name: half for name in VARIABLES}, conds)
+
+
+def _rational_triad(rnd: random.Random) -> TriadData:
+    """Random rational marginals and 0-5 conditionals on any pair of events."""
+    events = [(name, positive) for name in VARIABLES for positive in (True, False)]
+
+    def prob(low: int) -> Fraction:
+        den = rnd.choice((2, 4, 10, 25, 100, 997))
+        return Fraction(rnd.randint(low, den - low), den)
+
+    marginals = {name: prob(1) for name in VARIABLES}
+    conds = tuple(CondProb(rnd.choice(events), rnd.choice(events), prob(0)) for _ in range(rnd.randint(0, 5)))
+    return TriadData(marginals, conds)
+
+
+TRIAD_FAMILIES = {"random_joint": _joint_triad, "half_family": _half_triad, "random_rational": _rational_triad}
+
+
+def measure_checker(make) -> dict:
+    rnd = random.Random(CHECKER_SEED)
+    triads = [make(rnd) for _ in range(CHECKER_TRIADS)]
+    verdicts = [check_kolmogorov(t) for t in triads]  # also warms caches
+    ms = []
+    for t in triads:
+        runs = []
+        for _ in range(CHECKER_REPEATS):
+            start = time.perf_counter()
+            check_kolmogorov(t)
+            runs.append(time.perf_counter() - start)
+        ms.append(statistics.median(runs) * 1e3)
+    peaks = []
+    for t in triads:
+        tracemalloc.start()
+        try:
+            check_kolmogorov(t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    q1, _, q3 = statistics.quantiles(ms, n=4)
+    return {
+        "ms_per_triad": statistics.median(ms),
+        "ms_per_triad_quartiles": [q1, q3],
+        "feasible": sum(v.feasible for v in verdicts),
+        "constant_contradiction": sum(not v.feasible and v.certificate.expression == SENTINEL for v in verdicts),
+        "tracemalloc_peak_bytes": statistics.median(peaks),
+        "tracemalloc_peak_bytes_max": max(peaks),
+    }
+
+
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -102,6 +202,12 @@ def main() -> None:
         "trials_per_call": TRIALS,
         "repeats": REPEATS,
         "kernels": {name: measure(call) for name, call in KERNELS.items()},
+        "checker": {
+            "triads_per_family": CHECKER_TRIADS,
+            "repeats": CHECKER_REPEATS,
+            "seed": CHECKER_SEED,
+            "families": {name: measure_checker(make) for name, make in TRIAD_FAMILIES.items()},
+        },
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -42,7 +42,7 @@ from .embedding import (
     parse_event,
 )
 from .errors import DomainError
-from .geometry import Z_AXIS, unit_vector_at_angle
+from .geometry import Z_AXIS, UnitVector, unit_vector_at_angle
 from .machine import EpsilonExperiment, estimate_probability_mc, outcome_probabilities
 from .survey import QuestionStats, build_survey_model, classify_survey, predict_conditionals, region_census
 
@@ -85,10 +85,16 @@ def _state_projection(args) -> float:
     return math.cos(_angle(args.theta, args.degrees))
 
 
+def _state_with_projection(x: float) -> UnitVector:
+    """The state in the x-z plane whose projection on Z_AXIS is exactly x,
+    so the tie x = d at epsilon = 0 stays a tie."""
+    return UnitVector(math.sqrt(1.0 - x * x), 0.0, x)
+
+
 def _cmd_prob(args) -> int:
     x = _state_projection(args)
     e = EpsilonExperiment(Z_AXIS, args.epsilon, args.d)
-    dist = outcome_probabilities(e, unit_vector_at_angle(Z_AXIS, math.acos(x)))
+    dist = outcome_probabilities(e, _state_with_projection(x))
     _emit({"epsilon": args.epsilon, "d": args.d, "x": x, "p1": dist.p1, "p2": dist.p2})
     return 0
 
@@ -98,7 +104,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--trials must be at least 1")
     x = _state_projection(args)
     e = EpsilonExperiment(Z_AXIS, args.epsilon, args.d)
-    estimate, stderr = estimate_probability_mc(e, unit_vector_at_angle(Z_AXIS, math.acos(x)), args.trials, args.seed)
+    estimate, stderr = estimate_probability_mc(e, _state_with_projection(x), args.trials, args.seed)
     _emit(
         {
             "epsilon": args.epsilon,

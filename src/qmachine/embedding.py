@@ -6,9 +6,11 @@ unknowns are the eight atom probabilities of the U/V/W sign table, and
 feasibility is decided by exact Fourier-Motzkin elimination over
 rationals.  Each equality constraint is substituted when its atom is
 eliminated, so the row count stays linear; inequalities are paired only
-for atoms no remaining equality involves.  Infeasible instances come
-with a certificate: a pair of implied bounds on a single atom that
-contradict each other.
+for atoms no remaining equality involves.  Rows are canonical integer
+rows (numerators over one common denominator, reduced by their gcd), so
+the elimination runs on Python ints and stays exact; only the bounds it
+reports are Fractions.  Infeasible instances come with a certificate: a
+pair of implied bounds on a single atom that contradict each other.
 
 check_hilbert2d asks whether the symmetric transition-probability table
 (all cyclically adjacent pairs gamma^2, all skew pairs delta^2) can be
@@ -24,6 +26,7 @@ them.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -140,7 +143,7 @@ def joint_constraints(t: TriadData) -> list[LinearConstraint]:
     """Equality constraints over the eight atoms: total mass, marginals, and
     each conditional turned into an intersection mass using the given
     conditioning marginal (atoms are additionally nonnegative)."""
-    cons = [LinearConstraint(tuple(Fraction(1) for _ in range(N_ATOMS)), Fraction(1), "total mass")]
+    cons = [LinearConstraint(tuple([Fraction(1)] * N_ATOMS), Fraction(1), "total mass")]
     for name in VARIABLES:
         coeffs = [Fraction(0)] * N_ATOMS
         for idx in _atoms_of((name, True)):
@@ -157,14 +160,27 @@ def joint_constraints(t: TriadData) -> list[LinearConstraint]:
 
 
 # ---------------------------------------------------------------------------
-# Exact Fourier-Motzkin elimination.  Rows encode  coeffs . x <= rhs.
+# Exact Fourier-Motzkin elimination.  Rows encode  coeffs . x <= rhs  as
+# (nums, den): the eight coefficient numerators and the rhs numerator over
+# one common denominator den > 0, reduced so that gcd(*nums, den) == 1.
+# That form is unique, so two rows are equal exactly when their rational
+# coefficients and rhs are, and the elimination runs on Python ints.
+# Tuples are built from lists: tuple(generator) allocates ten slots and
+# shrinks, and the shrunk tuples pile up in size freelists nothing reuses.
 
-Row = tuple[tuple[Fraction, ...], Fraction]
+Row = tuple[tuple[int, ...], int]
+RHS = N_ATOMS
+
+
+def _row(values) -> Row:
+    """The canonical integer row of a sequence of Fractions."""
+    den = math.lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (den // v.denominator) for v in values]), den
 
 
 def _negated(row: Row) -> Row:
-    coeffs, rhs = row
-    return tuple(-c for c in coeffs), -rhs
+    nums, den = row
+    return tuple([-n for n in nums]), den
 
 
 def _eliminate(rows: list[Row], var: int) -> tuple[list[Row], list[Row]]:
@@ -179,14 +195,14 @@ def _eliminate(rows: list[Row], var: int) -> tuple[list[Row], list[Row]]:
     later steps find theirs again.
     """
     uppers, lowers, rest = [], [], []
-    for coeffs, rhs in rows:
-        c = coeffs[var]
+    for row in rows:
+        c = row[0][var]
         if c > 0:
-            uppers.append((coeffs, rhs))
+            uppers.append(row)
         elif c < 0:
-            lowers.append((coeffs, rhs))
+            lowers.append(row)
         else:
-            rest.append((coeffs, rhs))
+            rest.append(row)
     negated_lowers = {_negated(row) for row in lowers}
     up = next((row for row in uppers if row in negated_lowers), None)
     if up is None:
@@ -195,11 +211,13 @@ def _eliminate(rows: list[Row], var: int) -> tuple[list[Row], list[Row]]:
         down = _negated(up)
         pairs = [(u, down) for u in uppers if u != up] + [(up, lo) for lo in lowers if lo != down]
     combined = []
-    for (uc, ur), (lc, lr) in pairs:
-        scale_u = -lc[var]
-        scale_l = uc[var]
-        coeffs = tuple(scale_u * a + scale_l * b for a, b in zip(uc, lc))
-        combined.append((coeffs, scale_u * ur + scale_l * lr))
+    for (un, ud), (ln, ld) in pairs:
+        scale_u = -ln[var]
+        scale_l = un[var]
+        nums = [scale_u * a + scale_l * b for a, b in zip(un, ln)]
+        den = ud * ld
+        g = math.gcd(*nums, den)
+        combined.append((tuple([n // g for n in nums]), den // g))
     return rest + combined, uppers + lowers
 
 
@@ -209,13 +227,13 @@ def _bounds_on(rows: list[Row], var: int) -> tuple[Optional[Fraction], Optional[
     lower: Optional[Fraction] = None
     upper: Optional[Fraction] = None
     violated = False
-    for coeffs, rhs in rows:
-        c = coeffs[var]
+    for nums, _ in rows:
+        c = nums[var]
         if c == 0:
-            if rhs < 0:
+            if nums[RHS] < 0:
                 violated = True
             continue
-        bound = rhs / c
+        bound = Fraction(nums[RHS], c)
         if c > 0:
             upper = bound if upper is None else min(upper, bound)
         else:
@@ -226,11 +244,11 @@ def _bounds_on(rows: list[Row], var: int) -> tuple[Optional[Fraction], Optional[
 def _project_to_atom(equalities: list[LinearConstraint], target: int):
     rows: list[Row] = []
     for con in equalities:
-        rows.append((con.coeffs, con.rhs))
-        rows.append(_negated((con.coeffs, con.rhs)))
+        row = _row((*con.coeffs, con.rhs))
+        rows.append(row)
+        rows.append(_negated(row))
     for i in range(N_ATOMS):
-        coeffs = tuple(Fraction(-1) if j == i else Fraction(0) for j in range(N_ATOMS))
-        rows.append((coeffs, Fraction(0)))
+        rows.append((tuple([-1 if j == i else 0 for j in range(N_ATOMS + 1)]), 1))
     stack = []
     for var in range(N_ATOMS):
         if var == target:
@@ -244,12 +262,18 @@ def _project_to_atom(equalities: list[LinearConstraint], target: int):
 def _back_substitute(stack, target: int, target_value: Fraction) -> tuple[Fraction, ...]:
     values: dict[int, Fraction] = {target: target_value}
     for var, used_rows in reversed(stack):
+        # The known values as integers over one common denominator, so each
+        # row's bound (rhs - rest) / coeff is a single Fraction.
+        den = math.lcm(*[v.denominator for v in values.values()])
+        known = [0] * N_ATOMS
+        for i, v in values.items():
+            known[i] = v.numerator * (den // v.denominator)
         lo: Optional[Fraction] = None
         hi: Optional[Fraction] = None
-        for coeffs, rhs in used_rows:
-            rest = sum((coeffs[i] * values[i] for i in range(N_ATOMS) if i != var and coeffs[i] != 0), Fraction(0))
-            bound = (rhs - rest) / coeffs[var]
-            if coeffs[var] > 0:
+        for nums, _ in used_rows:
+            rest = sum(a * x for a, x in zip(nums, known))  # known[var] is 0
+            bound = Fraction(nums[RHS] * den - rest, nums[var] * den)
+            if nums[var] > 0:
                 hi = bound if hi is None else min(hi, bound)
             else:
                 lo = bound if lo is None else max(lo, bound)
@@ -261,7 +285,7 @@ def _back_substitute(stack, target: int, target_value: Fraction) -> tuple[Fracti
             values[var] = min(hi, Fraction(0))
         else:
             values[var] = Fraction(0)
-    return tuple(values[i] for i in range(N_ATOMS))
+    return tuple([values[i] for i in range(N_ATOMS)])
 
 
 @dataclass(frozen=True)

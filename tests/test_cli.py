@@ -58,6 +58,30 @@ def test_simulate_reruns_are_byte_identical(capsys):
     assert payload["estimate"] == pytest.approx(0.75, abs=4 * payload["std_error"])
 
 
+# x = d at epsilon = 0 is the tie the model splits evenly; it survives only
+# if the state projects on the axis at exactly x (cos(acos(x)) != x here).
+TIES = [("0", "0"), ("0.3", "0.3"), ("-0.5", "-0.5")]
+
+
+@pytest.mark.parametrize("d, x", TIES)
+def test_prob_tie_at_epsilon_zero_is_half(capsys, d, x):
+    code, out, _ = run_cli(capsys, "prob", "--epsilon", "0", "--d", d, "--x", x)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["x"] == float(x)
+    assert payload["p1"] == payload["p2"] == 0.5
+
+
+@pytest.mark.parametrize("d, x", TIES)
+def test_simulate_tie_at_epsilon_zero_is_half(capsys, d, x):
+    trials = 100_000
+    code, out, _ = run_cli(capsys, "simulate", "--epsilon", "0", "--d", d, "--x", x, "--trials", str(trials), "--seed", "7")
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["estimate"] - 0.5) <= 5 * math.sqrt(0.25 / trials)
+    assert payload["std_error"] > 0
+
+
 def test_version_matches_pyproject():
     pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
     assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == qmachine.__version__

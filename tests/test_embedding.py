@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qmachine.embedding import (
+    _PAPER_TARGET,
     CondProb,
     ModelClass,
     TriadData,
+    _project_to_atom,
     atom_label,
     check_hilbert2d,
     check_kolmogorov,
@@ -160,40 +163,60 @@ def test_inconsistent_inputs_are_infeasible_with_certificate(marg, conds):
     assert verdict.certificate.lower > verdict.certificate.upper
 
 
+def test_elimination_rows_are_canonical():
+    # Equal rational rows must be equal tuples, or equality pairs go unfound
+    # and certificates change: every row the elimination keeps is reduced
+    # over a positive denominator.
+    rnd = random.Random(11)
+    names = ["U", "V", "W", "not U", "not V", "not W"]
+    for _ in range(60):
+        marg = {n: Fraction(rnd.randint(1, 99), 100) for n in "UVW"}
+        conds = [(rnd.choice(names), rnd.choice(names), Fraction(rnd.randint(0, 100), 100)) for _ in range(rnd.randint(0, 5))]
+        _, _, _, stack = _project_to_atom(joint_constraints(triad(marg, conds)), _PAPER_TARGET)
+        for _, rows in stack:
+            for nums, den in rows:
+                assert den > 0 and math.gcd(*nums, den) == 1
+
+
 def _grid_oracle_finds_feasible(t, steps=200):
     """Brute-force oracle: fix the not-U&V&W atom on a 1/steps grid, solve the
-    remaining 7x7 exact linear system, and look for a nonnegative solution."""
+    remaining 7x7 exact linear system, and look for a nonnegative solution.
+
+    The coefficient matrix does not depend on the grid value, so one
+    Gauss-Jordan elimination of [A | b0 | -c] serves every grid point: the
+    right-hand side at x_t is b0 - c x_t, and the row operations turn it into
+    b0' + x_t c', exactly the rationals a separate elimination would give."""
     cons = joint_constraints(t)
     target = 0b011
     others = [i for i in range(8) if i != target]
+    n = len(others)
+    mat = [[con.coeffs[i] for i in others] + [con.rhs, -con.coeffs[target]] for con in cons]
+    # Gaussian elimination over the rationals.
+    pivots = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        pv = mat[r][col]
+        mat[r] = [v / pv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    zero_rows = [row[n:] for row in mat if all(v == 0 for v in row[:n])]
     for k in range(steps + 1):
         x_t = Fraction(k, steps)
-        rows = [[con.coeffs[i] for i in others] + [con.rhs - con.coeffs[target] * x_t] for con in cons]
-        n = len(others)
-        # Gaussian elimination over the rationals.
-        mat = [row[:] for row in rows]
-        pivots = []
-        r = 0
-        for col in range(n):
-            pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-            if pivot is None:
-                continue
-            mat[r], mat[pivot] = mat[pivot], mat[r]
-            pv = mat[r][col]
-            mat[r] = [v / pv for v in mat[r]]
-            for i in range(len(mat)):
-                if i != r and mat[i][col] != 0:
-                    factor = mat[i][col]
-                    mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-            pivots.append(col)
-            r += 1
-        if any(all(v == 0 for v in row[:-1]) and row[-1] != 0 for row in mat):
+        if any(b0 + x_t * c != 0 for b0, c in zero_rows):
             continue  # inconsistent at this grid value
         if len(pivots) < n:
             continue  # underdetermined; the oracle only reports certain finds
         values = [Fraction(0)] * n
         for row_idx, col in enumerate(pivots):
-            values[col] = mat[row_idx][-1]
+            values[col] = mat[row_idx][n] + x_t * mat[row_idx][n + 1]
         if all(v >= 0 for v in values):
             return True
     return False
