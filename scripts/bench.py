@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer benchmark: the three Monte Carlo kernels and the exact checker.
+"""Layer benchmark: the Monte Carlo kernels, the exact checker and CLI sweep.
 
 MC kernel layer: times conditional_mc on the flagship query (its
 conditioned state is uniform on a cap, so every trial runs the cap
@@ -9,6 +9,11 @@ TRIALS trials each, in ms per 1e6 trials (with the runs' quartiles), the
 median count of minor page faults per call, and the tracemalloc peak of
 one more call.
 
+Sweep-row MC: conditional_mc at the sweep's SWEEP_ROW_TRIALS trials, for
+the flagship epsilon at each of SWEEP_ALPHA_STEPS alphas with the sweep's
+seeds; each alpha's time is the median of REPEATS calls, and the entry
+reports the median us per call over the alphas with their quartiles.
+
 Exact-checker layer: times check_kolmogorov on CHECKER_TRIADS seeded
 triads of each family (random rational joints with the three standard
 conditionals, the half-marginal family, random rational triads with 0-5
@@ -17,6 +22,11 @@ triad's time is the median of CHECKER_REPEATS calls; each family reports
 the median ms per triad with the triads' quartiles, its verdict mix, and
 the median and largest tracemalloc peak of one call per triad.
 
+End to end: CLI `sweep` over CLI_SWEEP_EPSILONS x SWEEP_ALPHA_STEPS alphas
+(the sweep's defaults otherwise, CSV to stdout, discarded), the median
+wall time of CLI_RUNS subprocess runs with their quartiles, and the rows
+per second that median gives.
+
 Then the Python, numpy and qmachine versions and a machine note.
 Standard library and numpy only.
 
@@ -24,8 +34,8 @@ Standard library and numpy only.
 
 Page faults come from resource.getrusage of this process alone, so run it
 on an otherwise quiet machine and compare files made on the same one.
-TRIALS, REPEATS and the checker constants are fixed so that every
-BENCH_<n>.json is comparable.
+TRIALS, REPEATS and the checker, sweep and CLI constants are fixed so
+that every BENCH_<n>.json is comparable.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ import platform
 import random
 import resource
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -58,6 +69,10 @@ REPEATS = 5
 CHECKER_TRIADS = 100  # per family
 CHECKER_REPEATS = 5
 CHECKER_SEED = 5
+SWEEP_ROW_TRIALS = 10_000
+SWEEP_ALPHA_STEPS = 181
+CLI_SWEEP_EPSILONS = "0.000001,0.25,0.5,0.7071068,1"
+CLI_RUNS = 5
 SENTINEL = "0 (constant contradiction)"
 ATOM_BIT = {"U": 4, "V": 2, "W": 1}  # bit of each event in an atom index
 
@@ -98,6 +113,50 @@ def measure(call) -> dict:
         "ms_per_1e6_trials_quartiles": [q1, q3],
         "minor_faults_per_call": statistics.median(faults),
         "tracemalloc_peak_bytes": peak,
+    }
+
+
+def measure_sweep_row() -> dict:
+    """conditional_mc as one sweep row calls it, at every alpha of one epsilon."""
+    queries = [symmetric_query(SQ2, math.pi * j / (SWEEP_ALPHA_STEPS - 1)) for j in range(SWEEP_ALPHA_STEPS)]
+    conditional_mc(queries[1], SWEEP_ROW_TRIALS, 0)  # warm caches and lazy set-up before timing
+    us = []
+    for j, q in enumerate(queries):
+        runs = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            conditional_mc(q, SWEEP_ROW_TRIALS, [0, 0, j])
+            runs.append(time.perf_counter() - start)
+        us.append(statistics.median(runs) * 1e6)
+    q1, _, q3 = statistics.quantiles(us, n=4)
+    return {
+        "epsilon": SQ2,
+        "alphas": SWEEP_ALPHA_STEPS,
+        "trials_per_call": SWEEP_ROW_TRIALS,
+        "us_per_call": statistics.median(us),
+        "us_per_call_quartiles": [q1, q3],
+    }
+
+
+def measure_cli_sweep() -> dict:
+    """Wall time of the CLI sweep, interpreter start-up included."""
+    argv = [sys.executable, "-m", "qmachine.cli", "sweep", "--epsilons", CLI_SWEEP_EPSILONS]
+    argv += ["--alpha-steps", str(SWEEP_ALPHA_STEPS), "--seed", "0", "--out", "-"]
+    seconds = []
+    for _ in range(CLI_RUNS):
+        start = time.perf_counter()
+        subprocess.run(argv, check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        seconds.append(time.perf_counter() - start)
+    q1, _, q3 = statistics.quantiles(seconds, n=4)
+    median = statistics.median(seconds)
+    rows = len(CLI_SWEEP_EPSILONS.split(",")) * SWEEP_ALPHA_STEPS
+    return {
+        "epsilons": CLI_SWEEP_EPSILONS,
+        "alpha_steps": SWEEP_ALPHA_STEPS,
+        "runs": CLI_RUNS,
+        "s_per_run": median,
+        "s_per_run_quartiles": [q1, q3],
+        "rows_per_s": rows / median,
     }
 
 
@@ -202,12 +261,14 @@ def main() -> None:
         "trials_per_call": TRIALS,
         "repeats": REPEATS,
         "kernels": {name: measure(call) for name, call in KERNELS.items()},
+        "sweep_row": measure_sweep_row(),
         "checker": {
             "triads_per_family": CHECKER_TRIADS,
             "repeats": CHECKER_REPEATS,
             "seed": CHECKER_SEED,
             "families": {name: measure_checker(make) for name, make in TRIAD_FAMILIES.items()},
         },
+        "end_to_end": {"cli_sweep": measure_cli_sweep()},
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,

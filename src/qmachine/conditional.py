@@ -135,18 +135,21 @@ def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> Conditio
     cap = _conditioning_cap(q)
     axis = q.target.axis
     rng = np.random.default_rng(seed)
-    # One workspace serves every chunk: row 0 takes the projections, rows 1-2
-    # are the sampler's scratch, and row 1 then takes the break points.
-    rows, up = chunk_workspace(trials, 3)
+    # One workspace serves every chunk: row 0 takes the projections, rows 1-3
+    # are the sampler's (z and phi kept for settling, and scratch), and row 3
+    # then takes the break points; `gap` is the screen's float32 row.
+    rows, up = chunk_workspace(trials, 4)
     if cap.half_angle <= 0.0:
         pinned = cap.center.dot(axis)
-        hits = sum(count_o1(q.target, pinned, rng, rows[1, :k], up[:k]) for k in chunk_sizes(trials))
+        hits = sum(count_o1(q.target, pinned, rng, rows[3, :k], up[:k]) for k in chunk_sizes(trials))
     else:
         mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))
+        gap = np.empty(len(up), dtype=np.float32)
         hits = 0
         for k in chunk_sizes(trials):
-            x = sample_projection(mu, axis, rng, rows[0, :k], rows[1:])
-            hits += count_o1(q.target, x, rng, rows[1, :k], up[:k])
+            x = rows[0, :k]
+            settle = sample_projection(mu, axis, rng, x, rows[1:], gap[:k])
+            hits += count_o1(q.target, x, rng, rows[3, :k], up[:k], settle)
     n_hit = hits if q.target_outcome is Outcome.O1 else trials - hits
     p_hat = n_hit / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)

@@ -241,7 +241,9 @@ def _bounds_on(rows: list[Row], var: int) -> tuple[Optional[Fraction], Optional[
     return lower, upper, violated
 
 
-def _project_to_atom(equalities: list[LinearConstraint], target: int):
+def _system_rows(equalities: list[LinearConstraint]) -> list[Row]:
+    """The system as rows: each equality as itself and its negation, in
+    order, then the eight rows -x_i <= 0."""
     rows: list[Row] = []
     for con in equalities:
         row = _row((*con.coeffs, con.rhs))
@@ -249,6 +251,11 @@ def _project_to_atom(equalities: list[LinearConstraint], target: int):
         rows.append(_negated(row))
     for i in range(N_ATOMS):
         rows.append((tuple([-1 if j == i else 0 for j in range(N_ATOMS + 1)]), 1))
+    return rows
+
+
+def _project_to_atom(equalities: list[LinearConstraint], target: int):
+    rows = _system_rows(equalities)
     stack = []
     for var in range(N_ATOMS):
         if var == target:
@@ -328,12 +335,23 @@ def check_kolmogorov(t: TriadData) -> KolmogorovVerdict:
             if lo is not None and up is not None and lo > up:
                 return KolmogorovVerdict(False, certificate=Certificate(lo, up, atom_label(alt)))
         return KolmogorovVerdict(False, certificate=Certificate(Fraction(1), Fraction(0), "0 (constant contradiction)"))
-    assert lower is not None and upper is not None  # total mass bounds every atom
+    if lower is None or upper is None:  # total mass bounds every atom
+        raise RuntimeError(f"the elimination left {atom_label(_PAPER_TARGET)} unbounded")
     witness = _back_substitute(stack, _PAPER_TARGET, (lower + upper) / 2)
-    for con in equalities:
-        assert sum(c * x for c, x in zip(con.coeffs, witness)) == con.rhs, con.label
-    assert all(x >= 0 for x in witness)
+    _check_witness(equalities, witness)
     return KolmogorovVerdict(True, witness=witness)
+
+
+def _check_witness(equalities: list[LinearConstraint], witness: tuple[Fraction, ...]) -> None:
+    """Raise unless the witness satisfies every row of the system exactly.
+    Over one common denominator den the witness is an integer vector, and
+    a row nums . x <= rhs holds iff nums . (den x) <= rhs * den."""
+    den = math.lcm(*[x.denominator for x in witness])
+    scaled = [x.numerator * (den // x.denominator) for x in witness]
+    for i, (nums, _) in enumerate(_system_rows(equalities)):
+        if sum([a * w for a, w in zip(nums, scaled)]) > nums[RHS] * den:
+            broken = equalities[i // 2].label if i < 2 * len(equalities) else f"{atom_label(i - 2 * len(equalities))} >= 0"
+            raise RuntimeError(f"the witness breaks {broken}")
 
 
 @dataclass(frozen=True)

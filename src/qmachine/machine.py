@@ -6,6 +6,17 @@ particle at v projects onto the axis at x = v . u; a break strictly below
 the projection pulls the particle up to u (outcome 1), otherwise it ends
 at -u (outcome 2).  epsilon = 1 reproduces the spin-1/2 probabilities,
 epsilon = 0 a deterministic classical experiment.
+
+Monte Carlo draws a state on a cap through its ring term
+sqrt(1 - z^2) cos(phi), and float64 cos is most of what such a trial
+costs.  ring_into therefore takes the cosine in float32, which is more
+than ten times cheaper, and keeps z and phi.  The screened value is
+within RING_ERR / 2 of the float64 one, so every comparison a kernel
+makes (break < x, x > d, a dot against a band edge) is decided by it
+whenever it sits more than RING_ERR from its threshold.  The rare trial
+closer than that gets its value recomputed from z and phi in float64,
+in the float64 draw's operation order (ring_exact), and is decided as
+before, so every outcome count is bitwise the one the float64 draw gives.
 """
 
 from __future__ import annotations
@@ -123,36 +134,78 @@ def uniform_into(rng: np.random.Generator, low: float, high: float, out: np.ndar
     return out
 
 
-def ring_into(rng: np.random.Generator, zlow: float, z: np.ndarray, ring: np.ndarray, scratch: np.ndarray) -> None:
-    """Fill `z` with z ~ U(zlow, 1), then `ring` with sqrt(1 - z^2) cos(phi),
-    phi ~ U(0, 2 pi): the coordinates along and across a pole of points
-    uniform on the cap z >= zlow (zlow = -1: the whole sphere).  `scratch`
-    is a float buffer as long as `z`."""
+# Screen width of the float32 ring term.  |fl32(phi) - phi| <= 2^-22 for
+# phi < 2 pi, the float32 cosine adds a few float32 ulps (2^-24 each near
+# 1), and |cos'| <= 1 and sqrt(1 - z^2) <= 1 carry both into the ring term
+# unchanged: the worst error measured over 1e8 draws and over phi near
+# k pi / 2 is 2.6e-7, under RING_ERR / 2 = 4.8e-7 (tests/test_ring_screen.py
+# checks that bound on the installed numpy).  Rescaling by a unit axis
+# component and adding an exact term moves it by float64 roundings only, so
+# a screened value more than RING_ERR from a threshold is on the same side
+# as the float64 one.
+RING_ERR = 2.0**-20
+
+
+def ring_into(
+    rng: np.random.Generator, zlow: float, z: np.ndarray, phi: np.ndarray, ring: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Fill `z` with z ~ U(zlow, 1), `phi` with phi ~ U(0, 2 pi), then `ring`
+    with the screened sqrt(1 - z^2) cos(phi): the coordinates along and
+    across a pole of points uniform on the cap z >= zlow (zlow = -1: the
+    whole sphere).  The cosine is float32's, of phi rounded to float32, so
+    `ring` is within RING_ERR / 2 of the float64 term; ring_exact gives that
+    term from the kept z and phi.  `scratch` is a float buffer as long as `z`."""
     uniform_into(rng, zlow, 1.0, z)
-    np.cos(uniform_into(rng, 0.0, 2.0 * math.pi, ring), out=ring)
+    uniform_into(rng, 0.0, 2.0 * math.pi, phi)
+    np.cos(phi, out=ring, dtype=np.float32, casting="same_kind")
     np.multiply(z, z, out=scratch)
     np.subtract(1.0, scratch, out=scratch)
     np.sqrt(scratch, out=scratch)
     ring *= scratch
 
 
-def _trials(e: EpsilonExperiment, x, rng: np.random.Generator, breaks: np.ndarray, up: np.ndarray) -> None:
+def ring_exact(z: np.ndarray, phi: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The float64 ring term sqrt(1 - z^2) cos(phi) at the indices idx, in
+    the operation order the fixed-seed counts were recorded with."""
+    zi = z[idx]
+    return np.cos(phi[idx]) * np.sqrt(1.0 - zi * zi)
+
+
+def near_threshold(values: np.ndarray, threshold, gap: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Indices where |values - threshold| <= RING_ERR: the comparisons a
+    screened value cannot decide.  `gap` (float, float32 will do) and
+    `flags` (bool) are buffers as long as `values`; `gap` may be `values`."""
+    np.subtract(values, threshold, out=gap)
+    np.abs(gap, out=gap)
+    np.less_equal(gap, RING_ERR, out=flags)
+    return np.flatnonzero(flags)
+
+
+def _trials(e: EpsilonExperiment, x, rng: np.random.Generator, breaks: np.ndarray, up: np.ndarray, settle=None) -> None:
     """Hidden-measurement trials at projection(s) x, a float or an array,
     one per slot of the caller's buffers: `breaks` gets the break points,
     uniform on the band, and `up` the outcome-1 flags, break < x.  For
-    epsilon = 0 the band is the point d and a tie x = d goes to a fair coin."""
+    epsilon = 0 the band is the point d and a tie x = d goes to a fair coin.
+    When x holds screened values (see ring_into), `settle(threshold, flags)`
+    makes exact those within RING_ERR of their threshold before any is
+    compared; `flags` is bool scratch, here `up`."""
     if e.epsilon > 0.0:
-        np.less(uniform_into(rng, e.band_low, e.band_high, breaks), x, out=up)
+        uniform_into(rng, e.band_low, e.band_high, breaks)
+        if settle is not None:
+            settle(breaks, up)
+        np.less(breaks, x, out=up)
         return
     breaks.fill(e.d)
+    if settle is not None:
+        settle(e.d, up)
     np.greater(x, e.d, out=up)
     ties = np.broadcast_to(x, up.shape) == e.d
     up[ties] = rng.integers(0, 2, int(np.count_nonzero(ties))).astype(bool)
 
 
-def count_o1(e: EpsilonExperiment, x, rng: np.random.Generator, breaks: np.ndarray, up: np.ndarray) -> int:
+def count_o1(e: EpsilonExperiment, x, rng: np.random.Generator, breaks: np.ndarray, up: np.ndarray, settle=None) -> int:
     """Outcome-1 count of len(up) hidden-measurement trials at projection(s) x."""
-    _trials(e, x, rng, breaks, up)
+    _trials(e, x, rng, breaks, up, settle)
     return int(np.count_nonzero(up))
 
 

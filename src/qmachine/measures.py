@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .geometry import (
     sample_uniform_cap_array,
     sample_uniform_sphere_array,
 )
-from .machine import EpsilonExperiment, Outcome, p1_given_projection, ring_into, uniform_into
+from .machine import EpsilonExperiment, Outcome, near_threshold, p1_given_projection, ring_exact, ring_into, uniform_into
 from .quadrature import adaptive_simpson
 
 
@@ -285,35 +285,67 @@ def condition(mu: MixedState, f: EpsilonExperiment, a: OutcomeSet, tol: float = 
 
 
 def sample_projection(
-    mu: MixedState, axis: UnitVector, rng: np.random.Generator, out: np.ndarray, work: np.ndarray
-) -> np.ndarray:
+    mu: MixedState, axis: UnitVector, rng: np.random.Generator, out: np.ndarray, work: np.ndarray, gap: np.ndarray
+) -> Optional[Callable[..., None]]:
     """Fill `out` with the projections v . axis of len(out) states drawn
-    from mu, and return it; `work` is float scratch of shape (2, >= len(out)).
+    from mu.  `work` is float scratch of shape (3, >= len(out)) and `gap`
+    float32 scratch as long as `out`; rows 0-1 of `work` keep each cap
+    draw's z and phi until the trials are decided.
 
-    Uniform: x ~ U(-1, 1) (hat-box).  Cap of half-angle rho, center gamma
-    from the axis: x = z cos gamma + sqrt(1 - z^2) cos(phi) sin gamma with
-    z ~ U(cos rho, 1), phi ~ U(0, 2 pi).  Mixture: a multinomial split, each
-    component filling the next slice of `out` in component order (callers
-    count outcomes, which ignores order).
+    Uniform: x ~ U(-1, 1) (hat-box), exact.  Cap of half-angle rho, center
+    gamma from the axis: x = z cos gamma + sqrt(1 - z^2) cos(phi) sin gamma
+    with z ~ U(cos rho, 1), phi ~ U(0, 2 pi), screened (see ring_into).
+    Mixture: a multinomial split, each component filling the next slice of
+    `out` in component order (callers count outcomes, which ignores order).
+
+    Returns None when every value is exact, else `settle(threshold, flags)`,
+    which overwrites the values within RING_ERR of `threshold` (an array
+    like `out`, or a float) with their float64 projections, in the
+    operation order the fixed-seed counts were recorded with; `flags` is
+    bool scratch as long as `out`.
     """
+    pieces: list[tuple[int, int, float, float]] = []  # cap slices: start, stop, cos gamma, sin gamma
+    _fill_projection(mu, axis, rng, out, work, 0, pieces)
+    if not pieces:
+        return None
+    z, phi = work[0], work[1]
+
+    def settle(threshold, flags: np.ndarray) -> None:
+        idx = near_threshold(out, threshold, gap, flags)
+        if not idx.size:
+            return
+        for start, stop, cg, sg in pieces:
+            j = idx[(idx >= start) & (idx < stop)]
+            out[j] = z[j] * cg + ring_exact(z, phi, j) * sg
+
+    return settle
+
+
+def _fill_projection(
+    mu: MixedState, axis: UnitVector, rng: np.random.Generator, out: np.ndarray, work: np.ndarray, start: int, pieces: list
+) -> None:
+    """sample_projection's draw into out[start:start + len(out)]'s slot of
+    the chunk (`work` columns alike), recording each cap slice in `pieces`."""
     n = len(out)
     if isinstance(mu, Uniform):
-        return uniform_into(rng, -1.0, 1.0, out)
+        uniform_into(rng, -1.0, 1.0, out)
+        return
     if isinstance(mu, CapUniform):
         gamma = angle_between(mu.cap.center, axis)
-        z, ring = out, work[0, :n]
-        ring_into(rng, math.cos(mu.cap.half_angle), z, ring, work[1, :n])
-        ring *= math.sin(gamma)
-        z *= math.cos(gamma)
-        z += ring
-        return z
+        cg, sg = math.cos(gamma), math.sin(gamma)
+        z, phi, scratch = (row[start : start + n] for row in work)
+        ring_into(rng, math.cos(mu.cap.half_angle), z, phi, out, scratch)
+        out *= sg
+        np.multiply(z, cg, out=scratch)
+        out += scratch
+        pieces.append((start, start + n, cg, sg))
+        return
     weights = np.array([w for w, _ in mu.components])
     counts = rng.multinomial(n, weights / weights.sum())
-    start = 0
+    offset = 0
     for (_, m), k in zip(mu.components, counts):
-        sample_projection(m, axis, rng, out[start : start + k], work)
-        start += k
-    return out
+        _fill_projection(m, axis, rng, out[offset : offset + k], work, start + offset, pieces)
+        offset += k
 
 
 def sample_state_array(mu: MixedState, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -38,7 +38,7 @@ from .geometry import (  # sample_uniform_sphere_array: perfbench/tracing.py wra
     sample_uniform_sphere_array,
     unit_vector_at_angle,
 )
-from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, ring_into
+from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, near_threshold, ring_exact, ring_into
 
 # Denominator cap when snapping numerically computed conditionals to exact
 # rationals.  Large enough to keep the snap error ~1e-4 at most, small
@@ -196,8 +196,11 @@ def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
     build_survey_model puts every axis in the x-z plane, so a respondent
     needs only z ~ U(-1, 1) and x = sqrt(1 - z^2) cos(phi), phi ~ U(0, 2 pi)
     (the stream sample_uniform_sphere_array draws, without its y column).
-    Each question's status is 0 undetermined, 1 certain yes or 2 certain no,
-    and the three statuses read as one base-3 number index the tally.
+    x is screened (see ring_into): a respondent whose dot with an axis lies
+    within RING_ERR of a band edge gets the float64 x before its status is
+    read, so the tally is bitwise the float64 one.  Each question's status
+    is 0 undetermined, 1 certain yes or 2 certain no, and the three statuses
+    read as one base-3 number index the tally.
     """
     if len(m.questions) != 3:
         raise ValueError("the census is defined for exactly three questions")
@@ -207,21 +210,30 @@ def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
     if any(e.axis.y != 0.0 for e in experiments):
         raise ValueError("the census needs every axis in the x-z plane, where build_survey_model puts them")
     rng = np.random.default_rng(seed)
-    (z, x, dot, zpart), yes = chunk_workspace(trials, 4)
+    (z, phi, x, dot, zpart), yes = chunk_workspace(trials, 5)
     no = np.empty_like(yes)
     # Statuses add up in uint8, the flags viewed as 0/1 bytes so that no cast
-    # runs; bincount wants intp, copied once per chunk.
+    # runs; bincount wants intp, copied once per chunk into phi's row, which
+    # is free by then.
     yes8, no8 = yes.view(np.uint8), no.view(np.uint8)
-    digits, codes = np.empty(len(yes), dtype=np.uint8), np.empty(len(yes), dtype=np.intp)
+    digits, codes = np.empty(len(yes), dtype=np.uint8), phi.view(np.intp)
     tally = np.zeros(27, dtype=np.int64)
     for k in chunk_sizes(trials):
-        zk, xk, dk, pk, ck = z[:k], x[:k], dot[:k], zpart[:k], digits[:k]
-        ring_into(rng, -1.0, zk, xk, dk)
+        zk, fk, xk, dk, pk, ck = z[:k], phi[:k], x[:k], dot[:k], zpart[:k], digits[:k]
+        ring_into(rng, -1.0, zk, fk, xk, dk)
         ck.fill(0)
         for e in experiments:
             np.multiply(xk, e.axis.x, out=dk)
             np.multiply(zk, e.axis.z, out=pk)
             dk += pk
+            # The band edges are d -+ epsilon: settle the dots within
+            # RING_ERR of one, where ||dot - d| - epsilon| <= RING_ERR.
+            np.subtract(dk, e.d, out=pk)
+            np.abs(pk, out=pk)
+            idx = near_threshold(pk, e.epsilon, pk, yes[:k])
+            if idx.size:
+                xk[idx] = ring_exact(zk, fk, idx)
+                dk[idx] = xk[idx] * e.axis.x + zk[idx] * e.axis.z
             np.greater_equal(dk, e.band_high, out=yes[:k])
             # On a zero-width band (epsilon = 0) the edge itself is certain yes.
             (np.less_equal if e.band_low < e.band_high else np.less)(dk, e.band_low, out=no[:k])

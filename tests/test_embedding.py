@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qmachine import embedding
 from qmachine.embedding import (
     _PAPER_TARGET,
     CondProb,
@@ -108,6 +109,26 @@ def test_independence_triad_is_feasible_with_valid_witness():
     # The uniform joint is one witness of these constraints.
     for con in joint_constraints(independence_triad()):
         assert sum(c * Fraction(1, 8) for c in con.coeffs) == con.rhs
+
+
+@pytest.mark.parametrize(
+    "wrong, broken",
+    [
+        # The uniform joint shifted along one atom: total mass is off.
+        ((Fraction(1, 4),) + (Fraction(1, 8),) * 7, "total mass"),
+        # Mass moved from one atom to another keeps the total but not a marginal.
+        ((Fraction(1, 4), Fraction(0)) + (Fraction(1, 8),) * 6, "marginal W"),
+        # Every equality kept (the uniform joint plus a null vector of the
+        # system), four atoms negative.
+        (tuple(Fraction(1, 8) + Fraction(s, 4) for s in (-1, 1, 1, -1, 1, -1, -1, 1)), "not U & not V & not W >= 0"),
+    ],
+)
+def test_wrong_witness_raises(monkeypatch, wrong, broken):
+    # The witness check must hold under python -O, so it raises instead of
+    # asserting; a wrong witness is never returned as feasible.
+    monkeypatch.setattr(embedding, "_back_substitute", lambda stack, target, value: wrong)
+    with pytest.raises(RuntimeError, match=broken):
+        check_kolmogorov(independence_triad())
 
 
 def test_random_joint_round_trips_feasible():
