@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .conditional import (
     ConditionalQuery,
+    SweepRow,
     conditional_closed_form,
     conditional_mc,
     conditional_quad,
@@ -150,13 +152,12 @@ def _cmd_sweep(args) -> int:
     if not epsilons:
         raise ValueError("--epsilons needs at least one value")
     rows = sweep(epsilons, args.alpha_steps, args.tol, args.mc_trials, args.seed)
-    header = ["epsilon", "alpha", "p_quad", "p_closed_form", "validity", "p_mc", "mc_stderr"]
 
     def write(stream) -> None:
+        # csv writes a float as its repr and a str as itself.
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for r in rows:
-            writer.writerow([repr(r.epsilon), repr(r.alpha), repr(r.p_quad), repr(r.p_closed_form), r.validity, repr(r.p_mc), repr(r.mc_stderr)])
+        writer.writerow([f.name for f in dataclasses.fields(SweepRow)])
+        writer.writerows(dataclasses.astuple(r) for r in rows)
 
     summary = {
         "rows": len(rows),
@@ -204,12 +205,13 @@ def _kolmogorov_payload(verdict: KolmogorovVerdict) -> dict:
 
 
 def _hilbert_payload(verdict: HilbertVerdict) -> dict:
+    cosine = verdict.required_cosine
     return {
         "hilbert2d": "feasible" if verdict.feasible else "infeasible",
         "gamma2": _fraction_str(verdict.gamma2),
         "delta2": _fraction_str(verdict.delta2),
-        "required_cosine": _fraction_str(verdict.required_cosine),
-        "required_cosine_decimal": float(verdict.required_cosine),
+        "required_cosine": None if cosine is None else _fraction_str(cosine),
+        "required_cosine_decimal": None if cosine is None else float(cosine),
     }
 
 
@@ -267,18 +269,7 @@ def _cmd_survey(args) -> int:
             }
             for fq in model.questions
         ],
-        "conditionals": [
-            {
-                "target": row.target,
-                "given": row.given,
-                "angle": row.angle,
-                "yes_given_yes": row.yes_given_yes,
-                "no_given_yes": row.no_given_yes,
-                "yes_given_no": row.yes_given_no,
-                "no_given_no": row.no_given_no,
-            }
-            for row in predict_conditionals(model)
-        ],
+        "conditionals": [dataclasses.asdict(row) for row in predict_conditionals(model)],
         "census": {
             "fractions": {",".join(k): v for k, v in sorted(census.fractions.items())},
             "std_errors": {",".join(k): v for k, v in sorted(census.std_errors.items())},
@@ -298,26 +289,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qmachine", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"qmachine {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    pure_state = argparse.ArgumentParser(add_help=False)
+    pure_state.add_argument("--epsilon", type=float, required=True)
+    pure_state.add_argument("--d", type=float, default=0.0)
+    pure_state.add_argument("--theta", type=float, help="angle between state and axis")
+    pure_state.add_argument("--x", type=float, help="projection of the state on the axis")
+    pure_state.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=_default_seed())
 
-    p = sub.add_parser("prob", help="exact outcome probabilities for a pure state")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--d", type=float, default=0.0)
-    p.add_argument("--theta", type=float, help="angle between state and axis")
-    p.add_argument("--x", type=float, help="projection of the state on the axis")
-    p.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
+    p = sub.add_parser("prob", parents=[pure_state], help="exact outcome probabilities for a pure state")
     p.set_defaults(func=_cmd_prob)
 
-    p = sub.add_parser("simulate", help="seeded trial frequency for a pure state")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--d", type=float, default=0.0)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--x", type=float)
-    p.add_argument("--degrees", action="store_true")
+    p = sub.add_parser("simulate", parents=[pure_state, seeded], help="seeded trial frequency for a pure state")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("conditional", help="conditional probability between two experiments")
+    p = sub.add_parser("conditional", parents=[seeded], help="conditional probability between two experiments")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True, help="angle between the two axes")
     p.add_argument("--d", type=float, default=0.0, help="offset of the target experiment")
@@ -325,16 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("quad", "mc", "formula"), default="quad")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--degrees", action="store_true")
     p.set_defaults(func=_cmd_conditional)
 
-    p = sub.add_parser("sweep", help="CSV table of the conditional over alpha")
+    p = sub.add_parser("sweep", parents=[seeded], help="CSV table of the conditional over alpha")
     p.add_argument("--epsilons", type=str, required=True, help="comma-separated epsilon values")
     p.add_argument("--alpha-steps", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--mc-trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", type=str, required=True, help="output path, or - for stdout")
     p.set_defaults(func=_cmd_sweep)
 
@@ -344,11 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma2", type=str, help="adjacent transition probability, exact decimal")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("survey", help="poll pipeline: fit, predict, census, classify")
+    p = sub.add_parser("survey", parents=[seeded], help="poll pipeline: fit, predict, census, classify")
     p.add_argument("--input", type=str, required=True, help="survey JSON file")
     p.add_argument("--force-epsilon", type=float, default=None)
     p.add_argument("--census-trials", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=_cmd_survey)
 
     return parser

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import Z_AXIS, angle_between, unit_vector_at_angle
+from .geometry import Z_AXIS, SectorCap, unit_vector_at_angle
 from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, count_o1, p1_given_projection
 from .measures import (  # sample_state_array: perfbench/tracing.py wraps it here by name
     MixedState,
@@ -69,10 +69,6 @@ class ConditionalQuery:
         if abs(self.target.epsilon - self.cond.epsilon) > 1e-12:
             raise ValueError("both experiments must share one epsilon")
 
-    @property
-    def alpha(self) -> float:
-        return angle_between(self.target.axis, self.cond.axis)
-
 
 @dataclass(frozen=True)
 class ConditionalResult:
@@ -98,9 +94,8 @@ def symmetric_query(
     )
 
 
-def _conditioning_cap(q: ConditionalQuery):
-    region = eig_set(q.cond, OutcomeSet.of(q.condition_outcome))
-    return region  # always a cap for O1/O2
+def _conditioning_cap(q: ConditionalQuery) -> SectorCap:
+    return eig_set(q.cond, OutcomeSet.of(q.condition_outcome))
 
 
 def _oriented_target(q: ConditionalQuery) -> EpsilonExperiment:

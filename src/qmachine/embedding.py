@@ -221,24 +221,28 @@ def _eliminate(rows: list[Row], var: int) -> tuple[list[Row], list[Row]]:
     return rest + combined, uppers + lowers
 
 
-def _bounds_on(rows: list[Row], var: int) -> tuple[Optional[Fraction], Optional[Fraction], bool]:
-    """(max lower bound, min upper bound, constants_violated) once all rows
-    involve only `var`."""
+def _bounds(rows: list[Row], var: int, values: Mapping[int, Fraction]) -> tuple[Optional[Fraction], Optional[Fraction]]:
+    """(max lower bound, min upper bound) on `var` from the rows that
+    involve it, every other atom a row involves taken at its `values`."""
+    # The known values as integers over one common denominator, so each
+    # row's bound (rhs - rest) / coeff is a single Fraction.
+    den = math.lcm(*[v.denominator for v in values.values()])
+    known = [0] * N_ATOMS
+    for i, v in values.items():
+        known[i] = v.numerator * (den // v.denominator)
     lower: Optional[Fraction] = None
     upper: Optional[Fraction] = None
-    violated = False
     for nums, _ in rows:
         c = nums[var]
         if c == 0:
-            if nums[RHS] < 0:
-                violated = True
             continue
-        bound = Fraction(nums[RHS], c)
+        rest = sum(a * x for a, x in zip(nums, known))  # known[var] is 0
+        bound = Fraction(nums[RHS] * den - rest, c * den)
         if c > 0:
             upper = bound if upper is None else min(upper, bound)
         else:
             lower = bound if lower is None else max(lower, bound)
-    return lower, upper, violated
+    return lower, upper
 
 
 def _system_rows(equalities: list[LinearConstraint]) -> list[Row]:
@@ -262,28 +266,16 @@ def _project_to_atom(equalities: list[LinearConstraint], target: int):
             continue
         rows, used = _eliminate(rows, var)
         stack.append((var, used))
-    lower, upper, violated = _bounds_on(rows, target)
+    # Every row left involves the target alone or no atom at all.
+    lower, upper = _bounds(rows, target, {})
+    violated = any(nums[target] == 0 and nums[RHS] < 0 for nums, _ in rows)
     return lower, upper, violated, stack
 
 
 def _back_substitute(stack, target: int, target_value: Fraction) -> tuple[Fraction, ...]:
     values: dict[int, Fraction] = {target: target_value}
     for var, used_rows in reversed(stack):
-        # The known values as integers over one common denominator, so each
-        # row's bound (rhs - rest) / coeff is a single Fraction.
-        den = math.lcm(*[v.denominator for v in values.values()])
-        known = [0] * N_ATOMS
-        for i, v in values.items():
-            known[i] = v.numerator * (den // v.denominator)
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for nums, _ in used_rows:
-            rest = sum(a * x for a, x in zip(nums, known))  # known[var] is 0
-            bound = Fraction(nums[RHS] * den - rest, nums[var] * den)
-            if nums[var] > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
+        lo, hi = _bounds(used_rows, var, values)
         if lo is not None and hi is not None:
             values[var] = (lo + hi) / 2
         elif lo is not None:
@@ -359,7 +351,7 @@ class HilbertVerdict:
     feasible: bool
     gamma2: Fraction
     delta2: Fraction
-    required_cosine: Fraction
+    required_cosine: Optional[Fraction]  # None at gamma^2 = 1, where no phase is asked for
 
 
 def check_hilbert2d(gamma2: RationalLike) -> HilbertVerdict:
@@ -368,15 +360,19 @@ def check_hilbert2d(gamma2: RationalLike) -> HilbertVerdict:
     With adjacent transition probabilities gamma^2 and skew ones
     delta^2 = 1 - gamma^2, the relative phases must satisfy
     cos(phase) = (delta^2 - delta^4 - gamma^4) / (2 delta^2 gamma^2),
-    which simplifies to (1 - 2 g) / (2 (1 - g)).  Feasible iff that
-    cosine lies in [-1, 1], i.e. gamma^2 <= 3/4.
+    which for 0 < g < 1 simplifies to (1 - 2 g) / (2 (1 - g)).  Feasible
+    iff that cosine lies in [-1, 1], i.e. gamma^2 <= 3/4.  The simplified
+    form also holds at gamma^2 = 0 (orthogonal neighbours make the skew
+    pair equal: feasible, cosine 1/2).  At gamma^2 = 1 the neighbours
+    coincide while the skew pair must be orthogonal: infeasible, with no
+    required cosine.  Values outside [0, 1] raise ValueError.
     """
     g = to_fraction(gamma2)
-    if g <= 0 or g >= 1:
-        raise ValueError("gamma^2 must lie strictly between 0 and 1")
+    if not 0 <= g <= 1:
+        raise ValueError("gamma^2 must lie in [0, 1]")
     d = 1 - g
-    required = (d - d * d - g * g) / (2 * d * g)
-    return HilbertVerdict(abs(required) <= 1, g, d, required)
+    required = (1 - 2 * g) / (2 * d) if d else None
+    return HilbertVerdict(required is not None and abs(required) <= 1, g, d, required)
 
 
 class ModelClass(enum.Enum):

@@ -58,11 +58,6 @@ class UnitVector:
             raise ValueError("cannot normalize the zero vector")
         return cls(x / n, y / n, z / n)
 
-    @classmethod
-    def from_spherical(cls, polar: float, azimuth: float = 0.0) -> "UnitVector":
-        s = math.sin(polar)
-        return cls.normalized(s * math.cos(azimuth), s * math.sin(azimuth), math.cos(polar))
-
     def to_spherical(self) -> tuple[float, float]:
         """(polar, azimuth); azimuth fixed to 0 at the poles by convention."""
         polar = clamped_acos(self.z)

@@ -34,9 +34,6 @@ class Outcome(enum.Enum):
     O1 = "o1"  # particle pulled to the axis point
     O2 = "o2"  # particle pulled to the antipode
 
-    def flipped(self) -> "Outcome":
-        return Outcome.O2 if self is Outcome.O1 else Outcome.O1
-
 
 @dataclass(frozen=True)
 class EpsilonExperiment:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .geometry import (
     sample_uniform_cap_array,
     sample_uniform_sphere_array,
 )
-from .machine import EpsilonExperiment, Outcome, near_threshold, p1_given_projection, ring_exact, ring_into, uniform_into
+from .machine import EpsilonExperiment, Outcome, near_threshold, p1_given_projection, ring_exact, ring_into
 from .quadrature import adaptive_simpson
 
 
@@ -109,16 +109,13 @@ def eig_set(e: EpsilonExperiment, a: OutcomeSet) -> Region:
 
 
 def pos_set(e: EpsilonExperiment, a: OutcomeSet) -> Region:
-    """States for which an outcome in `a` is possible (complement of the
-    opposite certainty cap); open for epsilon > 0, closed for epsilon = 0."""
-    if a is OutcomeSet.BOTH:
-        return SectorCap(e.axis, math.pi, closed=True)
-    if a is OutcomeSet.NEITHER:
-        return EMPTY
-    closed = e.epsilon == 0.0
-    if a is OutcomeSet.O1:
-        return SectorCap(e.axis, math.pi - clamped_acos(e.epsilon - e.d), closed=closed)
-    return SectorCap(-e.axis, math.pi - clamped_acos(e.epsilon + e.d), closed=closed)
+    """States for which an outcome in `a` is possible: the complement of the
+    certainty cap of the opposite outcome, so open for epsilon > 0 and
+    closed for epsilon = 0."""
+    if a is OutcomeSet.BOTH or a is OutcomeSet.NEITHER:
+        return eig_set(e, a)
+    c = eig_set(e, OutcomeSet.O2 if a is OutcomeSet.O1 else OutcomeSet.O1)
+    return SectorCap(-c.center, math.pi - c.half_angle, closed=not c.closed)
 
 
 def measure_of(mu: MixedState, region: Region, tol: float = 1e-9) -> float:
@@ -141,17 +138,15 @@ def _azimuthal_mean_p1(e: EpsilonExperiment, polar: float, cos_gamma: float, sin
     """
     A = math.cos(polar) * cos_gamma
     B = math.sin(polar) * sin_gamma
+    if B < 1e-15:
+        return p1_given_projection(e, A)
     if e.epsilon == 0.0:
-        if B < 1e-15:
-            return p1_given_projection(e, A)
         u = (e.d - A) / B
         if u >= 1.0:
             return 0.0
         if u <= -1.0:
             return 1.0
         return math.acos(u) / math.pi
-    if B < 1e-15:
-        return p1_given_projection(e, A)
     lo, hi = e.band_low, e.band_high
     # phi_a: where x crosses the top of the band; phi_b: the bottom.
     ua = (hi - A) / B
@@ -174,19 +169,17 @@ def cap_averaged_p1(e: EpsilonExperiment, cap: SectorCap, tol: float = 1e-9) -> 
     rho = cap.half_angle
 
     # Projection range of the cap onto the experiment axis; when it clears
-    # the band entirely the answer is exact.
+    # the band entirely the answer is exact.  At epsilon = 0 both band edges
+    # are d.
     x_min = math.cos(gamma + rho) if gamma + rho <= math.pi else -1.0
     x_max = math.cos(gamma - rho) if gamma - rho >= 0.0 else 1.0
-    lo_edge = e.d if e.epsilon == 0.0 else e.band_low
-    hi_edge = e.d if e.epsilon == 0.0 else e.band_high
-    if x_min >= hi_edge:
+    if x_min >= e.band_high:
         return 1.0
-    if x_max <= lo_edge:
+    if x_max <= e.band_low:
         return 0.0
 
-    edges = {e.d} if e.epsilon == 0.0 else {e.band_low, e.band_high}
     breaks: set[float] = set()
-    for edge in edges:
+    for edge in {e.band_low, e.band_high}:
         if -1.0 < edge < 1.0:
             a = math.acos(edge)
             for t in (gamma - a, a - gamma, gamma + a, 2.0 * math.pi - gamma - a):
@@ -286,28 +279,26 @@ def condition(mu: MixedState, f: EpsilonExperiment, a: OutcomeSet, tol: float = 
 
 def sample_projection(
     mu: MixedState, axis: UnitVector, rng: np.random.Generator, out: np.ndarray, work: np.ndarray, gap: np.ndarray
-) -> Optional[Callable[..., None]]:
+) -> Callable[..., None]:
     """Fill `out` with the projections v . axis of len(out) states drawn
-    from mu.  `work` is float scratch of shape (3, >= len(out)) and `gap`
-    float32 scratch as long as `out`; rows 0-1 of `work` keep each cap
-    draw's z and phi until the trials are decided.
+    from mu, a conditioned measure: a cap-uniform state or a mixture of
+    them, as condition() returns.  `work` is float scratch of shape
+    (3, >= len(out)) and `gap` float32 scratch as long as `out`; rows 0-1
+    of `work` keep each cap draw's z and phi until the trials are decided.
 
-    Uniform: x ~ U(-1, 1) (hat-box), exact.  Cap of half-angle rho, center
-    gamma from the axis: x = z cos gamma + sqrt(1 - z^2) cos(phi) sin gamma
-    with z ~ U(cos rho, 1), phi ~ U(0, 2 pi), screened (see ring_into).
+    Cap of half-angle rho, center gamma from the axis:
+    x = z cos gamma + sqrt(1 - z^2) cos(phi) sin gamma with
+    z ~ U(cos rho, 1), phi ~ U(0, 2 pi), screened (see ring_into).
     Mixture: a multinomial split, each component filling the next slice of
     `out` in component order (callers count outcomes, which ignores order).
 
-    Returns None when every value is exact, else `settle(threshold, flags)`,
-    which overwrites the values within RING_ERR of `threshold` (an array
-    like `out`, or a float) with their float64 projections, in the
-    operation order the fixed-seed counts were recorded with; `flags` is
-    bool scratch as long as `out`.
+    Returns `settle(threshold, flags)`, which overwrites the values within
+    RING_ERR of `threshold` (an array like `out`, or a float) with their
+    float64 projections, in the operation order the fixed-seed counts were
+    recorded with; `flags` is bool scratch as long as `out`.
     """
     pieces: list[tuple[int, int, float, float]] = []  # cap slices: start, stop, cos gamma, sin gamma
     _fill_projection(mu, axis, rng, out, work, 0, pieces)
-    if not pieces:
-        return None
     z, phi = work[0], work[1]
 
     def settle(threshold, flags: np.ndarray) -> None:
@@ -327,9 +318,6 @@ def _fill_projection(
     """sample_projection's draw into out[start:start + len(out)]'s slot of
     the chunk (`work` columns alike), recording each cap slice in `pieces`."""
     n = len(out)
-    if isinstance(mu, Uniform):
-        uniform_into(rng, -1.0, 1.0, out)
-        return
     if isinstance(mu, CapUniform):
         gamma = angle_between(mu.cap.center, axis)
         cg, sg = math.cos(gamma), math.sin(gamma)

@@ -47,6 +47,9 @@ from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, n
 # the boundary-tight classical case needs.
 _SNAP_DENOMINATOR = 10_000
 
+# Per-question epsilon fits further apart than this draw a warning.
+_EPSILON_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class QuestionStats:
@@ -107,29 +110,36 @@ def build_survey_model(
     stats: Sequence[QuestionStats],
     angles: Sequence[float],
     force_epsilon: Optional[float] = None,
-    epsilon_tolerance: float = 1e-6,
 ) -> SurveyModel:
     """Fit every question and place the axes coplanar at the given angles.
 
     The model family uses one shared epsilon: if the per-question fits
-    disagree beyond `epsilon_tolerance` a warning is raised and the first
+    disagree beyond _EPSILON_TOLERANCE a warning is raised and the first
     fit wins.  `force_epsilon` overrides the fitted value (keeping each
     question's d), for reproducing analyses at a designated epsilon.
+    Raises InconsistentDataError, naming the question, when the shared
+    epsilon leaves a question's d outside [-1 + epsilon, 1 - epsilon].
     """
     if len(stats) != len(angles):
         raise ValueError("need exactly one axis angle per question")
     fits = [fit_epsilon_model(q) for q in stats]
     epsilons = [f[0] for f in fits]
-    if max(epsilons) - min(epsilons) > epsilon_tolerance:
+    if max(epsilons) - min(epsilons) > _EPSILON_TOLERANCE:
         warnings.warn(
             f"per-question epsilon fits disagree ({min(epsilons):.4f}..{max(epsilons):.4f}); using the first",
             stacklevel=2,
         )
     epsilon = force_epsilon if force_epsilon is not None else epsilons[0]
     questions = []
-    for q, angle, (eps_i, d_i, diag) in zip(stats, angles, fits):
+    for q, angle, (_, d_i, diag) in zip(stats, angles, fits):
         axis = unit_vector_at_angle(Z_AXIS, angle)
-        questions.append(FittedQuestion(q.label, EpsilonExperiment(axis, epsilon, d_i), angle, diag))
+        try:
+            experiment = EpsilonExperiment(axis, epsilon, d_i)
+        except ValueError as exc:
+            if not 0.0 <= epsilon <= 1.0:  # a bad epsilon, not a d the band cannot hold
+                raise
+            raise InconsistentDataError(f"question {q.label!r}: {exc}") from exc
+        questions.append(FittedQuestion(q.label, experiment, angle, diag))
     return SurveyModel(epsilon, tuple(questions))
 
 
@@ -146,32 +156,21 @@ class PairConditionals:
     no_given_no: float
 
 
+# (target outcome, condition outcome) of PairConditionals' four values, in field order.
+_PAIR_OUTCOMES = ((Outcome.O1, Outcome.O1), (Outcome.O2, Outcome.O1), (Outcome.O1, Outcome.O2), (Outcome.O2, Outcome.O2))
+
+
 def predict_conditionals(m: SurveyModel, tol: float = 1e-8) -> list[PairConditionals]:
     rows = []
     for i, given in enumerate(m.questions):
         for j, target in enumerate(m.questions):
             if i == j:
                 continue
-            entries = {}
-            for t_out, c_out in (
-                (Outcome.O1, Outcome.O1),
-                (Outcome.O2, Outcome.O1),
-                (Outcome.O1, Outcome.O2),
-                (Outcome.O2, Outcome.O2),
-            ):
-                q = ConditionalQuery(target.experiment, given.experiment, t_out, c_out)
-                entries[(t_out, c_out)] = conditional_quad(q, tol).value
-            rows.append(
-                PairConditionals(
-                    target=target.label,
-                    given=given.label,
-                    angle=abs(target.angle - given.angle),
-                    yes_given_yes=entries[(Outcome.O1, Outcome.O1)],
-                    no_given_yes=entries[(Outcome.O2, Outcome.O1)],
-                    yes_given_no=entries[(Outcome.O1, Outcome.O2)],
-                    no_given_no=entries[(Outcome.O2, Outcome.O2)],
-                )
-            )
+            values = [
+                conditional_quad(ConditionalQuery(target.experiment, given.experiment, t_out, c_out), tol).value
+                for t_out, c_out in _PAIR_OUTCOMES
+            ]
+            rows.append(PairConditionals(target.label, given.label, abs(target.angle - given.angle), *values))
     return rows
 
 
@@ -293,11 +292,7 @@ def classify_survey(m: SurveyModel, tol: float = 1e-9) -> SurveyClassification:
     p_v_w = cond(q_v, q_w, Outcome.O1)
     p_u_w = cond(q_u, q_w, Outcome.O1)
     p_notu_v = cond(q_u, q_v, Outcome.O2)
-    marginals = {
-        "W": _snap(0.5 * (1.0 - q_w.experiment.d)),
-        "V": _snap(0.5 * (1.0 - q_v.experiment.d)),
-        "U": _snap(0.5 * (1.0 - q_u.experiment.d)),
-    }
+    marginals = {name: _snap(0.5 * (1.0 - fq.experiment.d)) for name, fq in zip("WVU", m.questions)}
     triad = TriadData(
         marginals,
         (

@@ -226,6 +226,13 @@ def test_check_hilbert(capsys):
     code, out, _ = run_cli(capsys, "check", "hilbert", "--gamma2", "0.5")
     assert json.loads(out)["hilbert2d"] == "feasible"
     assert json.loads(out)["required_cosine"] == "0"
+    code, out, _ = run_cli(capsys, "check", "hilbert", "--gamma2", "0")
+    assert code == 0 and json.loads(out)["hilbert2d"] == "feasible"
+    assert json.loads(out)["required_cosine"] == "1/2"
+    code, out, _ = run_cli(capsys, "check", "hilbert", "--gamma2", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["hilbert2d"] == "infeasible"
+    assert payload["required_cosine"] is None and payload["required_cosine_decimal"] is None
 
 
 def test_check_classify(tmp_path, capsys):
@@ -303,6 +310,15 @@ def test_survey_all_predetermined_is_kolmogorovian(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["classification"] == "kolmogorovian"
+
+
+def test_survey_forced_epsilon_beyond_an_offset_exits_3(tmp_path, capsys):
+    path = tmp_path / "offset.json"
+    questions = [{"label": l, "yes": 0.525, "pre_yes": 0.15, "pre_no": 0.1} for l in ("w", "v", "u")]
+    path.write_text(json.dumps({"questions": questions, "angles_deg": [0, 60, 120]}))
+    code, out, err = run_cli(capsys, "survey", "--input", str(path), "--force-epsilon", "1", "--census-trials", "10")
+    assert code == 3 and not out
+    assert "question 'w'" in err
 
 
 def test_survey_malformed_json_exits_2(tmp_path, capsys):

@@ -299,7 +299,11 @@ def test_hilbert_simplified_form_and_threshold(g):
 
 
 def test_hilbert_degenerate_inputs():
-    for g in (Fraction(0), Fraction(1)):
+    # gamma^2 = 0: neighbours orthogonal, so the skew pair coincides.
+    assert check_hilbert2d(Fraction(0)) == embedding.HilbertVerdict(True, Fraction(0), Fraction(1), HALF)
+    # gamma^2 = 1: neighbours coincide, yet the skew pair must be orthogonal.
+    assert check_hilbert2d(Fraction(1)) == embedding.HilbertVerdict(False, Fraction(1), Fraction(0), None)
+    for g in (Fraction(-1, 10), Fraction(11, 10)):
         with pytest.raises(ValueError):
             check_hilbert2d(g)
 

@@ -54,6 +54,39 @@ def test_pos_set_shapes():
     assert cap.half_angle == pytest.approx(math.acos(0.3), abs=1e-12) and cap.closed
 
 
+# (epsilon, d, half-angles of eig O1, eig O2, pos O1, pos O2 as float.hex),
+# recorded at the band's limits, at d = -+(1 - epsilon) and at the 1e-15
+# slack EpsilonExperiment allows beyond them.
+_PI, _HALF_PI, _ZERO = "0x1.921fb54442d18p+1", "0x1.921fb54442d18p+0", "0x0.0p+0"
+CAP_PINS = [
+    (0.0, -1.0, (_PI, _ZERO, _PI, _ZERO)),
+    (0.0, 0.0, (_HALF_PI, _HALF_PI, _HALF_PI, _HALF_PI)),
+    (0.0, 1.0, (_ZERO, _PI, _ZERO, _PI)),
+    (0.0, -1.0 - 1e-15, (_PI, _ZERO, _PI, _ZERO)),
+    (0.0, 1.0 + 1e-15, (_ZERO, _PI, _ZERO, _PI)),
+    (1.0, 0.0, (_ZERO, _ZERO, _PI, _PI)),
+    (1.0, -1e-15, ("0x1.8000000000001p-25", _ZERO, _PI, "0x1.921fb4e442d18p+1")),
+    (1.0, 1e-15, (_ZERO, "0x1.8000000000001p-25", "0x1.921fb4e442d18p+1", _PI)),
+    (0.5, -0.5, (_HALF_PI, _ZERO, _PI, _HALF_PI)),
+    (0.5, 0.5, (_ZERO, _HALF_PI, _HALF_PI, _PI)),
+    (0.5, -0.5 - 1e-15, ("0x1.921fb54442d1dp+0", _ZERO, _PI, "0x1.921fb54442d13p+0")),
+    (0.5, 0.5 + 1e-15, (_ZERO, "0x1.921fb54442d1dp+0", "0x1.921fb54442d13p+0", _PI)),
+]
+
+
+@pytest.mark.parametrize("epsilon, d, halves", CAP_PINS)
+def test_certainty_caps_at_the_boundaries(epsilon, d, halves):
+    axis = unit_vector_at_angle(Z_AXIS, 1.0)
+    e = experiment(epsilon, d, axis)
+    caps = [f(e, a) for f in (eig_set, pos_set) for a in (OutcomeSet.O1, OutcomeSet.O2)]
+    assert [c.half_angle for c in caps] == [float.fromhex(h) for h in halves]
+    assert [c.center for c in caps] == [axis, -axis, axis, -axis]
+    assert [c.closed for c in caps] == [epsilon > 0.0] * 2 + [epsilon == 0.0] * 2
+    for f in (eig_set, pos_set):
+        assert f(e, OutcomeSet.BOTH) == SectorCap(axis, math.pi, closed=True)
+        assert f(e, OutcomeSet.NEITHER) is EMPTY
+
+
 def test_both_and_neither():
     e = experiment(0.5)
     assert eig_set(e, OutcomeSet.BOTH).area_fraction == pytest.approx(1.0)

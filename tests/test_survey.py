@@ -267,3 +267,35 @@ def test_classify_maximal_band_mutual_120_is_hilbertian():
     outcome = classify_survey(model)
     assert outcome.model_class is ModelClass.HILBERTIAN_2D
     assert outcome.gamma2 == Fraction(1, 4)
+
+
+def pool_like_model(epsilon, ds, degrees):
+    """A survey whose fit gives back `epsilon` and the offsets `ds`."""
+    stats = [
+        QuestionStats(label, 0.5 * (1 - d), 0.5 * (1 - epsilon - d), 0.5 * (1 - epsilon + d))
+        for label, d in zip(("w", "v", "u"), ds)
+    ]
+    return build_survey_model(stats, [math.radians(a) for a in degrees])
+
+
+def test_classify_gamma2_snapped_to_one():
+    # V's certainty cap holds W's: P(V yes | W yes) is 1 to within the snap.
+    outcome = classify_survey(pool_like_model(0.59, (0.0, -0.3, -0.14), (151, 161, 110)))
+    assert outcome.gamma2 == 1
+    assert not outcome.hilbert.feasible and outcome.hilbert.required_cosine is None
+    assert outcome.model_class is ModelClass.KOLMOGOROVIAN
+
+
+def test_classify_gamma2_snapped_to_zero():
+    outcome = classify_survey(pool_like_model(0.3, (0.63, 0.4, 0.65), (6.5, 138.4, 127.3)))
+    assert outcome.gamma2 == 0
+    assert outcome.hilbert.feasible and outcome.hilbert.required_cosine == Fraction(1, 2)
+    assert outcome.model_class is ModelClass.HILBERTIAN_2D
+
+
+def test_forced_epsilon_beyond_a_question_offset_names_it():
+    stats = [stats_for(l, yes=0.525, pre_yes=0.15, pre_no=0.1) for l in ("w", "v", "u")]
+    with pytest.raises(InconsistentDataError, match="question 'w'"):
+        build_survey_model(stats, [0.0, 1.0, 2.0], force_epsilon=1.0)
+    with pytest.raises(ValueError, match="epsilon 1.5"):
+        build_survey_model(stats, [0.0, 1.0, 2.0], force_epsilon=1.5)
