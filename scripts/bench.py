@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer benchmark: the Monte Carlo kernels, the exact checker and CLI sweep.
+"""Layer benchmark: MC kernels, cap overlap, conditionals, checker, CLI sweep.
 
 MC kernel layer: times conditional_mc on the flagship query (its
 conditioned state is uniform on a cap, so every trial runs the cap
@@ -14,10 +14,18 @@ the flagship epsilon at each of SWEEP_ALPHA_STEPS alphas with the sweep's
 seeds; each alpha's time is the median of REPEATS calls, and the entry
 reports the median us per call over the alphas with their quartiles.
 
+Cap overlap: cap_intersection_fraction on CAP_PAIRS seeded pairs of caps
+(uniform centers, half-angles uniform on [0, pi]).  Conditionals:
+conditional_closed_form and conditional_quad, the latter at each of
+QUAD_TOLS, on the symmetric query at every point of the CLI sweep grid
+(CLI_SWEEP_EPSILONS x SWEEP_ALPHA_STEPS alphas).  Each entry times every
+item REPEATS times and reports the median us per call over the items,
+with their quartiles.
+
 Exact-checker layer: times check_kolmogorov on CHECKER_TRIADS seeded
 triads of each family (random rational joints with the three standard
 conditionals, the half-marginal family, random rational triads with 0-5
-random conditionals, constant-contradiction cases among them).  Each
+random conditionals, constant-row certificates among them).  Each
 triad's time is the median of CHECKER_REPEATS calls; each family reports
 the median ms per triad with the triads' quartiles, its verdict mix, and
 the median and largest tracemalloc peak of one call per triad.
@@ -57,9 +65,9 @@ from fractions import Fraction
 import numpy as np
 
 import qmachine
-from qmachine.conditional import conditional_mc, symmetric_query
+from qmachine.conditional import conditional_closed_form, conditional_mc, conditional_quad, symmetric_query
 from qmachine.embedding import VARIABLES, CondProb, TriadData, check_kolmogorov
-from qmachine.geometry import Z_AXIS, unit_vector_at_angle
+from qmachine.geometry import Z_AXIS, SectorCap, cap_intersection_fraction, unit_vector_at_angle
 from qmachine.machine import EpsilonExperiment, estimate_probability_mc
 from qmachine.survey import QuestionStats, build_survey_model, region_census
 
@@ -73,7 +81,10 @@ SWEEP_ROW_TRIALS = 10_000
 SWEEP_ALPHA_STEPS = 181
 CLI_SWEEP_EPSILONS = "0.000001,0.25,0.5,0.7071068,1"
 CLI_RUNS = 5
-SENTINEL = "0 (constant contradiction)"
+CAP_PAIRS = 1_000
+CAP_SEED = 8
+QUAD_TOLS = (1e-6, 1e-8, 1e-10)
+CONSTANT_ROW = "0"  # the expression of a constant-row certificate
 ATOM_BIT = {"U": 4, "V": 2, "W": 1}  # bit of each event in an atom index
 
 
@@ -160,6 +171,51 @@ def measure_cli_sweep() -> dict:
     }
 
 
+def per_call_us(call, items) -> dict:
+    """Median us per call(item) over the items, each item's time the median
+    of REPEATS calls, with the items' quartiles."""
+    call(items[0])  # warm caches and lazy set-up before timing
+    us = []
+    for item in items:
+        runs = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            call(item)
+            runs.append(time.perf_counter() - start)
+        us.append(statistics.median(runs) * 1e6)
+    q1, _, q3 = statistics.quantiles(us, n=4)
+    return {"calls": len(items), "us_per_call": statistics.median(us), "us_per_call_quartiles": [q1, q3]}
+
+
+def measure_cap_overlap() -> dict:
+    rnd = random.Random(CAP_SEED)
+
+    def cap() -> SectorCap:
+        center = unit_vector_at_angle(Z_AXIS, math.acos(rnd.uniform(-1.0, 1.0)), rnd.uniform(0.0, 2.0 * math.pi))
+        return SectorCap(center, rnd.uniform(0.0, math.pi))
+
+    pairs = [(cap(), cap()) for _ in range(CAP_PAIRS)]
+    return {"seed": CAP_SEED, **per_call_us(lambda ab: cap_intersection_fraction(*ab), pairs)}
+
+
+def measure_conditionals() -> dict:
+    """Closed form and quadrature per call over the CLI sweep grid."""
+    grid = [
+        (float(eps), math.pi * j / (SWEEP_ALPHA_STEPS - 1))
+        for eps in CLI_SWEEP_EPSILONS.split(",")
+        for j in range(SWEEP_ALPHA_STEPS)
+    ]
+    queries = [symmetric_query(eps, alpha) for eps, alpha in grid]
+    closed = per_call_us(lambda p: conditional_closed_form(*p), grid)
+    closed["valid"] = sum(conditional_closed_form(*p).validity.value == "valid" for p in grid)
+    return {
+        "epsilons": CLI_SWEEP_EPSILONS,
+        "alpha_steps": SWEEP_ALPHA_STEPS,
+        "conditional_closed_form": closed,
+        "conditional_quad": {f"{tol:g}": per_call_us(lambda q: conditional_quad(q, tol), queries) for tol in QUAD_TOLS},
+    }
+
+
 def _joint_triad(rnd: random.Random) -> TriadData:
     """Marginals and the three standard conditionals of a random rational
     joint: feasible by construction."""
@@ -234,7 +290,7 @@ def measure_checker(make) -> dict:
         "ms_per_triad": statistics.median(ms),
         "ms_per_triad_quartiles": [q1, q3],
         "feasible": sum(v.feasible for v in verdicts),
-        "constant_contradiction": sum(not v.feasible and v.certificate.expression == SENTINEL for v in verdicts),
+        "constant_contradiction": sum(not v.feasible and v.certificate.expression == CONSTANT_ROW for v in verdicts),
         "tracemalloc_peak_bytes": statistics.median(peaks),
         "tracemalloc_peak_bytes_max": max(peaks),
     }
@@ -262,6 +318,8 @@ def main() -> None:
         "repeats": REPEATS,
         "kernels": {name: measure(call) for name, call in KERNELS.items()},
         "sweep_row": measure_sweep_row(),
+        "cap_overlap": measure_cap_overlap(),
+        "conditionals": measure_conditionals(),
         "checker": {
             "triads_per_family": CHECKER_TRIADS,
             "repeats": CHECKER_REPEATS,

@@ -114,7 +114,7 @@ def conditional_quad(q: ConditionalQuery, tol: float = 1e-8) -> ConditionalResul
     if cap.half_angle <= 0.0:
         value = p1_given_projection(target, cap.center.dot(target.axis))
         return ConditionalResult(value, Method.QUADRATURE, 0.0, Validity.VALID)
-    mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome), tol)
+    mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))
     value = outcome_probability_mixed(target, OutcomeSet.O1, mu, tol)
     return ConditionalResult(value, Method.QUADRATURE, tol, Validity.VALID)
 

@@ -9,8 +9,8 @@ eliminated, so the row count stays linear; inequalities are paired only
 for atoms no remaining equality involves.  Rows are canonical integer
 rows (numerators over one common denominator, reduced by their gcd), so
 the elimination runs on Python ints and stays exact; only the bounds it
-reports are Fractions.  Infeasible instances come with a certificate: a
-pair of implied bounds on a single atom that contradict each other.
+reports are Fractions.  An infeasible verdict's certificate is a crossed
+pair of implied bounds on one atom, or a derived row 0 <= r with r < 0.
 
 check_hilbert2d asks whether the symmetric transition-probability table
 (all cyclically adjacent pairs gamma^2, all skew pairs delta^2) can be
@@ -268,7 +268,7 @@ def _project_to_atom(equalities: list[LinearConstraint], target: int):
         stack.append((var, used))
     # Every row left involves the target alone or no atom at all.
     lower, upper = _bounds(rows, target, {})
-    violated = any(nums[target] == 0 and nums[RHS] < 0 for nums, _ in rows)
+    violated = next((Fraction(nums[RHS], den) for nums, den in rows if nums[target] == 0 and nums[RHS] < 0), None)
     return lower, upper, violated, stack
 
 
@@ -313,20 +313,14 @@ def check_kolmogorov(t: TriadData) -> KolmogorovVerdict:
 
     Eliminates atoms so that the not-U & V & W atom survives last, matching
     the order of the flagship derivation; its implied bound pair is the
-    certificate when contradictory.
+    certificate when contradictory, else a derived row 0 <= r with r < 0.
     """
     equalities = joint_constraints(t)
     lower, upper, violated, stack = _project_to_atom(equalities, _PAPER_TARGET)
     if lower is not None and upper is not None and lower > upper:
         return KolmogorovVerdict(False, certificate=Certificate(lower, upper, atom_label(_PAPER_TARGET)))
-    if violated:
-        for alt in range(N_ATOMS):
-            if alt == _PAPER_TARGET:
-                continue
-            lo, up, _, _ = _project_to_atom(equalities, alt)
-            if lo is not None and up is not None and lo > up:
-                return KolmogorovVerdict(False, certificate=Certificate(lo, up, atom_label(alt)))
-        return KolmogorovVerdict(False, certificate=Certificate(Fraction(1), Fraction(0), "0 (constant contradiction)"))
+    if violated is not None:
+        return KolmogorovVerdict(False, certificate=Certificate(Fraction(0), violated, "0"))
     if lower is None or upper is None:  # total mass bounds every atom
         raise RuntimeError(f"the elimination left {atom_label(_PAPER_TARGET)} unbounded")
     witness = _back_substitute(stack, _PAPER_TARGET, (lower + upper) / 2)

@@ -9,15 +9,12 @@ projection sub-interval samples a cap.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
-
-logger = logging.getLogger(__name__)
+from .quadrature import adaptive_simpson  # adaptive_simpson: perfbench/tracing.py wraps it here by name
 
 # Dot products of unit vectors can exceed [-1, 1] by a few ulps; clamp at
 # most this much before acos so rounding noise is absorbed but genuinely
@@ -150,6 +147,14 @@ def cap_area_fraction(half_angle: float) -> float:
     return 0.5 * (1.0 - math.cos(half_angle))
 
 
+def check_band(epsilon: float, d: float) -> None:
+    """Raise ValueError unless 0 <= epsilon <= 1 and |d| <= 1 - epsilon + 1e-15."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon {epsilon} outside [0, 1]")
+    if not -1.0 + epsilon - 1e-15 <= d <= 1.0 - epsilon + 1e-15:
+        raise ValueError(f"d {d} outside [-1 + epsilon, 1 - epsilon]")
+
+
 def sector_angles(epsilon: float, d: float) -> tuple[float, float]:
     """Half-angles of the two certainty caps of an (epsilon, d) experiment.
 
@@ -157,10 +162,7 @@ def sector_angles(epsilon: float, d: float) -> tuple[float, float]:
     where outcome 1 is certain (cos up = epsilon + d), `down` the one
     around the antipode where outcome 2 is certain (cos down = epsilon - d).
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon} outside [0, 1]")
-    if not -1.0 + epsilon <= d <= 1.0 - epsilon:
-        raise ValueError(f"d {d} outside [-1 + epsilon, 1 - epsilon]")
+    check_band(epsilon, d)
     return clamped_acos(epsilon + d), clamped_acos(epsilon - d)
 
 
@@ -192,51 +194,33 @@ def sample_uniform_cap_array(rng: np.random.Generator, cap: SectorCap, n: int) -
     return local @ basis
 
 
-def cap_intersection_fraction(a: SectorCap, b: SectorCap, tol: float = 1e-9) -> float:
+def cap_intersection_fraction(a: SectorCap, b: SectorCap) -> float:
     """Uniform-measure fraction of the sphere covered by the two caps' overlap.
 
-    Closed form in the nested / disjoint cases; otherwise a 1-D integral
-    over the polar angle from the smaller cap's center, with the azimuthal
-    extent inside the other cap evaluated analytically per ring.
+    Exact.  With gamma the angle between the centers, the overlap is empty,
+    the smaller cap, or (complements disjoint) a band of area(a) + area(b) - 1;
+    otherwise a lens of area 2 (pi - P - cos(rho_a) A - cos(rho_b) B) out of
+    4 pi, P, A and B being the angles at a rim crossing and at the centers of
+    the spherical triangle with sides gamma, rho_a, rho_b.  The half-angle
+    formula tan(X / 2) = sqrt(sin(s - y) sin(s - z) / (sin(s) sin(s - x)))
+    (s the half perimeter, x opposite X) keeps them accurate at tangent rims.
     """
-    if a.half_angle > b.half_angle:
-        a, b = b, a
     rho_a, rho_b = a.half_angle, b.half_angle
-    gamma = angle_between(a.center, b.center)
+    ca, cb = a.center, b.center  # atan2 keeps gamma accurate near 0 and pi, where acos does not
+    cross = math.hypot(ca.y * cb.z - ca.z * cb.y, ca.z * cb.x - ca.x * cb.z, ca.x * cb.y - ca.y * cb.x)
+    gamma = math.atan2(cross, ca.dot(cb))
     if gamma >= rho_a + rho_b:
         return 0.0
-    if gamma <= rho_b - rho_a:
-        return cap_area_fraction(rho_a)
-    sin_gamma = math.sin(gamma)
-    cos_gamma = math.cos(gamma)
-    cos_b = math.cos(rho_b)
-    if sin_gamma < 1e-12:
-        # Centers (anti)parallel: a ring at polar angle t from a.center sits
-        # at angle t (aligned) or pi - t (opposed) from b.center.
-        if cos_gamma > 0.0:
-            return cap_area_fraction(min(rho_a, rho_b))
-        if math.pi - rho_b >= rho_a:
-            return 0.0
-        return cap_area_fraction(rho_a) - cap_area_fraction(math.pi - rho_b)
-
-    def ring_extent(t: float) -> float:
-        # Fraction of the azimuth circle at polar angle t lying inside cap b,
-        # times sin(t) (the ring's weight).
-        st = math.sin(t)
-        denom = st * sin_gamma
-        if denom < 1e-300:
-            return 2.0 * math.pi * st if math.cos(t) * cos_gamma >= cos_b else 0.0
-        u = (cos_b - math.cos(t) * cos_gamma) / denom
-        if u >= 1.0:
-            return 0.0
-        if u <= -1.0:
-            return 2.0 * math.pi * st
-        return 2.0 * math.acos(u) * st
-
-    breaks = sorted({t for t in (abs(gamma - rho_b), gamma + rho_b) if 0.0 < t < rho_a})
-    raw = adaptive_simpson(ring_extent, 0.0, rho_a, tol * 4.0 * math.pi, breakpoints=breaks)
-    frac = raw / (4.0 * math.pi)
-    if frac < tol:
-        # Overlap indistinguishable from empty at this tolerance.
-        logger.debug("cap overlap %.3e below quadrature resolution %.1e; reporting %.1f", frac, tol, max(0.0, frac))
-    return max(0.0, frac)
+    if gamma <= abs(rho_a - rho_b):
+        return cap_area_fraction(min(rho_a, rho_b))
+    if gamma >= 2.0 * math.pi - rho_a - rho_b:
+        return cap_area_fraction(rho_a) + cap_area_fraction(rho_b) - 1.0
+    # sin(s) and sin(s - x) per side x, each argument in (0, pi] despite rounding.
+    sin_s = math.sin(min(0.5 * (gamma + rho_a + rho_b), math.pi))
+    sin_g = math.sin(0.5 * ((rho_a + rho_b) - gamma))
+    sin_a = math.sin(0.5 * (gamma - (rho_a - rho_b)))
+    sin_b = math.sin(0.5 * (gamma - (rho_b - rho_a)))
+    p = 2.0 * math.atan2(math.sqrt(sin_a * sin_b), math.sqrt(sin_s * sin_g))
+    angle_a = 2.0 * math.atan2(math.sqrt(sin_g * sin_a), math.sqrt(sin_s * sin_b))
+    angle_b = 2.0 * math.atan2(math.sqrt(sin_g * sin_b), math.sqrt(sin_s * sin_a))
+    return (math.pi - p - math.cos(rho_a) * angle_a - math.cos(rho_b) * angle_b) / (2.0 * math.pi)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import UnitVector
+from .geometry import UnitVector, check_band
 
 
 class Outcome(enum.Enum):
@@ -44,10 +44,7 @@ class EpsilonExperiment:
     d: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon {self.epsilon} outside [0, 1]")
-        if not -1.0 + self.epsilon - 1e-15 <= self.d <= 1.0 - self.epsilon + 1e-15:
-            raise ValueError(f"d {self.d} outside [-1 + epsilon, 1 - epsilon]")
+        check_band(self.epsilon, self.d)
 
     @property
     def band_low(self) -> float:

@@ -2,13 +2,13 @@
 
 The mixed-state family is deliberately closed and small: the uniform
 measure, uniform-on-a-cap, and finite mixtures of those.  Every measure
-the model needs lives in this family and admits either a closed form or a
-1-D quadrature.
+the model needs lives in this family; outcome probabilities under it take
+a closed form or a 1-D quadrature.
 
 Certainty regions: eig(A) collects the states for which the experiment's
 outcome is certainly in A, pos(A) those for which it is possible.  Both
 are spherical caps (or the whole sphere / nothing), so measuring them is
-cap arithmetic.
+exact cap arithmetic.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .geometry import (
     UnitVector,
     angle_between,
     cap_intersection_fraction,
-    clamped_acos,
     sample_uniform_cap_array,
     sample_uniform_sphere_array,
+    sector_angles,
 )
 from .machine import EpsilonExperiment, Outcome, near_threshold, p1_given_projection, ring_exact, ring_into
 from .quadrature import adaptive_simpson
@@ -102,10 +102,9 @@ def eig_set(e: EpsilonExperiment, a: OutcomeSet) -> Region:
         return SectorCap(e.axis, math.pi, closed=True)
     if a is OutcomeSet.NEITHER:
         return EMPTY
-    closed = e.epsilon > 0.0
-    if a is OutcomeSet.O1:
-        return SectorCap(e.axis, clamped_acos(e.epsilon + e.d), closed=closed)
-    return SectorCap(-e.axis, clamped_acos(e.epsilon - e.d), closed=closed)
+    up, down = sector_angles(e.epsilon, e.d)
+    center, half_angle = (e.axis, up) if a is OutcomeSet.O1 else (-e.axis, down)
+    return SectorCap(center, half_angle, closed=e.epsilon > 0.0)
 
 
 def pos_set(e: EpsilonExperiment, a: OutcomeSet) -> Region:
@@ -118,15 +117,15 @@ def pos_set(e: EpsilonExperiment, a: OutcomeSet) -> Region:
     return SectorCap(-c.center, math.pi - c.half_angle, closed=not c.closed)
 
 
-def measure_of(mu: MixedState, region: Region, tol: float = 1e-9) -> float:
-    """mu(region) for a cap (or empty) region."""
+def measure_of(mu: MixedState, region: Region) -> float:
+    """mu(region) for a cap (or empty) region, exact (cap arithmetic)."""
     if isinstance(region, EmptyRegion):
         return 0.0
     if isinstance(mu, Uniform):
         return region.area_fraction
     if isinstance(mu, CapUniform):
-        return cap_intersection_fraction(mu.cap, region, tol) / mu.cap.area_fraction
-    return sum(w * measure_of(m, region, tol) for w, m in mu.components)
+        return cap_intersection_fraction(mu.cap, region) / mu.cap.area_fraction
+    return sum(w * measure_of(m, region) for w, m in mu.components)
 
 
 def _azimuthal_mean_p1(e: EpsilonExperiment, polar: float, cos_gamma: float, sin_gamma: float) -> float:
@@ -226,19 +225,19 @@ class SandwichResult:
 def sandwich_check(
     e: EpsilonExperiment, a: OutcomeSet, mu: MixedState, tol: float = 1e-9
 ) -> SandwichResult:
-    """The certainty/possibility bounds around the outcome probability."""
-    lower = measure_of(mu, eig_set(e, a), tol)
-    upper = measure_of(mu, pos_set(e, a), tol)
+    """The exact certainty/possibility bounds around the outcome probability."""
+    lower = measure_of(mu, eig_set(e, a))
+    upper = measure_of(mu, pos_set(e, a))
     mid = outcome_probability_mixed(e, a, mu, tol)
     holds = lower <= mid + 1e-9 and mid <= upper + 1e-9
     return SandwichResult(lower, mid, upper, holds)
 
 
-def is_classical(e: EpsilonExperiment, mu: MixedState, tol: float = 1e-9) -> bool:
+def is_classical(e: EpsilonExperiment, mu: MixedState) -> bool:
     """True when certainty and possibility regions agree up to mu-measure
     zero for both outcomes, i.e. outcomes are predetermined almost surely."""
     for a in (OutcomeSet.O1, OutcomeSet.O2):
-        if abs(measure_of(mu, eig_set(e, a), tol) - measure_of(mu, pos_set(e, a), tol)) > 1e-9:
+        if abs(measure_of(mu, eig_set(e, a)) - measure_of(mu, pos_set(e, a))) > 1e-9:
             return False
     return True
 
@@ -247,7 +246,7 @@ def _cap_contains_cap(outer: SectorCap, inner: SectorCap) -> bool:
     return angle_between(outer.center, inner.center) + inner.half_angle <= outer.half_angle + 1e-12
 
 
-def condition(mu: MixedState, f: EpsilonExperiment, a: OutcomeSet, tol: float = 1e-9) -> MixedState:
+def condition(mu: MixedState, f: EpsilonExperiment, a: OutcomeSet) -> MixedState:
     """Restrict mu to the states where f's outcome is certainly in `a`, and
     renormalize: the preparation that guarantees that outcome.
 
@@ -256,7 +255,7 @@ def condition(mu: MixedState, f: EpsilonExperiment, a: OutcomeSet, tol: float = 
     point itself makes the outcome certain).
     """
     region = eig_set(f, a)
-    if isinstance(region, EmptyRegion) or measure_of(mu, region, tol) <= 0.0:
+    if isinstance(region, EmptyRegion) or measure_of(mu, region) <= 0.0:
         raise ConditioningError(f"outcome set {a.value} of {f} cannot be prepared with certainty")
     if isinstance(mu, Uniform):
         return CapUniform(region)
@@ -270,9 +269,9 @@ def condition(mu: MixedState, f: EpsilonExperiment, a: OutcomeSet, tol: float = 
         raise ConditioningError("restriction of a cap-uniform state to a partially overlapping cap is not representable")
     parts = []
     for w, m in mu.components:
-        mass = w * measure_of(m, region, tol)
+        mass = w * measure_of(m, region)
         if mass > 0.0:
-            parts.append((mass, condition(m, f, a, tol)))
+            parts.append((mass, condition(m, f, a)))
     total = sum(w for w, _ in parts)
     return Mixture(tuple((w / total, m) for w, m in parts))
 

@@ -1,7 +1,7 @@
 """Adaptive Simpson quadrature for piecewise-smooth 1-D integrands.
 
 All integrands in this package are smooth away from a handful of known
-kink locations (band edges crossing a ring, cap rims), so the caller
+kink locations (band edges crossing a ring), so the caller
 passes those as breakpoints and each smooth piece converges rapidly.
 """
 

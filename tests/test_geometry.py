@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,8 @@ from qmachine.geometry import (
     sector_angles,
     unit_vector_at_angle,
 )
+from qmachine.machine import EpsilonExperiment
+from qmachine.measures import OutcomeSet, eig_set
 
 
 def test_unit_vector_rejects_non_unit():
@@ -212,3 +216,106 @@ def test_cap_intersection_symmetric():
     a = SectorCap(Z_AXIS, 0.8)
     b = SectorCap(unit_vector_at_angle(Z_AXIS, 0.9), 1.2)
     assert cap_intersection_fraction(a, b) == pytest.approx(cap_intersection_fraction(b, a), abs=1e-10)
+
+
+def test_band_range_is_one_rule():
+    # sector_angles and EpsilonExperiment share check_band, slack included:
+    # 0.3 + 0.7000000000000001 rounds just past 1.
+    epsilon, d = 0.3, 0.7000000000000001
+    e = EpsilonExperiment(Z_AXIS, epsilon, d)
+    up, down = sector_angles(epsilon, d)
+    assert (up, down) == (0.0, math.acos(epsilon - d))
+    assert (eig_set(e, OutcomeSet.O1).half_angle, eig_set(e, OutcomeSet.O2).half_angle) == (up, down)
+    for bad in (0.7 + 1e-14, -0.7 - 1e-14):
+        with pytest.raises(ValueError):
+            sector_angles(epsilon, bad)
+        with pytest.raises(ValueError):
+            EpsilonExperiment(Z_AXIS, epsilon, bad)
+
+
+def _reference_overlap(a: SectorCap, b: SectorCap):
+    """cap_intersection_fraction to 30 digits, on the caps as given (the
+    angle between the float centers taken exactly), through the
+    law-of-cosines arccos form of the lens, which the implementation does
+    not use.  With radii of 1e-7 and gaps of 1e-15 that form cancels about
+    40 digits, so it runs at 70."""
+    with mp.workdps(70):
+        return _arccos_overlap(a, b)
+
+
+def _arccos_overlap(a: SectorCap, b: SectorCap):
+    ca = [mp.mpf(v) for v in (a.center.x, a.center.y, a.center.z)]
+    cb = [mp.mpf(v) for v in (b.center.x, b.center.y, b.center.z)]
+    cross = [ca[1] * cb[2] - ca[2] * cb[1], ca[2] * cb[0] - ca[0] * cb[2], ca[0] * cb[1] - ca[1] * cb[0]]
+    gamma = mp.atan2(mp.sqrt(sum(c * c for c in cross)), sum(x * y for x, y in zip(ca, cb)))
+    ra, rb = mp.mpf(a.half_angle), mp.mpf(b.half_angle)
+
+    def area(r):
+        return (1 - mp.cos(r)) / 2
+
+    if gamma >= ra + rb:
+        return mp.mpf(0)
+    if gamma <= abs(ra - rb):
+        return area(min(ra, rb))
+    if gamma >= 2 * mp.pi - ra - rb:
+        return area(ra) + area(rb) - 1
+    k = (mp.cos(gamma) - mp.cos(ra) * mp.cos(rb)) / (mp.sin(ra) * mp.sin(rb))
+    ka = (mp.cos(rb) - mp.cos(gamma) * mp.cos(ra)) / (mp.sin(gamma) * mp.sin(ra))
+    kb = (mp.cos(ra) - mp.cos(gamma) * mp.cos(rb)) / (mp.sin(gamma) * mp.sin(rb))
+    lens = 2 * mp.pi - 2 * mp.acos(k) - 2 * mp.cos(ra) * mp.acos(ka) - 2 * mp.cos(rb) * mp.acos(kb)
+    return lens / (4 * mp.pi)
+
+
+def _random_unit(rnd: random.Random) -> UnitVector:
+    return unit_vector_at_angle(Z_AXIS, math.acos(rnd.uniform(-1.0, 1.0)), rnd.uniform(0.0, 2.0 * math.pi))
+
+
+def _edge_pairs() -> list[tuple[SectorCap, SectorCap]]:
+    """Rims tangent from outside (gamma = ra + rb) and inside (|ra - rb|),
+    co-disjoint bands (2 pi - ra - rb), each at and just off the edge, and
+    antipodal centers; radii tiny, pi / 2 and pi among them."""
+    tiny, half, pi = 1e-7, math.pi / 2, math.pi
+    radii = [(tiny, tiny), (tiny, 1.0), (0.5, 0.7), (half, half), (half, 1.0), (half, pi), (pi, tiny), (2.5, 2.0), (3.0, tiny)]
+    pairs = []
+    for ra, rb in radii:
+        for gamma in (ra + rb, abs(ra - rb), 2.0 * math.pi - ra - rb):
+            for offset in (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-8, -1e-8):
+                if 0.0 <= gamma + offset <= math.pi:
+                    pairs.append((SectorCap(Z_AXIS, ra), SectorCap(unit_vector_at_angle(Z_AXIS, gamma + offset, 0.7), rb)))
+        pairs.append((SectorCap(Z_AXIS, ra), SectorCap(-Z_AXIS, rb)))
+        pairs.append((SectorCap(Z_AXIS, ra), SectorCap(Z_AXIS, rb)))
+    return pairs
+
+
+def test_cap_intersection_matches_30_digit_reference():
+    rnd = random.Random(8)
+    pairs = [
+        (SectorCap(_random_unit(rnd), rnd.uniform(0.0, math.pi)), SectorCap(_random_unit(rnd), rnd.uniform(0.0, math.pi)))
+        for _ in range(400)
+    ]
+    pairs += _edge_pairs()
+    worst = 0.0
+    for a, b in pairs:
+        ref = _reference_overlap(a, b)
+        for x, y in ((a, b), (b, a)):
+            err = float(abs(cap_intersection_fraction(x, y) - ref))
+            assert err <= 1e-14, (x, y, err)
+            worst = max(worst, err)
+    assert len(pairs) >= 500 and worst > 0.0  # the edge cases ran, and the check can fail
+
+
+def test_overlap_reference_against_ring_quadrature():
+    # The reference itself, against mpmath's 30-digit quadrature of the
+    # ring integral: the ring at polar angle t from a's center lies in b
+    # over the azimuth arc 2 acos((cos rb - cos t cos gamma) / (sin t sin gamma)).
+    for gamma, ra, rb in ((1.1, 0.9, 0.7), (2.0, 1.5, 2.4), (0.4, 2.9, 0.5), (1.2 - 1e-9, 0.5, 0.7)):
+        a, b = SectorCap(Z_AXIS, ra), SectorCap(unit_vector_at_angle(Z_AXIS, gamma), rb)
+        with mp.workdps(30):
+            g = mp.atan2(mp.hypot(b.center.x, b.center.y), b.center.z)  # as the reference takes it
+
+            def ring(t):
+                u = (mp.cos(rb) - mp.cos(t) * mp.cos(g)) / (mp.sin(t) * mp.sin(g))
+                return 2 * mp.acos(max(-1, min(1, u))) * mp.sin(t)
+
+            cuts = sorted({mp.mpf(0), mp.mpf(ra)} | {t for t in (abs(g - rb), g + rb, 2 * mp.pi - g - rb) if 0 < t < ra})
+            assert abs(mp.quad(ring, cuts) / (4 * mp.pi) - _reference_overlap(a, b)) <= 1e-25

@@ -273,4 +273,4 @@ def test_bayes_formula_for_classical_experiments():
             Uniform(), eig_set(f, OutcomeSet.O1)
         )
         rhs = cap_intersection_fraction(eig_set(e, OutcomeSet.O1), eig_set(f, OutcomeSet.O1))
-        assert lhs == pytest.approx(rhs, abs=1e-6)
+        assert lhs == pytest.approx(rhs, abs=1e-8)

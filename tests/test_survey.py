@@ -201,7 +201,7 @@ def test_census_pair_overlaps_match_cap_intersections():
         caps = [eig_set(fq.experiment, OutcomeSet.O1) for fq in m.questions]
         for i, j in ((0, 1), (0, 2), (1, 2)):
             share = sum(p for key, p in census.fractions.items() if key[i] == key[j] == "yes")
-            expected = cap_intersection_fraction(caps[i], caps[j], 1e-12)
+            expected = cap_intersection_fraction(caps[i], caps[j])
             se = math.sqrt(expected * (1.0 - expected) / n)
             assert abs(share - expected) <= 5 * se + 1e-12, (seed, i, j, share, expected)
 
