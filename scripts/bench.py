@@ -20,7 +20,13 @@ conditional_closed_form and conditional_quad, the latter at each of
 QUAD_TOLS, on the symmetric query at every point of the CLI sweep grid
 (CLI_SWEEP_EPSILONS x SWEEP_ALPHA_STEPS alphas).  Each entry times every
 item REPEATS times and reports the median us per call over the items,
-with their quartiles.
+with their quartiles.  Each quadrature entry also reports the mean
+integrand evaluations per call (counted by wrapping
+qmachine.measures.adaptive_simpson), and its misses at that tolerance:
+rows more than tol from a `valid` closed form, and rows whose mirror
+identity f(alpha) + f(pi - alpha) = 1 is off by more than 2 tol.  A
+closed-form miss can be the closed form's own rounding error; the mirror
+check involves the quadrature alone.
 
 Exact-checker layer: times check_kolmogorov on CHECKER_TRIADS seeded
 triads of each family (random rational joints with the three standard
@@ -65,6 +71,7 @@ from fractions import Fraction
 import numpy as np
 
 import qmachine
+import qmachine.measures
 from qmachine.conditional import conditional_closed_form, conditional_mc, conditional_quad, symmetric_query
 from qmachine.embedding import VARIABLES, CondProb, TriadData, check_kolmogorov
 from qmachine.geometry import Z_AXIS, SectorCap, cap_intersection_fraction, unit_vector_at_angle
@@ -198,6 +205,48 @@ def measure_cap_overlap() -> dict:
     return {"seed": CAP_SEED, **per_call_us(lambda ab: cap_intersection_fraction(*ab), pairs)}
 
 
+def integrand_evals_per_call(call, items) -> float:
+    """Mean integrand evaluations per call(item), counted by wrapping
+    adaptive_simpson where cap_averaged_p1 looks it up."""
+    original = qmachine.measures.adaptive_simpson
+    evals = 0
+
+    def counting(f, *args, **kwargs):
+        def counted(x):
+            nonlocal evals
+            evals += 1
+            return f(x)
+
+        return original(counted, *args, **kwargs)
+
+    qmachine.measures.adaptive_simpson = counting
+    try:
+        for item in items:
+            call(item)
+    finally:
+        qmachine.measures.adaptive_simpson = original
+    return evals / len(items)
+
+
+def measure_quad(queries, closed, tol: float) -> dict:
+    """conditional_quad at `tol` over the grid: time, evaluations, misses."""
+
+    def call(q):
+        return conditional_quad(q, tol)
+
+    values = [call(q).value for q in queries]
+    mirror_misses = 0
+    for i, value in enumerate(values):
+        j = i % SWEEP_ALPHA_STEPS  # the row at pi - alpha is SWEEP_ALPHA_STEPS - 1 - j
+        mirror_misses += abs(value + values[i - j + SWEEP_ALPHA_STEPS - 1 - j] - 1.0) > 2.0 * tol
+    return {
+        **per_call_us(call, queries),
+        "integrand_evals_per_call": integrand_evals_per_call(call, queries),
+        "closed_form_misses": sum(c.validity.value == "valid" and abs(v - c.value) > tol for v, c in zip(values, closed)),
+        "mirror_misses": mirror_misses,
+    }
+
+
 def measure_conditionals() -> dict:
     """Closed form and quadrature per call over the CLI sweep grid."""
     grid = [
@@ -206,13 +255,14 @@ def measure_conditionals() -> dict:
         for j in range(SWEEP_ALPHA_STEPS)
     ]
     queries = [symmetric_query(eps, alpha) for eps, alpha in grid]
+    closed_results = [conditional_closed_form(*p) for p in grid]
     closed = per_call_us(lambda p: conditional_closed_form(*p), grid)
-    closed["valid"] = sum(conditional_closed_form(*p).validity.value == "valid" for p in grid)
+    closed["valid"] = sum(c.validity.value == "valid" for c in closed_results)
     return {
         "epsilons": CLI_SWEEP_EPSILONS,
         "alpha_steps": SWEEP_ALPHA_STEPS,
         "conditional_closed_form": closed,
-        "conditional_quad": {f"{tol:g}": per_call_us(lambda q: conditional_quad(q, tol), queries) for tol in QUAD_TOLS},
+        "conditional_quad": {f"{tol:g}": measure_quad(queries, closed_results, tol) for tol in QUAD_TOLS},
     }
 
 

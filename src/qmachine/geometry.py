@@ -78,8 +78,11 @@ Z_AXIS = UnitVector(0.0, 0.0, 1.0)
 
 
 def angle_between(a: UnitVector, b: UnitVector) -> float:
-    """Angle in [0, pi] between two unit vectors."""
-    return clamped_acos(a.dot(b))
+    """Angle in [0, pi] between two unit vectors, as atan2(|a x b|, a . b):
+    accurate near 0 and pi, where arccos of the dot product loses half its
+    digits."""
+    cross = math.hypot(a.y * b.z - a.z * b.y, a.z * b.x - a.x * b.z, a.x * b.y - a.y * b.x)
+    return math.atan2(cross, a.dot(b))
 
 
 def orthonormal_frame(axis: UnitVector) -> tuple[UnitVector, UnitVector]:
@@ -195,32 +198,36 @@ def sample_uniform_cap_array(rng: np.random.Generator, cap: SectorCap, n: int) -
 
 
 def cap_intersection_fraction(a: SectorCap, b: SectorCap) -> float:
-    """Uniform-measure fraction of the sphere covered by the two caps' overlap.
+    """Uniform-measure fraction of the sphere covered by the two caps' overlap
+    (exact, see cap_overlap)."""
+    return cap_overlap(angle_between(a.center, b.center), a.half_angle, b.half_angle)
 
-    Exact.  With gamma the angle between the centers, the overlap is empty,
-    the smaller cap, or (complements disjoint) a band of area(a) + area(b) - 1;
-    otherwise a lens of area 2 (pi - P - cos(rho_a) A - cos(rho_b) B) out of
-    4 pi, P, A and B being the angles at a rim crossing and at the centers of
-    the spherical triangle with sides gamma, rho_a, rho_b.  The half-angle
-    formula tan(X / 2) = sqrt(sin(s - y) sin(s - z) / (sin(s) sin(s - x)))
-    (s the half perimeter, x opposite X) keeps them accurate at tangent rims.
+
+def cap_overlap(gamma: float, rho_a: float, rho_b: float) -> float:
+    """Uniform-measure fraction of the sphere covered by the overlap of two
+    caps of half-angles rho_a and rho_b whose centers are gamma apart.
+
+    Exact.  The overlap is empty, the smaller cap, or (complements disjoint)
+    a band of area(a) + area(b) - 1; otherwise a lens of area
+    2 (pi - P - cos(rho_a) A - cos(rho_b) B) out of 4 pi, P, A and B being
+    the angles at a rim crossing and at the centers of the spherical
+    triangle with sides gamma, rho_a, rho_b.  The half-angle formula
+    tan(X / 2) = sqrt(sin(s - y) sin(s - z) / (sin(s) sin(s - x)))
+    (s the half perimeter, x opposite X) keeps them accurate at tangent
+    rims; it takes one square root per sine.
     """
-    rho_a, rho_b = a.half_angle, b.half_angle
-    ca, cb = a.center, b.center  # atan2 keeps gamma accurate near 0 and pi, where acos does not
-    cross = math.hypot(ca.y * cb.z - ca.z * cb.y, ca.z * cb.x - ca.x * cb.z, ca.x * cb.y - ca.y * cb.x)
-    gamma = math.atan2(cross, ca.dot(cb))
     if gamma >= rho_a + rho_b:
         return 0.0
     if gamma <= abs(rho_a - rho_b):
         return cap_area_fraction(min(rho_a, rho_b))
     if gamma >= 2.0 * math.pi - rho_a - rho_b:
         return cap_area_fraction(rho_a) + cap_area_fraction(rho_b) - 1.0
-    # sin(s) and sin(s - x) per side x, each argument in (0, pi] despite rounding.
-    sin_s = math.sin(min(0.5 * (gamma + rho_a + rho_b), math.pi))
-    sin_g = math.sin(0.5 * ((rho_a + rho_b) - gamma))
-    sin_a = math.sin(0.5 * (gamma - (rho_a - rho_b)))
-    sin_b = math.sin(0.5 * (gamma - (rho_b - rho_a)))
-    p = 2.0 * math.atan2(math.sqrt(sin_a * sin_b), math.sqrt(sin_s * sin_g))
-    angle_a = 2.0 * math.atan2(math.sqrt(sin_g * sin_a), math.sqrt(sin_s * sin_b))
-    angle_b = 2.0 * math.atan2(math.sqrt(sin_g * sin_b), math.sqrt(sin_s * sin_a))
+    # sqrt of sin(s) and of sin(s - x) per side x, each argument in (0, pi] despite rounding.
+    root_s = math.sqrt(math.sin(min(0.5 * (gamma + rho_a + rho_b), math.pi)))
+    root_g = math.sqrt(math.sin(0.5 * ((rho_a + rho_b) - gamma)))
+    root_a = math.sqrt(math.sin(0.5 * (gamma - (rho_a - rho_b))))
+    root_b = math.sqrt(math.sin(0.5 * (gamma - (rho_b - rho_a))))
+    p = 2.0 * math.atan2(root_a * root_b, root_s * root_g)
+    angle_a = 2.0 * math.atan2(root_g * root_a, root_s * root_b)
+    angle_b = 2.0 * math.atan2(root_g * root_b, root_s * root_a)
     return (math.pi - p - math.cos(rho_a) * angle_a - math.cos(rho_b) * angle_b) / (2.0 * math.pi)

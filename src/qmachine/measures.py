@@ -3,7 +3,9 @@
 The mixed-state family is deliberately closed and small: the uniform
 measure, uniform-on-a-cap, and finite mixtures of those.  Every measure
 the model needs lives in this family; outcome probabilities under it take
-a closed form or a 1-D quadrature.
+a closed form or, for a cap, the break-point integral: the band average,
+over where the band breaks, of the cap's exact overlap with the axis cap
+above that point.
 
 Certainty regions: eig(A) collects the states for which the experiment's
 outcome is certainly in A, pos(A) those for which it is possible.  Both
@@ -26,11 +28,12 @@ from .geometry import (
     UnitVector,
     angle_between,
     cap_intersection_fraction,
+    cap_overlap,
     sample_uniform_cap_array,
     sample_uniform_sphere_array,
     sector_angles,
 )
-from .machine import EpsilonExperiment, Outcome, near_threshold, p1_given_projection, ring_exact, ring_into
+from .machine import EpsilonExperiment, Outcome, near_threshold, ring_exact, ring_into
 from .quadrature import adaptive_simpson
 
 
@@ -128,69 +131,42 @@ def measure_of(mu: MixedState, region: Region) -> float:
     return sum(w * measure_of(m, region) for w, m in mu.components)
 
 
-def _azimuthal_mean_p1(e: EpsilonExperiment, polar: float, cos_gamma: float, sin_gamma: float) -> float:
-    """Mean of the outcome-1 kernel over the azimuth circle at `polar` from
-    a cap center that makes angle gamma with the experiment axis.
-
-    On the circle the projection is x = A + B cos(phi); averaging the
-    clamped-linear kernel over phi reduces to two arccos breakpoints.
-    """
-    A = math.cos(polar) * cos_gamma
-    B = math.sin(polar) * sin_gamma
-    if B < 1e-15:
-        return p1_given_projection(e, A)
-    if e.epsilon == 0.0:
-        u = (e.d - A) / B
-        if u >= 1.0:
-            return 0.0
-        if u <= -1.0:
-            return 1.0
-        return math.acos(u) / math.pi
-    lo, hi = e.band_low, e.band_high
-    # phi_a: where x crosses the top of the band; phi_b: the bottom.
-    ua = (hi - A) / B
-    ub = (lo - A) / B
-    phi_a = 0.0 if ua >= 1.0 else (math.pi if ua <= -1.0 else math.acos(ua))
-    phi_b = 0.0 if ub >= 1.0 else (math.pi if ub <= -1.0 else math.acos(ub))
-    ramp = (A - lo) * (phi_b - phi_a) + B * (math.sin(phi_b) - math.sin(phi_a))
-    return (phi_a + ramp / (2.0 * e.epsilon)) / math.pi
-
-
 def cap_averaged_p1(e: EpsilonExperiment, cap: SectorCap, tol: float = 1e-9) -> float:
     """Average outcome-1 probability over a cap-uniform state.
 
-    1-D adaptive quadrature over the polar angle from the cap center; the
-    azimuthal average is analytic, so kinks only occur where a band edge
-    crosses a ring, and those polar angles are passed as breakpoints.
+    The band breaks at s uniform on [d - epsilon, d + epsilon], and outcome
+    1 happens when s lies below the state's projection.  So the answer is
+    the band average of m(s), the cap's share of mass above s: the overlap
+    of the cap with the axis cap of half-angle acos(s), over the cap's area,
+    which cap_overlap gives exactly.  m is 1 below the cap's projection
+    range [x_min, x_max] and 0 above it, so the break-point integral runs
+    over the band's part inside that range only.  There m is smooth except
+    where the ring at s is tangent to the cap's rim, s = cos(gamma -+ rho),
+    and those are the quadrature's breakpoints.  At epsilon = 0 the average
+    is the single exact value m(d).
     """
     gamma = angle_between(cap.center, e.axis)
-    cg, sg = math.cos(gamma), math.sin(gamma)
     rho = cap.half_angle
-
-    # Projection range of the cap onto the experiment axis; when it clears
-    # the band entirely the answer is exact.  At epsilon = 0 both band edges
-    # are d.
+    # When the cap's projection range clears the band the answer is exact.
+    # This comes first: at epsilon = 0, d may lie 1e-15 outside [-1, 1].
     x_min = math.cos(gamma + rho) if gamma + rho <= math.pi else -1.0
     x_max = math.cos(gamma - rho) if gamma - rho >= 0.0 else 1.0
     if x_min >= e.band_high:
         return 1.0
     if x_max <= e.band_low:
         return 0.0
+    area = cap.area_fraction
 
-    breaks: set[float] = set()
-    for edge in {e.band_low, e.band_high}:
-        if -1.0 < edge < 1.0:
-            a = math.acos(edge)
-            for t in (gamma - a, a - gamma, gamma + a, 2.0 * math.pi - gamma - a):
-                if 0.0 < t < rho:
-                    breaks.add(t)
+    def share_above(s: float) -> float:
+        return cap_overlap(gamma, rho, math.acos(s)) / area
 
-    def integrand(t: float) -> float:
-        return _azimuthal_mean_p1(e, t, cg, sg) * math.sin(t)
-
-    norm = 1.0 - math.cos(rho)
-    raw = adaptive_simpson(integrand, 0.0, rho, tol * norm, breakpoints=breaks)
-    return min(1.0, max(0.0, raw / norm))
+    if e.epsilon == 0.0:
+        return share_above(e.d)
+    lo, hi = max(e.band_low, x_min), min(e.band_high, x_max)
+    width = 2.0 * e.epsilon
+    tangents = (math.cos(gamma - rho), math.cos(gamma + rho))
+    inner = adaptive_simpson(share_above, lo, hi, tol * width, breakpoints=tangents)
+    return min(1.0, max(0.0, (lo - e.band_low + inner) / width))
 
 
 def outcome_probability_mixed(
@@ -199,7 +175,8 @@ def outcome_probability_mixed(
     """Probability of an outcome in `a` when the state is drawn from mu.
 
     Uniform base measure has the closed form (1 -+ d) / 2, independent of
-    epsilon; cap-uniform components go through the polar quadrature.
+    epsilon; cap-uniform components go through the break-point integral
+    (cap_averaged_p1).
     """
     if a is OutcomeSet.BOTH:
         return 1.0

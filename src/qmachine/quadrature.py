@@ -1,8 +1,9 @@
 """Adaptive Simpson quadrature for piecewise-smooth 1-D integrands.
 
-All integrands in this package are smooth away from a handful of known
-kink locations (band edges crossing a ring), so the caller
-passes those as breakpoints and each smooth piece converges rapidly.
+The package's integrand, the break-point integral of cap_averaged_p1, is
+smooth away from the points where the ring at the break point is tangent
+to the cap's rim, so the caller passes those as breakpoints and each
+smooth piece converges rapidly.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from typing import Callable, Iterable
 from .errors import QuadratureError
 
 _MAX_DEPTH = 52
+# A piece is accepted no shallower than this: at depth 0-1 the two halves
+# of a piece that ends at a square-root point can agree by chance.
+_MIN_DEPTH = 2
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
@@ -37,7 +41,7 @@ def _recurse(
     left = _simpson(fa, flm, fm, m - a)
     right = _simpson(fm, frm, fb, b - m)
     err = left + right - whole
-    if abs(err) <= 15.0 * tol or (b - a) < 1e-14 * (1.0 + abs(m)):
+    if depth >= _MIN_DEPTH and (abs(err) <= 15.0 * tol or (b - a) < 1e-14 * (1.0 + abs(m))):
         return left + right + err / 15.0
     if depth >= _MAX_DEPTH:
         raise QuadratureError(f"tolerance {tol} unreachable on [{a}, {b}] (residual {abs(err) / 15.0:.3e})")

@@ -2,7 +2,7 @@
 
 Each case runs one CLI command in process and compares the sha256 of its
 stdout, with the `version` field normalized, to a hash recorded with
-qmachine 0.3.1.  The cases cover every stochastic path the CLI prints:
+qmachine 0.3.1 (sweep and survey: 0.5.0, whose quadrature values moved).  The cases cover every stochastic path the CLI prints:
 the pure-state kernel, the conditioned-cap sampler (flagship and offset
 bands), the sweep (epsilon 0, 1e-6 and 1, more trials than MC_CHUNK) and
 the survey census (more draws than MC_CHUNK, epsilon 0 and the flagship).
@@ -51,9 +51,9 @@ GOLDEN = {
     "simulate": "1c48459b428a3fed7130a4c30792ed3a8098858bcaf6e332ea85ee7c96e6d6cd",
     "conditional_flagship": "4cb854051a01afd2e82b9e770766eda8aeddd30c3b4a5db416f5322bd41f44da",
     "conditional_offsets": "c9228c1e58f1356225060dfee374c7211367f5f7422add2c4a3d5f317128f3f5",
-    "sweep": "3c4c70d61e114887a80cdf350e816c5541f8af438a27185dab53b16e8e4b73db",
-    "survey_flagship": "5c4d52e629053f89194b74ee5708bba1fe114eca708a8bbb9175a2541ca8d4e6",
-    "survey_classical": "90fb4b0b4ceb2644609fb7b8dc954f6fe7803cce87e2e8f98e6b1710f59aaf0c",
+    "sweep": "f1484316b8845aa549e8b00bb3db53f9226889fb113c8dcfddc54685b219b920",
+    "survey_flagship": "dd1968a99a9f4f08997c2bde37b2c31577f60361ad280e2979d63df0f7d6cdd9",
+    "survey_classical": "b5f7860c01392c041effecc725861cc9d3aec68c60f43a07343a6d6d970a27f1",
 }
 
 

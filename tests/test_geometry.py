@@ -48,6 +48,12 @@ def test_angle_between(a, b, expected):
     assert angle_between(a, b) == pytest.approx(expected, abs=1e-15)
 
 
+@pytest.mark.parametrize("gamma", [1e-8, 1e-6, math.pi - 1e-7])
+def test_angle_between_is_accurate_near_0_and_pi(gamma):
+    # arccos of the dot product returns 0.0 at 1e-8.
+    assert angle_between(Z_AXIS, unit_vector_at_angle(Z_AXIS, gamma)) == pytest.approx(gamma, rel=1e-12)
+
+
 def test_unit_vector_at_angle_realizes_the_angle():
     rng = np.random.default_rng(1)
     for _ in range(50):

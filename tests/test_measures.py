@@ -263,14 +263,14 @@ def test_bayes_formula_for_classical_experiments():
     # For zero-band experiments, P(a_e | conditioned on a_f) * mu(eig_f)
     # equals the overlap measure of the two certainty caps.
     rng = np.random.default_rng(14)
-    for _ in range(8):
-        d_e = rng.uniform(-0.7, 0.7)
-        d_f = rng.uniform(-0.7, 0.7)
-        e = experiment(0.0, d_e, axis=unit_vector_at_angle(Z_AXIS, rng.uniform(0.2, 2.9)))
+    for _ in range(200):
+        d_e = rng.uniform(-0.95, 0.95)
+        d_f = rng.uniform(-0.95, 0.95)
+        e = experiment(0.0, d_e, axis=unit_vector_at_angle(Z_AXIS, rng.uniform(0.0, math.pi)))
         f = experiment(0.0, d_f)
         mu_f = condition(Uniform(), f, OutcomeSet.O1)
         lhs = outcome_probability_mixed(e, OutcomeSet.O1, mu_f) * measure_of(
             Uniform(), eig_set(f, OutcomeSet.O1)
         )
         rhs = cap_intersection_fraction(eig_set(e, OutcomeSet.O1), eig_set(f, OutcomeSet.O1))
-        assert lhs == pytest.approx(rhs, abs=1e-8)
+        assert lhs == pytest.approx(rhs, abs=1e-14)
