@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import atan2, cos, pi, sin, sqrt  # bare names: cap_overlap is the quadrature's integrand
 
 import numpy as np
 
@@ -144,10 +145,10 @@ class SectorCap:
 
 
 def cap_area_fraction(half_angle: float) -> float:
-    """Uniform-measure fraction of a cap: (1 - cos(half_angle)) / 2."""
+    """Uniform-measure fraction of a cap, (1 - cos(half_angle)) / 2 = sin(half_angle / 2)^2."""
     if not 0.0 <= half_angle <= math.pi + 1e-12:
         raise ValueError(f"cap half-angle {half_angle} outside [0, pi]")
-    return 0.5 * (1.0 - math.cos(half_angle))
+    return math.sin(0.5 * half_angle) ** 2
 
 
 def check_band(epsilon: float, d: float) -> None:
@@ -207,27 +208,38 @@ def cap_overlap(gamma: float, rho_a: float, rho_b: float) -> float:
     """Uniform-measure fraction of the sphere covered by the overlap of two
     caps of half-angles rho_a and rho_b whose centers are gamma apart.
 
-    Exact.  The overlap is empty, the smaller cap, or (complements disjoint)
-    a band of area(a) + area(b) - 1; otherwise a lens of area
-    2 (pi - P - cos(rho_a) A - cos(rho_b) B) out of 4 pi, P, A and B being
-    the angles at a rim crossing and at the centers of the spherical
-    triangle with sides gamma, rho_a, rho_b.  The half-angle formula
-    tan(X / 2) = sqrt(sin(s - y) sin(s - z) / (sin(s) sin(s - x)))
-    (s the half perimeter, x opposite X) keeps them accurate at tangent
-    rims; it takes one square root per sine.
+    Exact, with an error small against the smaller cap's area: empty, the
+    smaller cap, a band (complements disjoint), or a lens, two sectors less
+    a kite, 4 (sin(rho_a / 2)^2 A + sin(rho_b / 2)^2 B - E / 2) out of 4 pi
+    with A, B the center angles and E the excess of the triangle with sides
+    gamma, rho_a, rho_b, each from its half-angle formula.  A cap wider than
+    a hemisphere enters as the sphere less its complement (weight
+    -cos(rho / 2)^2), so no term outgrows the smaller cap.
     """
     if gamma >= rho_a + rho_b:
         return 0.0
     if gamma <= abs(rho_a - rho_b):
         return cap_area_fraction(min(rho_a, rho_b))
-    if gamma >= 2.0 * math.pi - rho_a - rho_b:
-        return cap_area_fraction(rho_a) + cap_area_fraction(rho_b) - 1.0
+    if gamma >= 2.0 * pi - rho_a - rho_b:
+        return -cos(0.5 * (rho_a + rho_b)) * cos(0.5 * (rho_a - rho_b))
     # sqrt of sin(s) and of sin(s - x) per side x, each argument in (0, pi] despite rounding.
-    root_s = math.sqrt(math.sin(min(0.5 * (gamma + rho_a + rho_b), math.pi)))
-    root_g = math.sqrt(math.sin(0.5 * ((rho_a + rho_b) - gamma)))
-    root_a = math.sqrt(math.sin(0.5 * (gamma - (rho_a - rho_b))))
-    root_b = math.sqrt(math.sin(0.5 * (gamma - (rho_b - rho_a))))
-    p = 2.0 * math.atan2(root_a * root_b, root_s * root_g)
-    angle_a = 2.0 * math.atan2(root_g * root_a, root_s * root_b)
-    angle_b = 2.0 * math.atan2(root_g * root_b, root_s * root_a)
-    return (math.pi - p - math.cos(rho_a) * angle_a - math.cos(rho_b) * angle_b) / (2.0 * math.pi)
+    half = 0.5 * (gamma + rho_a + rho_b)
+    root_s = sqrt(sin(half if half < pi else pi))
+    root_g = sqrt(sin(0.5 * ((rho_a + rho_b) - gamma)))
+    root_a = sqrt(sin(0.5 * (gamma - (rho_a - rho_b))))
+    root_b = sqrt(sin(0.5 * (gamma - (rho_b - rho_a))))
+    angle_a = 2.0 * atan2(root_g * root_a, root_s * root_b)
+    angle_b = 2.0 * atan2(root_g * root_b, root_s * root_a)
+    cos_a, cos_b = cos(rho_a), cos(rho_b)
+    # tan(E / 2) = rise / run; a wide cap's complement keeps the sines and turns gamma to pi - gamma.
+    flip = (cos_a < 0.0) != (cos_b < 0.0)
+    half_g = sin(0.5 * gamma) if flip else cos(0.5 * gamma)
+    rise = 2.0 * root_s * root_g * root_a * root_b
+    run = 2.0 * half_g * half_g + abs(cos_a) + abs(cos_b)
+    if rise >= run:  # E past pi / 2 leaves no small cap, and the angle sum is as accurate
+        p = 2.0 * atan2(root_a * root_b, root_s * root_g)
+        return (pi - p - cos_a * angle_a - cos_b * angle_b) / (2.0 * pi)
+    weight_a = -cos(0.5 * rho_a) ** 2 if cos_a < 0.0 else sin(0.5 * rho_a) ** 2
+    weight_b = -cos(0.5 * rho_b) ** 2 if cos_b < 0.0 else sin(0.5 * rho_b) ** 2
+    lens = (weight_a * angle_a + weight_b * angle_b + (1.0 if flip else -1.0) * atan2(rise, run)) / pi
+    return lens + 1.0 if cos_a < 0.0 and cos_b < 0.0 else lens

@@ -135,15 +135,14 @@ def cap_averaged_p1(e: EpsilonExperiment, cap: SectorCap, tol: float = 1e-9) -> 
     """Average outcome-1 probability over a cap-uniform state.
 
     The band breaks at s uniform on [d - epsilon, d + epsilon], and outcome
-    1 happens when s lies below the state's projection.  So the answer is
-    the band average of m(s), the cap's share of mass above s: the overlap
-    of the cap with the axis cap of half-angle acos(s), over the cap's area,
-    which cap_overlap gives exactly.  m is 1 below the cap's projection
-    range [x_min, x_max] and 0 above it, so the break-point integral runs
-    over the band's part inside that range only.  There m is smooth except
-    where the ring at s is tangent to the cap's rim, s = cos(gamma -+ rho),
-    and those are the quadrature's breakpoints.  At epsilon = 0 the average
-    is the single exact value m(d).
+    1 happens when s lies below the state's projection: the answer is the
+    band average of m(s), the cap's exact share of mass above s (cap_overlap
+    with the axis cap of half-angle acos(s)).  m is 1 below the cap's
+    projection range and 0 above it, so the break-point integral runs over
+    the band's part inside that range, with breakpoints where the ring at s
+    is tangent to the cap's rim, s = cos(gamma -+ rho).  The band lies
+    between its float edges; where they coincide it is the exact value m(d).
+    Apart from tol, the error is that of a one-ulp change of d or the cap.
     """
     gamma = angle_between(cap.center, e.axis)
     rho = cap.half_angle
@@ -160,10 +159,10 @@ def cap_averaged_p1(e: EpsilonExperiment, cap: SectorCap, tol: float = 1e-9) -> 
     def share_above(s: float) -> float:
         return cap_overlap(gamma, rho, math.acos(s)) / area
 
-    if e.epsilon == 0.0:
+    width = e.band_high - e.band_low
+    if width == 0.0:
         return share_above(e.d)
     lo, hi = max(e.band_low, x_min), min(e.band_high, x_max)
-    width = 2.0 * e.epsilon
     tangents = (math.cos(gamma - rho), math.cos(gamma + rho))
     inner = adaptive_simpson(share_above, lo, hi, tol * width, breakpoints=tangents)
     return min(1.0, max(0.0, (lo - e.band_low + inner) / width))

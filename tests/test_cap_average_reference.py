@@ -153,3 +153,45 @@ def test_zero_band_past_the_poles_is_certain():
     axis = unit_vector_at_angle(Z_AXIS, 0.3)
     assert outcome_probability_mixed(EpsilonExperiment(axis, 0.0, 1.0 + 1e-15), OutcomeSet.O1, mu) == 0.0
     assert outcome_probability_mixed(EpsilonExperiment(axis, 0.0, -1.0 - 1e-15), OutcomeSet.O1, mu) == 1.0
+
+
+@pytest.mark.parametrize("total", [1.0 - 1e-15, 1.0 - 2.0**-52])
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_small_conditioning_cap_meets_the_reference(total, c):
+    # epsilon + c near 1 leaves a conditioning cap of radius acos(epsilon + c),
+    # 4.5e-8 and 2.1e-8 here, whose share of each overlap is a ratio of
+    # areas near 1e-16.
+    epsilon = total - c
+    assert epsilon + c == total
+    for alpha in (0.5, 1.0, math.pi / 2, 2.0, 3.0):
+        for d in {0.0, -0.5 * c}:
+            q = ConditionalQuery(
+                target=EpsilonExperiment(unit_vector_at_angle(Z_AXIS, alpha), epsilon, d),
+                cond=EpsilonExperiment(Z_AXIS, epsilon, c),
+            )
+            mu = condition(q.base, q.cond, OutcomeSet.O1)
+            assert mu.cap.half_angle < 5e-8
+            err = float(abs(conditional_quad(q, TOL).value - reference_p1(q.target, mu)))
+            assert err <= TOL, (total, c, alpha, d, err)
+
+
+def test_band_below_an_ulp_of_d_is_the_point_value():
+    # 0.5 -+ 1e-17 both round to 0.5, so the band as floats is the point d.
+    cap = SectorCap(unit_vector_at_angle(Z_AXIS, 1.0), 0.7)
+    point = outcome_probability_mixed(EpsilonExperiment(Z_AXIS, 0.0, 0.5), OutcomeSet.O1, CapUniform(cap))
+    assert 0.1 < point < 0.9
+    for epsilon in (1e-17, 5e-17):
+        e = EpsilonExperiment(Z_AXIS, epsilon, 0.5)
+        assert outcome_probability_mixed(e, OutcomeSet.O1, CapUniform(cap)) == point
+
+
+@pytest.mark.parametrize("epsilon, d", [(1e-9, 0.3), (1e-12, -0.3), (5.551115123125783e-17, 0.4)])
+def test_narrow_band_meets_the_reference(epsilon, d):
+    # The band's float edges are off its true edges by up to half an ulp
+    # of d each, a large part of a band this narrow.
+    for gamma in (0.8, 1.3, 1.9):
+        for rho in (0.3, 1.0):
+            cap = SectorCap(unit_vector_at_angle(Z_AXIS, gamma), rho)
+            e = EpsilonExperiment(Z_AXIS, epsilon, d)
+            value = outcome_probability_mixed(e, OutcomeSet.O1, CapUniform(cap), TOL)
+            assert float(abs(value - reference_cap_p1(e, cap))) <= TOL, (gamma, rho)

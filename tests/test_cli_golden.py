@@ -51,9 +51,9 @@ GOLDEN = {
     "simulate": "1c48459b428a3fed7130a4c30792ed3a8098858bcaf6e332ea85ee7c96e6d6cd",
     "conditional_flagship": "4cb854051a01afd2e82b9e770766eda8aeddd30c3b4a5db416f5322bd41f44da",
     "conditional_offsets": "c9228c1e58f1356225060dfee374c7211367f5f7422add2c4a3d5f317128f3f5",
-    "sweep": "f1484316b8845aa549e8b00bb3db53f9226889fb113c8dcfddc54685b219b920",
-    "survey_flagship": "dd1968a99a9f4f08997c2bde37b2c31577f60361ad280e2979d63df0f7d6cdd9",
-    "survey_classical": "b5f7860c01392c041effecc725861cc9d3aec68c60f43a07343a6d6d970a27f1",
+    "sweep": "b1569a6b862ee85cc221aa1a2d81cc9434bd21ea61a3660111c331e946440874",
+    "survey_flagship": "a8674890e14370720813f29f418d4302885eb617102da025417270593bf25eda",
+    "survey_classical": "6853da9dce97579191be6c62a397bc8798a1bf69199dc0906cd6c7250a33b67c",
 }
 
 

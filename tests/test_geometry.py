@@ -14,6 +14,7 @@ from qmachine.geometry import (
     angle_between,
     cap_area_fraction,
     cap_intersection_fraction,
+    cap_overlap,
     sample_uniform_cap_array,
     sample_uniform_sphere,
     sample_uniform_sphere_array,
@@ -254,8 +255,10 @@ def _arccos_overlap(a: SectorCap, b: SectorCap):
     cb = [mp.mpf(v) for v in (b.center.x, b.center.y, b.center.z)]
     cross = [ca[1] * cb[2] - ca[2] * cb[1], ca[2] * cb[0] - ca[0] * cb[2], ca[0] * cb[1] - ca[1] * cb[0]]
     gamma = mp.atan2(mp.sqrt(sum(c * c for c in cross)), sum(x * y for x, y in zip(ca, cb)))
-    ra, rb = mp.mpf(a.half_angle), mp.mpf(b.half_angle)
+    return _arccos_lens(gamma, mp.mpf(a.half_angle), mp.mpf(b.half_angle))
 
+
+def _arccos_lens(gamma, ra, rb):
     def area(r):
         return (1 - mp.cos(r)) / 2
 
@@ -308,6 +311,24 @@ def test_cap_intersection_matches_30_digit_reference():
             assert err <= 1e-14, (x, y, err)
             worst = max(worst, err)
     assert len(pairs) >= 500 and worst > 0.0  # the edge cases ran, and the check can fail
+
+
+def test_cap_overlap_error_is_small_against_the_smaller_cap():
+    # A small cap's share of its overlap is a ratio of tiny areas, so the
+    # overlap's error must scale with the smaller cap.  Rounding the
+    # half-perimeter differences costs an ulp of the larger angles, so the
+    # bound is an ulp against the smaller cap's area over its radius.
+    rnd = random.Random(11)
+    for ra in (1e-8, 1e-6, 1e-4, 1e-2):
+        for rb in (1e-3, 0.3, 1.2, math.pi / 2, 2.0, math.pi - 1e-3, math.pi - 1e-7):
+            lo, hi = abs(ra - rb), min(ra + rb, 2.0 * math.pi - ra - rb, math.pi)
+            gammas = [rnd.uniform(lo, hi) for _ in range(12)] + [lo * (1 + 1e-12), min(hi * (1 - 1e-12), math.pi)]
+            for gamma in gammas:
+                with mp.workdps(70):
+                    ref = _arccos_lens(mp.mpf(gamma), mp.mpf(ra), mp.mpf(rb))
+                bound = 2e-15 * cap_area_fraction(min(ra, rb)) / min(ra, rb)
+                for x, y in ((ra, rb), (rb, ra)):
+                    assert float(abs(cap_overlap(gamma, x, y) - ref)) <= bound, (gamma, x, y)
 
 
 def test_overlap_reference_against_ring_quadrature():
