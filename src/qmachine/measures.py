@@ -137,17 +137,16 @@ def cap_averaged_p1(e: EpsilonExperiment, cap: SectorCap, tol: float = 1e-9) -> 
     The band breaks at s uniform on [d - epsilon, d + epsilon], and outcome
     1 happens when s lies below the state's projection: the answer is the
     band average of m(s), the cap's exact share of mass above s (cap_overlap
-    with the axis cap of half-angle acos(s)).  m is 1 below the cap's
-    projection range and 0 above it, so the break-point integral runs over
-    the band's part inside that range, with breakpoints where the ring at s
-    is tangent to the cap's rim, s = cos(gamma -+ rho).  The band lies
-    between its float edges; where they coincide it is the exact value m(d).
+    with the axis cap of half-angle acos(s)), 1 below the cap's projection
+    range and 0 above it.  The break-point integral runs over the band's part
+    inside that range, breaking where the ring at s is tangent to the cap's
+    rim, s = cos(gamma -+ rho); a band holding the whole range needs none.
+    Where the band's float edges coincide it is the exact value m(d).
     Apart from tol, the error is that of a one-ulp change of d or the cap.
     """
     gamma = angle_between(cap.center, e.axis)
     rho = cap.half_angle
-    # When the cap's projection range clears the band the answer is exact.
-    # This comes first: at epsilon = 0, d may lie 1e-15 outside [-1, 1].
+    # A range clear of the band is exact; tested first, as at epsilon = 0 d may lie 1e-15 outside [-1, 1].
     x_min = math.cos(gamma + rho) if gamma + rho <= math.pi else -1.0
     x_max = math.cos(gamma - rho) if gamma - rho >= 0.0 else 1.0
     if x_min >= e.band_high:
@@ -162,9 +161,10 @@ def cap_averaged_p1(e: EpsilonExperiment, cap: SectorCap, tol: float = 1e-9) -> 
     width = e.band_high - e.band_low
     if width == 0.0:
         return share_above(e.d)
+    if e.band_low <= x_min and x_max <= e.band_high:  # the kernel is linear there: the mean projection gives it
+        return min(1.0, max(0.0, (math.cos(gamma) * (1.0 - area) - e.band_low) / width))
     lo, hi = max(e.band_low, x_min), min(e.band_high, x_max)
-    tangents = (math.cos(gamma - rho), math.cos(gamma + rho))
-    inner = adaptive_simpson(share_above, lo, hi, tol * width, breakpoints=tangents)
+    inner = adaptive_simpson(share_above, lo, hi, tol * width, breakpoints=(math.cos(gamma - rho), math.cos(gamma + rho)))
     return min(1.0, max(0.0, (lo - e.band_low + inner) / width))
 
 

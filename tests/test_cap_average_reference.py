@@ -195,3 +195,20 @@ def test_narrow_band_meets_the_reference(epsilon, d):
             e = EpsilonExperiment(Z_AXIS, epsilon, d)
             value = outcome_probability_mixed(e, OutcomeSet.O1, CapUniform(cap), TOL)
             assert float(abs(value - reference_cap_p1(e, cap))) <= TOL, (gamma, rho)
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 0.9, 1.0])
+def test_band_holding_the_whole_cap_meets_the_reference(epsilon):
+    # Every state's projection lies in the band, where the outcome-1
+    # probability is linear in it: the answer comes from the mean projection.
+    rnd = random.Random(int(100 * epsilon))
+    for rho in (2e-8, 1e-3, 0.1, 0.25):
+        for _ in range(3):
+            gamma = rnd.uniform(0.0, math.pi)
+            x_min, x_max = math.cos(min(math.pi, gamma + rho)), math.cos(max(0.0, gamma - rho))
+            d = rnd.uniform(x_max - epsilon, x_min + epsilon)
+            e = EpsilonExperiment(Z_AXIS, epsilon, max(-1.0 + epsilon, min(1.0 - epsilon, d)))
+            assert e.band_low <= x_min and x_max <= e.band_high
+            cap = SectorCap(unit_vector_at_angle(Z_AXIS, gamma), rho)
+            value = outcome_probability_mixed(e, OutcomeSet.O1, CapUniform(cap), TOL)
+            assert float(abs(value - reference_cap_p1(e, cap))) <= TOL, (gamma, rho, e.d)
