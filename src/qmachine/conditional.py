@@ -8,13 +8,12 @@ other experiment, starting from a base measure):
 * conditional_mc     -- seeded projections of conditioned states on the
                         target axis, streamed in fixed chunks through the
                         hidden-measurement trial kernel,
-* conditional_closed_form -- the closed-form expression for the symmetric
-                        d = c = 0 case, evaluated exactly as written, with
-                        regime/domain diagnostics.  Its Heaviside regimes
-                        overlap on part of the parameter plane and one
-                        radicand goes negative there, so it is advisory:
-                        when it disagrees with the integral, the integral
-                        wins.
+* conditional_closed_form -- the printed closed form for the symmetric
+                        d = c = 0 case, evaluated in its one regime at
+                        a = min(alpha, pi - alpha) and mirrored by
+                        f(alpha) = 1 - f(pi - alpha); total on
+                        (0, 1] x [0, pi], with the limits of its accuracy
+                        in its docstring.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import Z_AXIS, SectorCap, unit_vector_at_angle
+from .geometry import Z_AXIS, SectorCap, clamped_acos, clamped_asin, unit_vector_at_angle
 from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, count_o1, p1_given_projection
 from .measures import (  # sample_state_array: perfbench/tracing.py wraps it here by name
     MixedState,
@@ -50,7 +49,6 @@ class Method(enum.Enum):
 
 class Validity(enum.Enum):
     VALID = "valid"
-    REGIME_OVERLAP = "regime-overlap"
     DOMAIN_INVALID = "domain-invalid"
 
 
@@ -152,35 +150,17 @@ def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> Conditio
     return ConditionalResult(p_hat, Method.MONTE_CARLO, stderr, Validity.VALID, diag)
 
 
-def _heaviside(x: float) -> float:
-    # H(0) = 1: boundary regimes are measure zero in parameter space and a
-    # fixed convention keeps the expression total.
-    return 1.0 if x >= 0.0 else 0.0
-
-
-def _angular_terms(epsilon: float, alpha: float, tag: str, diag: dict) -> tuple[Optional[float], Optional[float]]:
-    """The two auxiliary angular functions at a given separation, or None
-    where a radicand or arc argument leaves its real domain.  Diagnostic
-    values are recorded under keys suffixed with `tag`."""
-    ch = math.cos(0.5 * alpha)
+def _angular_terms(epsilon: float, c: float, s: float) -> tuple[float, float]:
+    """The two auxiliary angular functions at a separation whose half has
+    cosine c and sine s, for epsilon < c.  There the radicand is
+    nonnegative and every arc argument is at most 1 in exact arithmetic;
+    the clamped arcs absorb the rounding overshoot at a regime boundary."""
     one_minus_e2 = 1.0 - epsilon * epsilon
-    if ch == 0.0 or one_minus_e2 <= 0.0:
-        # Division by zero in the radicand or the normalizations.
-        diag[f"radicand{tag}"] = -math.inf
-        return None, None
-    radicand = 1.0 - (epsilon / ch) ** 2
-    diag[f"radicand{tag}"] = radicand
-    asin_arg = math.sin(0.5 * alpha) / math.sqrt(one_minus_e2)
-    diag[f"asin_arg{tag}"] = asin_arg
-    acos_arg = epsilon * math.tan(0.5 * alpha) / math.sqrt(one_minus_e2)
-    diag[f"acos_arg{tag}"] = acos_arg
-    omega = sigma = None
-    if radicand >= 0.0:
-        inner = radicand / one_minus_e2
-        if 0.0 <= inner <= 1.0 and -1.0 <= asin_arg <= 1.0:
-            omega = 4.0 * epsilon * math.acos(math.sqrt(inner)) - 4.0 * math.asin(asin_arg)
-        if -1.0 <= acos_arg <= 1.0:
-            sigma = epsilon * math.tan(0.5 * alpha) * math.sqrt(radicand) - one_minus_e2 * math.acos(acos_arg)
+    root = math.sqrt(one_minus_e2)
+    radicand = 1.0 - (epsilon / c) ** 2
+    tan_half = s / c
+    omega = 4.0 * epsilon * clamped_acos(math.sqrt(radicand / one_minus_e2)) - 4.0 * clamped_asin(s / root)
+    sigma = epsilon * tan_half * math.sqrt(radicand) - one_minus_e2 * clamped_acos(epsilon * tan_half / root)
     return omega, sigma
 
 
@@ -189,79 +169,59 @@ def conditional_closed_form(
 ) -> ConditionalResult:
     """The printed closed form for the symmetric d = c = 0 configuration.
 
-    Evaluated exactly as written: three terms gated by Heaviside factors of
+    The printed form gates three terms by Heaviside factors of
     (epsilon - cos(alpha/2)), (epsilon - sin(alpha/2), cos(alpha/2) - epsilon)
-    and (sin(alpha/2) - epsilon).  Validity reports when more than one gate
-    fires (regime-overlap) or an active term hits a negative radicand or
-    out-of-range arc argument (domain-invalid).  With `quad_tol` set, the
-    deviation from the definitional integral is reported as error_bound.
+    and (sin(alpha/2) - epsilon); past alpha = pi/2 two gates fire at once.
+    So it is evaluated at a = min(alpha, pi - alpha), where exactly one
+    regime holds, and a wide alpha takes the mirror identity
+    f(alpha) = 1 - f(pi - alpha) (diagnostics["mirrored"]).  The regime
+    tests compare epsilon with the same cosines the terms divide by, so
+    every input in (0, 1] x [0, pi] is in its regime's domain and the
+    result is valid.
+
+    Measured limits against the quadrature at tol 1e-12: the terms divide
+    by epsilon and cancel, so the error grows like 1e-16 / epsilon (1.2e-10
+    at epsilon = 1e-6).  They also divide by 1 - epsilon, and one ulp below
+    epsilon = cos(alpha/2) they cancel badly as epsilon nears 1: 3.1e-4 off
+    at alpha = 0.0202 (epsilon = 1 - 5.1e-5), 23 off at alpha = 0.001
+    (epsilon = 1 - 1.25e-7).  With `quad_tol` set, the deviation from the
+    definitional integral is reported as error_bound.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("closed form needs epsilon in (0, 1]")
     if not 0.0 <= alpha <= math.pi:
         raise ValueError("alpha must lie in [0, pi]")
-    ch = math.cos(0.5 * alpha)
-    sh = math.sin(0.5 * alpha)
-    diag: dict = {
-        "h_eps_minus_cos_half": epsilon - ch,
-        "h_eps_minus_sin_half": epsilon - sh,
-        "h_cos_half_minus_eps": ch - epsilon,
-        "h_sin_half_minus_eps": sh - epsilon,
-    }
-    g1 = _heaviside(epsilon - ch)
-    g2 = _heaviside(epsilon - sh) * _heaviside(ch - epsilon)
-    g3 = _heaviside(sh - epsilon)
-    diag.update(gate_p1=g1, gate_p2=g2, gate_p3=g3)
-
-    cos_a = math.cos(alpha)
+    mirrored = alpha > 0.5 * math.pi
+    a = math.pi - alpha if mirrored else alpha
+    ch, sh = math.cos(0.5 * a), math.sin(0.5 * a)
+    cos_a = math.cos(a)
     p1 = cos_a * (1.0 + epsilon) / (4.0 * epsilon) + 0.5
-
-    def p2() -> Optional[float]:
-        omega, sigma = _angular_terms(epsilon, alpha, "_uw", diag)
-        if omega is None or sigma is None:
-            return None
-        return (
-            p1
-            + 0.5
-            + omega / (4.0 * math.pi * (1.0 - epsilon))
-            + (cos_a + 1.0) * sigma / (4.0 * math.pi * epsilon * (1.0 - epsilon))
-        )
-
-    def p3() -> Optional[float]:
-        omega_uw, sigma_uw = _angular_terms(epsilon, alpha, "_uw", diag)
-        omega_mu, sigma_mu = _angular_terms(epsilon, math.pi - alpha, "_muw", diag)
-        if None in (omega_uw, sigma_uw, omega_mu, sigma_mu):
-            return None
-        return (
-            p1
-            + (omega_uw - omega_mu) / (4.0 * math.pi * (1.0 - epsilon))
-            + ((cos_a - 1.0) * sigma_mu + (cos_a + 1.0) * sigma_uw)
-            / (4.0 * math.pi * epsilon * (1.0 - epsilon))
-        )
-
-    total = 0.0
-    broken = False
-    n_active = 0
-    for gate, term in ((g1, lambda: p1), (g2, p2), (g3, p3)):
-        if gate > 0.0:
-            n_active += 1
-            val = term()
-            if val is None or not math.isfinite(val):
-                broken = True
-            else:
-                total += gate * val
-    if n_active > 1:
-        validity = Validity.REGIME_OVERLAP
-    elif broken:
-        validity = Validity.DOMAIN_INVALID
+    if epsilon >= ch:
+        value = p1
     else:
-        validity = Validity.VALID
-    value = math.nan if broken else total
+        omega_uw, sigma_uw = _angular_terms(epsilon, ch, sh)
+        if epsilon >= sh:
+            value = (
+                p1
+                + 0.5
+                + omega_uw / (4.0 * math.pi * (1.0 - epsilon))
+                + (cos_a + 1.0) * sigma_uw / (4.0 * math.pi * epsilon * (1.0 - epsilon))
+            )
+        else:
+            omega_mu, sigma_mu = _angular_terms(epsilon, sh, ch)  # cos((pi - a) / 2) = sh
+            value = (
+                p1
+                + (omega_uw - omega_mu) / (4.0 * math.pi * (1.0 - epsilon))
+                + ((cos_a - 1.0) * sigma_mu + (cos_a + 1.0) * sigma_uw)
+                / (4.0 * math.pi * epsilon * (1.0 - epsilon))
+            )
+    if mirrored:
+        value = 1.0 - value
     error_bound = math.nan
-    if quad_tol is not None and math.isfinite(value):
+    if quad_tol is not None:
         ref = conditional_quad(symmetric_query(epsilon, alpha), quad_tol).value
         error_bound = abs(value - ref)
-    return ConditionalResult(value, Method.CLOSED_FORM, error_bound, validity, diag)
+    return ConditionalResult(value, Method.CLOSED_FORM, error_bound, Validity.VALID, {"mirrored": mirrored})
 
 
 @dataclass(frozen=True)

@@ -17,23 +17,28 @@ import numpy as np
 
 from .quadrature import adaptive_simpson  # adaptive_simpson: perfbench/tracing.py wraps it here by name
 
-# Dot products of unit vectors can exceed [-1, 1] by a few ulps; clamp at
-# most this much before acos so rounding noise is absorbed but genuinely
-# bad inputs still fail.
+# Dot products of unit vectors, and arc arguments that are at most 1 in
+# exact arithmetic, can exceed [-1, 1] by a few ulps; clamp at most this
+# much so rounding noise is absorbed but genuinely bad inputs still fail.
 _CLAMP_TOL = 1e-9
+
+
+def _clamp_unit(x: float) -> float:
+    if abs(x) > 1.0:
+        if abs(x) > 1.0 + _CLAMP_TOL:
+            raise ValueError(f"arc argument {x!r} outside [-1, 1]")
+        return math.copysign(1.0, x)
+    return x
 
 
 def clamped_acos(x: float) -> float:
     """arccos with rounding-noise clamping to [-1, 1]."""
-    if x > 1.0:
-        if x > 1.0 + _CLAMP_TOL:
-            raise ValueError(f"cosine argument {x!r} outside [-1, 1]")
-        return 0.0
-    if x < -1.0:
-        if x < -1.0 - _CLAMP_TOL:
-            raise ValueError(f"cosine argument {x!r} outside [-1, 1]")
-        return math.pi
-    return math.acos(x)
+    return math.acos(_clamp_unit(x))
+
+
+def clamped_asin(x: float) -> float:
+    """arcsin with rounding-noise clamping to [-1, 1]."""
+    return math.asin(_clamp_unit(x))
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,8 @@ def test_paper_grid_meets_the_closed_form_and_the_mirror_identity():
             alpha = math.pi * j / 180
             assert abs(value + values[180 - j] - 1.0) <= 2 * tol, (epsilon, j)
             closed = conditional_closed_form(epsilon, alpha)
-            if closed.validity.value == "valid":
-                assert abs(value - closed.value) <= tol, (epsilon, j)
+            assert closed.validity.value == "valid", (epsilon, j)
+            assert abs(value - closed.value) <= tol, (epsilon, j)
 
 
 def test_zero_band_is_exact():

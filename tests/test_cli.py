@@ -7,6 +7,7 @@ import pytest
 
 import qmachine
 from qmachine.cli import main
+from qmachine.conditional import conditional_quad, symmetric_query
 
 SQ2 = "0.7071067811865476"
 
@@ -117,13 +118,14 @@ def test_conditional_quad_flagship(capsys):
     assert payload["validity"] == "valid"
 
 
-def test_conditional_formula_reports_overlap(capsys):
+def test_conditional_formula_mirrors_the_flagship(capsys):
     code, out, _ = run_cli(capsys, "conditional", "--epsilon", SQ2, "--alpha", "120", "--degrees", "--method", "formula")
     assert code == 0
     payload = json.loads(out)
-    assert payload["validity"] == "regime-overlap"
-    assert payload["value"] is None
-    assert payload["diagnostics"]["radicand_uw"] < 0
+    assert payload["validity"] == "valid"
+    assert payload["diagnostics"] == {"mirrored": True}
+    ref = conditional_quad(symmetric_query(float(SQ2), math.radians(120)), 1e-12).value
+    assert abs(payload["value"] - ref) <= 1e-12
 
 
 def test_conditional_alpha_zero_is_certain(capsys):

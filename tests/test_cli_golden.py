@@ -2,7 +2,8 @@
 
 Each case runs one CLI command in process and compares the sha256 of its
 stdout, with the `version` field normalized, to a hash recorded with
-qmachine 0.3.1 (sweep and survey: 0.5.0, whose quadrature values moved).  The cases cover every stochastic path the CLI prints:
+qmachine 0.3.1 (survey: 0.5.0, whose quadrature values moved; sweep: 0.6.0,
+whose closed-form column moved).  The cases cover every stochastic path the CLI prints:
 the pure-state kernel, the conditioned-cap sampler (flagship and offset
 bands), the sweep (epsilon 0, 1e-6 and 1, more trials than MC_CHUNK) and
 the survey census (more draws than MC_CHUNK, epsilon 0 and the flagship).
@@ -51,7 +52,7 @@ GOLDEN = {
     "simulate": "1c48459b428a3fed7130a4c30792ed3a8098858bcaf6e332ea85ee7c96e6d6cd",
     "conditional_flagship": "4cb854051a01afd2e82b9e770766eda8aeddd30c3b4a5db416f5322bd41f44da",
     "conditional_offsets": "c9228c1e58f1356225060dfee374c7211367f5f7422add2c4a3d5f317128f3f5",
-    "sweep": "b1569a6b862ee85cc221aa1a2d81cc9434bd21ea61a3660111c331e946440874",
+    "sweep": "88ced0fcc518f0f3b58e2f28ba8ad9a995f7a44e91f5d73526d70f190260aa87",
     "survey_flagship": "a8674890e14370720813f29f418d4302885eb617102da025417270593bf25eda",
     "survey_classical": "6853da9dce97579191be6c62a397bc8798a1bf69199dc0906cd6c7250a33b67c",
 }

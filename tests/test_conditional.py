@@ -150,14 +150,45 @@ def test_closed_form_matches_quadrature_in_valid_regimes():
         assert cf.value == pytest.approx(ref, abs=1e-8)
 
 
-def test_closed_form_flagship_overlap_diagnosis():
-    r = conditional_closed_form(SQ2, 2 * math.pi / 3)
-    assert r.validity is Validity.REGIME_OVERLAP
-    assert math.isnan(r.value)
-    assert r.diagnostics["gate_p1"] == 1.0 and r.diagnostics["gate_p3"] == 1.0
-    assert r.diagnostics["h_eps_minus_cos_half"] > 0.0
-    assert r.diagnostics["h_sin_half_minus_eps"] > 0.0
-    assert r.diagnostics["radicand_uw"] < 0.0
+def test_closed_form_flagship_is_mirrored():
+    alpha = 2 * math.pi / 3
+    r = conditional_closed_form(SQ2, alpha)
+    assert r.validity is Validity.VALID
+    assert r.diagnostics == {"mirrored": True}
+    assert abs(r.value - conditional_quad(symmetric_query(SQ2, alpha), 1e-12).value) <= 1e-12
+
+
+def test_closed_form_is_total_at_regime_boundaries():
+    # epsilon = cos(alpha/2) and sin(alpha/2), and one ulp either side, put
+    # an arc argument or radicand at the edge of its domain, where rounding
+    # alone pushes it past 1 (e.g. asin's at epsilon = sin(alpha/2), alpha = 0.6075).
+    rng = np.random.default_rng(2400)
+    n = 0
+    for alpha in [0.6075, *rng.uniform(0.0, math.pi, 399)]:
+        alpha = float(alpha)
+        for edge in (math.cos(alpha / 2), math.sin(alpha / 2)):
+            for epsilon in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)):
+                if 0.0 < epsilon <= 1.0:
+                    r = conditional_closed_form(epsilon, alpha)
+                    assert r.validity is Validity.VALID and math.isfinite(r.value), (epsilon, alpha)
+                    n += 1
+    assert n >= 2350
+
+
+def test_mirror_identity_holds_on_every_route():
+    # d = c = 0, uniform base: f(alpha) + f(pi - alpha) = 1.
+    rng = np.random.default_rng(1013)
+    tol, trials = 1e-8, 20_000
+    for i in range(8):
+        epsilon, alpha = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, math.pi))
+        pair = (symmetric_query(epsilon, alpha), symmetric_query(epsilon, math.pi - alpha))
+        quad = [conditional_quad(q, tol).value for q in pair]
+        assert abs(sum(quad) - 1.0) <= 2 * tol, (epsilon, alpha)
+        mc = [conditional_mc(q, trials, [1013, i, k]) for k, q in enumerate(pair)]
+        sigma = math.hypot(*(max(m.error_bound, 1.0 / trials) for m in mc))
+        assert abs(mc[0].value + mc[1].value - 1.0) <= 6 * sigma, (epsilon, alpha)
+        closed = [conditional_closed_form(epsilon, a).value for a in (alpha, math.pi - alpha)]
+        assert abs(sum(closed) - 1.0) <= 1e-15, (epsilon, alpha)
 
 
 def test_closed_form_error_bound_against_quadrature():
