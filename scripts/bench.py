@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer benchmark: MC kernels, cap overlap, conditionals, checker, CLI sweep.
+"""Layer benchmark: MC kernels, cap overlap, conditionals, checker, survey, CLI sweep.
 
 MC kernel layer: times conditional_mc on the flagship query (its
 conditioned state is uniform on a cap, so every trial runs the cap
@@ -16,17 +16,16 @@ reports the median us per call over the alphas with their quartiles.
 
 Cap overlap: cap_intersection_fraction on CAP_PAIRS seeded pairs of caps
 (uniform centers, half-angles uniform on [0, pi]).  Conditionals:
-conditional_closed_form and conditional_quad, the latter at each of
-QUAD_TOLS, on the symmetric query at every point of the CLI sweep grid
-(CLI_SWEEP_EPSILONS x SWEEP_ALPHA_STEPS alphas).  Each entry times every
-item REPEATS times and reports the median us per call over the items,
-with their quartiles.  Each quadrature entry also reports the mean
-integrand evaluations per call (counted by wrapping
-qmachine.measures.adaptive_simpson), and its misses at that tolerance:
-rows more than tol from a `valid` closed form, and rows whose mirror
-identity f(alpha) + f(pi - alpha) = 1 is off by more than 2 tol.  A
-closed-form miss can be the closed form's own rounding error; the mirror
-check involves the quadrature alone.
+conditional_closed_form and conditional_quad (the exact route: the band
+average of the cap overlap from the lens's first moment) on the symmetric
+query at every point of the CLI sweep grid (CLI_SWEEP_EPSILONS x
+SWEEP_ALPHA_STEPS alphas).  Each entry times every item REPEATS times and
+reports the median us per call over the items, with their quartiles.  The
+exact route also reports its largest error_bound and its misses at
+MISS_TOL: rows more than MISS_TOL from a `valid` closed form, and rows
+whose mirror identity f(alpha) + f(pi - alpha) = 1 is off by more than
+2 MISS_TOL.  A closed-form miss can be the closed form's own rounding
+error; the mirror check involves the exact route alone.
 
 Exact-checker layer: times check_kolmogorov on CHECKER_TRIADS seeded
 triads of each family (random rational joints with the three standard
@@ -35,6 +34,12 @@ random conditionals, constant-row certificates among them).  Each
 triad's time is the median of CHECKER_REPEATS calls; each family reports
 the median ms per triad with the triads' quartiles, its verdict mix, and
 the median and largest tracemalloc peak of one call per triad.
+
+Survey stages, on the flagship survey (three questions at 0, 60 and 120
+degrees, 15% predetermined each way, epsilon forced to sqrt(2)/2): the fit
+(build_survey_model), predict_conditionals, region_census at
+SURVEY_CENSUS_DRAWS draws and classify_survey, each the median ms of
+REPEATS calls with their quartiles.
 
 End to end: CLI `sweep` over CLI_SWEEP_EPSILONS x SWEEP_ALPHA_STEPS alphas
 (the sweep's defaults otherwise, CSV to stdout, discarded), the median
@@ -71,12 +76,11 @@ from fractions import Fraction
 import numpy as np
 
 import qmachine
-import qmachine.measures
 from qmachine.conditional import conditional_closed_form, conditional_mc, conditional_quad, symmetric_query
 from qmachine.embedding import VARIABLES, CondProb, TriadData, check_kolmogorov
 from qmachine.geometry import Z_AXIS, SectorCap, cap_intersection_fraction, unit_vector_at_angle
 from qmachine.machine import EpsilonExperiment, estimate_probability_mc
-from qmachine.survey import QuestionStats, build_survey_model, region_census
+from qmachine.survey import QuestionStats, build_survey_model, classify_survey, predict_conditionals, region_census
 
 SQ2 = math.sqrt(2) / 2
 TRIALS = 10_000_000
@@ -90,7 +94,8 @@ CLI_SWEEP_EPSILONS = "0.000001,0.25,0.5,0.7071068,1"
 CLI_RUNS = 5
 CAP_PAIRS = 1_000
 CAP_SEED = 8
-QUAD_TOLS = (1e-6, 1e-8, 1e-10)
+MISS_TOL = 1e-10
+SURVEY_CENSUS_DRAWS = 1_000_000
 CONSTANT_ROW = "0"  # the expression of a constant-row certificate
 ATOM_BIT = {"U": 4, "V": 2, "W": 1}  # bit of each event in an atom index
 
@@ -205,50 +210,27 @@ def measure_cap_overlap() -> dict:
     return {"seed": CAP_SEED, **per_call_us(lambda ab: cap_intersection_fraction(*ab), pairs)}
 
 
-def integrand_evals_per_call(call, items) -> float:
-    """Mean integrand evaluations per call(item), counted by wrapping
-    adaptive_simpson where cap_averaged_p1 looks it up."""
-    original = qmachine.measures.adaptive_simpson
-    evals = 0
-
-    def counting(f, *args, **kwargs):
-        def counted(x):
-            nonlocal evals
-            evals += 1
-            return f(x)
-
-        return original(counted, *args, **kwargs)
-
-    qmachine.measures.adaptive_simpson = counting
-    try:
-        for item in items:
-            call(item)
-    finally:
-        qmachine.measures.adaptive_simpson = original
-    return evals / len(items)
-
-
-def measure_quad(queries, closed, tol: float) -> dict:
-    """conditional_quad at `tol` over the grid: time, evaluations, misses."""
-
-    def call(q):
-        return conditional_quad(q, tol)
-
-    values = [call(q).value for q in queries]
+def measure_quad(queries, closed) -> dict:
+    """conditional_quad over the grid: time, largest error_bound, misses."""
+    results = [conditional_quad(q) for q in queries]
+    values = [r.value for r in results]
     mirror_misses = 0
     for i, value in enumerate(values):
         j = i % SWEEP_ALPHA_STEPS  # the row at pi - alpha is SWEEP_ALPHA_STEPS - 1 - j
-        mirror_misses += abs(value + values[i - j + SWEEP_ALPHA_STEPS - 1 - j] - 1.0) > 2.0 * tol
+        mirror_misses += abs(value + values[i - j + SWEEP_ALPHA_STEPS - 1 - j] - 1.0) > 2.0 * MISS_TOL
     return {
-        **per_call_us(call, queries),
-        "integrand_evals_per_call": integrand_evals_per_call(call, queries),
-        "closed_form_misses": sum(c.validity.value == "valid" and abs(v - c.value) > tol for v, c in zip(values, closed)),
+        **per_call_us(conditional_quad, queries),
+        "max_error_bound": max(r.error_bound for r in results),
+        "miss_tol": MISS_TOL,
+        "closed_form_misses": sum(
+            c.validity.value == "valid" and abs(v - c.value) > MISS_TOL for v, c in zip(values, closed)
+        ),
         "mirror_misses": mirror_misses,
     }
 
 
 def measure_conditionals() -> dict:
-    """Closed form and quadrature per call over the CLI sweep grid."""
+    """Closed form and the exact route per call over the CLI sweep grid."""
     grid = [
         (float(eps), math.pi * j / (SWEEP_ALPHA_STEPS - 1))
         for eps in CLI_SWEEP_EPSILONS.split(",")
@@ -262,7 +244,30 @@ def measure_conditionals() -> dict:
         "epsilons": CLI_SWEEP_EPSILONS,
         "alpha_steps": SWEEP_ALPHA_STEPS,
         "conditional_closed_form": closed,
-        "conditional_quad": {f"{tol:g}": measure_quad(queries, closed_results, tol) for tol in QUAD_TOLS},
+        "conditional_quad": measure_quad(queries, closed_results),
+    }
+
+
+def median_ms(call) -> dict:
+    """Median ms of REPEATS calls, with their quartiles."""
+    call()  # warm caches and lazy set-up before timing
+    ms = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        ms.append((time.perf_counter() - start) * 1e3)
+    q1, _, q3 = statistics.quantiles(ms, n=4)
+    return {"ms": statistics.median(ms), "ms_quartiles": [q1, q3]}
+
+
+def measure_survey() -> dict:
+    """The flagship survey's pipeline, stage by stage."""
+    model = _flagship_model()
+    return {
+        "fit": median_ms(_flagship_model),
+        "predict_conditionals": median_ms(lambda: predict_conditionals(model)),
+        "census": {"draws": SURVEY_CENSUS_DRAWS, **median_ms(lambda: region_census(model, SURVEY_CENSUS_DRAWS, 0))},
+        "classify_survey": median_ms(lambda: classify_survey(model)),
     }
 
 
@@ -376,6 +381,7 @@ def main() -> None:
             "seed": CHECKER_SEED,
             "families": {name: measure_checker(make) for name, make in TRIAD_FAMILIES.items()},
         },
+        "survey": measure_survey(),
         "end_to_end": {"cli_sweep": measure_cli_sweep()},
         "versions": {
             "python": platform.python_version(),

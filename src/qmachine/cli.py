@@ -130,7 +130,7 @@ def _cmd_conditional(args) -> int:
     if args.method == "formula":
         if args.d != 0.0 or args.c != 0.0:
             raise ValueError("the closed form is defined for d = c = 0 only")
-        result = conditional_closed_form(args.epsilon, alpha, quad_tol=args.tol)
+        result = conditional_closed_form(args.epsilon, alpha)
         payload["diagnostics"] = result.diagnostics
     else:
         query = ConditionalQuery(
@@ -138,7 +138,7 @@ def _cmd_conditional(args) -> int:
             cond=EpsilonExperiment(Z_AXIS, args.epsilon, args.c),
         )
         if args.method == "quad":
-            result = conditional_quad(query, args.tol)
+            result = conditional_quad(query)
         else:
             result = conditional_mc(query, args.trials, args.seed)
             payload.update(trials=args.trials, seed=args.seed, version=__version__)
@@ -151,7 +151,7 @@ def _cmd_sweep(args) -> int:
     epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
     if not epsilons:
         raise ValueError("--epsilons needs at least one value")
-    rows = sweep(epsilons, args.alpha_steps, args.tol, args.mc_trials, args.seed)
+    rows = sweep(epsilons, args.alpha_steps, mc_trials=args.mc_trials, seed=args.seed)
 
     def write(stream) -> None:
         # csv writes a float as its repr and a str as itself.
@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, default=0.0, help="offset of the target experiment")
     p.add_argument("--c", type=float, default=0.0, help="offset of the conditioning experiment")
     p.add_argument("--method", choices=("quad", "mc", "formula"), default="quad")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--degrees", action="store_true")
     p.set_defaults(func=_cmd_conditional)
@@ -319,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[seeded], help="CSV table of the conditional over alpha")
     p.add_argument("--epsilons", type=str, required=True, help="comma-separated epsilon values")
     p.add_argument("--alpha-steps", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--mc-trials", type=int, default=10_000)
     p.add_argument("--out", type=str, required=True, help="output path, or - for stdout")
     p.set_defaults(func=_cmd_sweep)

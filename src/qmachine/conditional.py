@@ -4,7 +4,7 @@ Three routes compute P(target outcome | conditioned on an outcome of the
 other experiment, starting from a base measure):
 
 * conditional_quad   -- the definitional integral over the conditioned
-                        measure (authoritative),
+                        measure, exact with a rounding bound (authoritative),
 * conditional_mc     -- seeded projections of conditioned states on the
                         target axis, streamed in fixed chunks through the
                         hidden-measurement trial kernel,
@@ -33,7 +33,7 @@ from .measures import (  # sample_state_array: perfbench/tracing.py wraps it her
     Uniform,
     condition,
     eig_set,
-    outcome_probability_mixed,
+    outcome_law,
     sample_projection,
     sample_state_array,
 )
@@ -100,9 +100,10 @@ def _oriented_target(q: ConditionalQuery) -> EpsilonExperiment:
     return q.target if q.target_outcome is Outcome.O1 else q.target.flipped()
 
 
-def conditional_quad(q: ConditionalQuery, tol: float = 1e-8) -> ConditionalResult:
+def conditional_quad(q: ConditionalQuery, tol: Optional[float] = None) -> ConditionalResult:
     """The definitional integral of the outcome kernel over the conditioned
-    measure.
+    measure, in closed form (cap_averaged_p1), with its rounding bound as
+    error_bound.  `tol` is ignored, kept for callers that still pass one.
 
     A zero-radius conditioning cap (epsilon = 1) pins the preparation to the
     cap center, so the integral degenerates to the kernel value there.
@@ -113,8 +114,8 @@ def conditional_quad(q: ConditionalQuery, tol: float = 1e-8) -> ConditionalResul
         value = p1_given_projection(target, cap.center.dot(target.axis))
         return ConditionalResult(value, Method.QUADRATURE, 0.0, Validity.VALID)
     mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))
-    value = outcome_probability_mixed(target, OutcomeSet.O1, mu, tol)
-    return ConditionalResult(value, Method.QUADRATURE, tol, Validity.VALID)
+    value, bound = outcome_law(target, OutcomeSet.O1, mu)
+    return ConditionalResult(value, Method.QUADRATURE, bound, Validity.VALID)
 
 
 def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> ConditionalResult:
@@ -164,9 +165,7 @@ def _angular_terms(epsilon: float, c: float, s: float) -> tuple[float, float]:
     return omega, sigma
 
 
-def conditional_closed_form(
-    epsilon: float, alpha: float, *, quad_tol: Optional[float] = None
-) -> ConditionalResult:
+def conditional_closed_form(epsilon: float, alpha: float) -> ConditionalResult:
     """The printed closed form for the symmetric d = c = 0 configuration.
 
     The printed form gates three terms by Heaviside factors of
@@ -179,13 +178,13 @@ def conditional_closed_form(
     every input in (0, 1] x [0, pi] is in its regime's domain and the
     result is valid.
 
-    Measured limits against the quadrature at tol 1e-12: the terms divide
+    Measured limits against the definitional integral: the terms divide
     by epsilon and cancel, so the error grows like 1e-16 / epsilon (1.2e-10
     at epsilon = 1e-6).  They also divide by 1 - epsilon, and one ulp below
     epsilon = cos(alpha/2) they cancel badly as epsilon nears 1: 3.1e-4 off
     at alpha = 0.0202 (epsilon = 1 - 5.1e-5), 23 off at alpha = 0.001
-    (epsilon = 1 - 1.25e-7).  With `quad_tol` set, the deviation from the
-    definitional integral is reported as error_bound.
+    (epsilon = 1 - 1.25e-7).  error_bound is the deviation from the
+    definitional integral plus that integral's own bound.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("closed form needs epsilon in (0, 1]")
@@ -217,11 +216,9 @@ def conditional_closed_form(
             )
     if mirrored:
         value = 1.0 - value
-    error_bound = math.nan
-    if quad_tol is not None:
-        ref = conditional_quad(symmetric_query(epsilon, alpha), quad_tol).value
-        error_bound = abs(value - ref)
-    return ConditionalResult(value, Method.CLOSED_FORM, error_bound, Validity.VALID, {"mirrored": mirrored})
+    ref = conditional_quad(symmetric_query(epsilon, alpha))
+    bound = abs(value - ref.value) + ref.error_bound
+    return ConditionalResult(value, Method.CLOSED_FORM, bound, Validity.VALID, {"mirrored": mirrored})
 
 
 @dataclass(frozen=True)
@@ -238,7 +235,7 @@ class SweepRow:
 def sweep(
     epsilons: Sequence[float],
     alpha_steps: int,
-    tol: float = 1e-8,
+    tol: Optional[float] = None,
     mc_trials: int = 10_000,
     seed: int = 0,
 ) -> list[SweepRow]:
@@ -246,7 +243,7 @@ def sweep(
 
     Rows are ordered by (epsilon, alpha); each row's Monte Carlo stream is
     seeded independently from (seed, row position), so the table is
-    reproducible and rows may be computed in parallel.
+    reproducible and rows may be computed in parallel (`tol` is ignored).
     """
     if alpha_steps < 2:
         raise ValueError("alpha_steps must be at least 2")
@@ -255,7 +252,7 @@ def sweep(
         for j in range(alpha_steps):
             alpha = math.pi * j / (alpha_steps - 1)
             q = symmetric_query(eps, alpha)
-            quad = conditional_quad(q, tol)
+            quad = conditional_quad(q)
             if eps > 0.0:
                 closed = conditional_closed_form(eps, alpha)
                 cf_value, cf_validity = closed.value, closed.validity.value

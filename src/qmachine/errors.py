@@ -16,7 +16,7 @@ class ConditioningError(DomainError):
 
 
 class QuadratureError(DomainError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Adaptive quadrature could not reach the requested tolerance (quadrature.py only)."""
 
 
 class InconsistentDataError(DomainError):

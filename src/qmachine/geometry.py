@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import atan2, cos, pi, sin, sqrt  # bare names: cap_overlap is the quadrature's integrand
+from math import atan2, cos, pi, sin, sqrt  # bare names: cap_overlap and cap_moment run on every outcome law
 
 import numpy as np
 
@@ -227,14 +227,7 @@ def cap_overlap(gamma: float, rho_a: float, rho_b: float) -> float:
         return cap_area_fraction(min(rho_a, rho_b))
     if gamma >= 2.0 * pi - rho_a - rho_b:
         return -cos(0.5 * (rho_a + rho_b)) * cos(0.5 * (rho_a - rho_b))
-    # sqrt of sin(s) and of sin(s - x) per side x, each argument in (0, pi] despite rounding.
-    half = 0.5 * (gamma + rho_a + rho_b)
-    root_s = sqrt(sin(half if half < pi else pi))
-    root_g = sqrt(sin(0.5 * ((rho_a + rho_b) - gamma)))
-    root_a = sqrt(sin(0.5 * (gamma - (rho_a - rho_b))))
-    root_b = sqrt(sin(0.5 * (gamma - (rho_b - rho_a))))
-    angle_a = 2.0 * atan2(root_g * root_a, root_s * root_b)
-    angle_b = 2.0 * atan2(root_g * root_b, root_s * root_a)
+    angle_a, angle_b, root_s, root_g, root_a, root_b = _lens_angles(gamma, rho_a, rho_b)
     cos_a, cos_b = cos(rho_a), cos(rho_b)
     # tan(E / 2) = rise / run; a wide cap's complement keeps the sines and turns gamma to pi - gamma.
     flip = (cos_a < 0.0) != (cos_b < 0.0)
@@ -248,3 +241,36 @@ def cap_overlap(gamma: float, rho_a: float, rho_b: float) -> float:
     weight_b = -cos(0.5 * rho_b) ** 2 if cos_b < 0.0 else sin(0.5 * rho_b) ** 2
     lens = (weight_a * angle_a + weight_b * angle_b + (1.0 if flip else -1.0) * atan2(rise, run)) / pi
     return lens + 1.0 if cos_a < 0.0 and cos_b < 0.0 else lens
+
+
+def cap_moment(gamma: float, rho: float, beta: float) -> float:
+    """First moment (1 / 4 pi) * integral of x dA over the overlap of the cap
+    of half-angle rho centered gamma from an axis with the axis cap
+    {x >= cos(beta)}, x the projection on the axis.  For a lens it is (by
+    the vector-area identity over its arcs) (sin(rho)^2 cos(gamma) A -
+    sin(rho) cos(rho) sin(gamma) sin(A) + sin(beta)^2 B) / 4 pi, with
+    cap_overlap's center angle A and B from gamma, rho and A, so that the
+    terms, of order rho for a small cap, cancel as the triangle's do."""
+    if gamma >= rho + beta:
+        return 0.0
+    if gamma <= abs(rho - beta):
+        return 0.25 * (sin(rho) ** 2 * cos(gamma) if rho <= beta else sin(beta) ** 2)
+    if gamma >= 2.0 * pi - rho - beta:
+        return 0.25 * (sin(rho) ** 2 * cos(gamma) + sin(beta) ** 2)
+    angle_a = _lens_angles(gamma, rho, beta)[0]
+    angle_b = atan2(sin(angle_a) * sin(rho), sin(gamma) * cos(rho) - cos(gamma) * sin(rho) * cos(angle_a))
+    lens = sin(rho) * (sin(rho) * cos(gamma) * angle_a - cos(rho) * sin(gamma) * sin(angle_a)) + sin(beta) ** 2 * angle_b
+    return lens / (4.0 * pi)
+
+
+def _lens_angles(gamma: float, rho_a: float, rho_b: float) -> tuple[float, ...]:
+    """Angles A (at the rho_a cap's center) and B of the triangle with sides
+    gamma, rho_a, rho_b by tan(X / 2) = sqrt(sin(s - y) sin(s - z) / (sin s sin(s - x))),
+    then sqrt(sin s) and sqrt(sin(s - x)) for x = gamma, rho_a, rho_b, each argument in (0, pi]."""
+    half = 0.5 * (gamma + rho_a + rho_b)
+    root_s = sqrt(sin(half if half < pi else pi))
+    root_g = sqrt(sin(0.5 * ((rho_a + rho_b) - gamma)))
+    root_a = sqrt(sin(0.5 * (gamma - (rho_a - rho_b))))
+    root_b = sqrt(sin(0.5 * (gamma - (rho_b - rho_a))))
+    angle_a, angle_b = 2.0 * atan2(root_g * root_a, root_s * root_b), 2.0 * atan2(root_g * root_b, root_s * root_a)
+    return angle_a, angle_b, root_s, root_g, root_a, root_b

@@ -3,9 +3,9 @@
 The mixed-state family is deliberately closed and small: the uniform
 measure, uniform-on-a-cap, and finite mixtures of those.  Every measure
 the model needs lives in this family; outcome probabilities under it take
-a closed form or, for a cap, the break-point integral: the band average,
-over where the band breaks, of the cap's exact overlap with the axis cap
-above that point.
+a closed form: for a cap, the band average, over where the band breaks,
+of the cap's exact overlap with the axis cap above that point, which the
+lens's first moment (geometry.cap_moment) gives without quadrature.
 
 Certainty regions: eig(A) collects the states for which the experiment's
 outcome is certainly in A, pos(A) those for which it is possible.  Both
@@ -28,13 +28,14 @@ from .geometry import (
     UnitVector,
     angle_between,
     cap_intersection_fraction,
+    cap_moment,
     cap_overlap,
     sample_uniform_cap_array,
     sample_uniform_sphere_array,
     sector_angles,
 )
 from .machine import EpsilonExperiment, Outcome, near_threshold, ring_exact, ring_into
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson  # adaptive_simpson: perfbench/tracing.py wraps it here by name
 
 
 class OutcomeSet(enum.Enum):
@@ -131,63 +132,62 @@ def measure_of(mu: MixedState, region: Region) -> float:
     return sum(w * measure_of(m, region) for w, m in mu.components)
 
 
-def cap_averaged_p1(e: EpsilonExperiment, cap: SectorCap, tol: float = 1e-9) -> float:
-    """Average outcome-1 probability over a cap-uniform state.
+_SHIFT = 2.0**-49
+_POINT_WIDTH = 1e-7
 
-    The band breaks at s uniform on [d - epsilon, d + epsilon], and outcome
-    1 happens when s lies below the state's projection: the answer is the
-    band average of m(s), the cap's exact share of mass above s (cap_overlap
-    with the axis cap of half-angle acos(s)), 1 below the cap's projection
-    range and 0 above it.  The break-point integral runs over the band's part
-    inside that range, breaking where the ring at s is tangent to the cap's
-    rim, s = cos(gamma -+ rho); a band holding the whole range needs none.
-    Where the band's float edges coincide it is the exact value m(d).
-    Apart from tol, the error is that of a one-ulp change of d or the cap.
+
+def cap_averaged_p1(e: EpsilonExperiment, cap: SectorCap) -> tuple[float, float]:
+    """Average outcome-1 probability over a cap-uniform state, and a bound on its error.
+
+    The band breaks at s uniform on [d - epsilon, d + epsilon]; outcome 1
+    happens when s lies below the state's projection x.  So the answer is the
+    band average of m(s) = P(x > s) = -G'(s), G(a) = E[(x - a)+] =
+    (cap_moment - a cap_overlap) / area at acos(a): (lo - band_low + G(lo) -
+    G(hi)) / width, [lo, hi] the band clipped to [-1, 1] (below x's range G is
+    E[x] - a, so a band holding the range takes no lens).  Bound: both ends
+    shifted by _SHIFT (past the rounding of the edges, gamma and acos(s)) plus
+    G's rounding (lens terms of order rho over an area of order rho^2), over
+    the width.  A band narrower than _POINT_WIDTH or clear of x's range takes
+    m(d), bounded by m's spread (m falls with s) over the band widened by _SHIFT.
     """
     gamma = angle_between(cap.center, e.axis)
     rho = cap.half_angle
-    # A range clear of the band is exact; tested first, as at epsilon = 0 d may lie 1e-15 outside [-1, 1].
+    area = cap.area_fraction
+    width = e.band_high - e.band_low
     x_min = math.cos(gamma + rho) if gamma + rho <= math.pi else -1.0
     x_max = math.cos(gamma - rho) if gamma - rho >= 0.0 else 1.0
-    if x_min >= e.band_high:
-        return 1.0
-    if x_max <= e.band_low:
-        return 0.0
-    area = cap.area_fraction
 
-    def share_above(s: float) -> float:
-        return cap_overlap(gamma, rho, math.acos(s)) / area
+    def share(s: float) -> float:  # m(s); at epsilon = 0, d may lie 1e-15 outside [-1, 1]
+        return cap_overlap(gamma, rho, math.acos(min(1.0, max(-1.0, s)))) / area
 
-    width = e.band_high - e.band_low
-    if width == 0.0:
-        return share_above(e.d)
-    if e.band_low <= x_min and x_max <= e.band_high:  # the kernel is linear there: the mean projection gives it
-        return min(1.0, max(0.0, (math.cos(gamma) * (1.0 - area) - e.band_low) / width))
-    lo, hi = max(e.band_low, x_min), min(e.band_high, x_max)
-    inner = adaptive_simpson(share_above, lo, hi, tol * width, breakpoints=(math.cos(gamma - rho), math.cos(gamma + rho)))
-    return min(1.0, max(0.0, (lo - e.band_low + inner) / width))
+    if width < _POINT_WIDTH or x_min >= e.band_high or x_max <= e.band_low:
+        return share(e.d), share(e.band_low - _SHIFT) - share(e.band_high + _SHIFT) + _SHIFT
+    lo, hi = max(e.band_low, -1.0), min(e.band_high, 1.0)
+    g_lo, g_hi = (cap_moment(gamma, rho, math.acos(a)) / area - a * share(a) for a in (lo, hi))
+    return min(1.0, max(0.0, (lo - e.band_low + g_lo - g_hi) / width)), (2.0 + 1.0 / math.sin(0.5 * rho)) * _SHIFT / width
 
 
-def outcome_probability_mixed(
-    e: EpsilonExperiment, a: OutcomeSet, mu: MixedState, tol: float = 1e-9
-) -> float:
-    """Probability of an outcome in `a` when the state is drawn from mu.
-
-    Uniform base measure has the closed form (1 -+ d) / 2, independent of
-    epsilon; cap-uniform components go through the break-point integral
-    (cap_averaged_p1).
-    """
+def outcome_law(e: EpsilonExperiment, a: OutcomeSet, mu: MixedState) -> tuple[float, float]:
+    """Probability of an outcome in `a` when the state is drawn from mu, and a
+    bound on its error: (1 -+ d) / 2 for the uniform measure, independent of
+    epsilon, and the band average (cap_averaged_p1) for a cap-uniform one."""
     if a is OutcomeSet.BOTH:
-        return 1.0
+        return 1.0, 0.0
     if a is OutcomeSet.NEITHER:
-        return 0.0
+        return 0.0, 0.0
     if a is OutcomeSet.O2:
-        return outcome_probability_mixed(e.flipped(), OutcomeSet.O1, mu, tol)
+        return outcome_law(e.flipped(), OutcomeSet.O1, mu)
     if isinstance(mu, Uniform):
-        return 0.5 * (1.0 - e.d)
+        return 0.5 * (1.0 - e.d), _SHIFT
     if isinstance(mu, CapUniform):
-        return cap_averaged_p1(e, mu.cap, tol)
-    return sum(w * outcome_probability_mixed(e, a, m, tol) for w, m in mu.components)
+        return cap_averaged_p1(e, mu.cap)
+    laws = [(w, outcome_law(e, a, m)) for w, m in mu.components]
+    return sum(w * p for w, (p, _) in laws), sum(w * b for w, (_, b) in laws)
+
+
+def outcome_probability_mixed(e: EpsilonExperiment, a: OutcomeSet, mu: MixedState) -> float:
+    """outcome_law's probability alone."""
+    return outcome_law(e, a, mu)[0]
 
 
 @dataclass(frozen=True)
@@ -198,13 +198,11 @@ class SandwichResult:
     holds: bool
 
 
-def sandwich_check(
-    e: EpsilonExperiment, a: OutcomeSet, mu: MixedState, tol: float = 1e-9
-) -> SandwichResult:
+def sandwich_check(e: EpsilonExperiment, a: OutcomeSet, mu: MixedState) -> SandwichResult:
     """The exact certainty/possibility bounds around the outcome probability."""
     lower = measure_of(mu, eig_set(e, a))
     upper = measure_of(mu, pos_set(e, a))
-    mid = outcome_probability_mixed(e, a, mu, tol)
+    mid = outcome_probability_mixed(e, a, mu)
     holds = lower <= mid + 1e-9 and mid <= upper + 1e-9
     return SandwichResult(lower, mid, upper, holds)
 

@@ -1,9 +1,7 @@
 """Adaptive Simpson quadrature for piecewise-smooth 1-D integrands.
 
-The package's integrand, the break-point integral of cap_averaged_p1, is
-smooth away from the points where the ring at the break point is tangent
-to the cap's rim, so the caller passes those as breakpoints and each
-smooth piece converges rapidly.
+No library path calls it; it stays while perfbench/tracing.py wraps
+adaptive_simpson by name in measures and geometry.
 """
 
 from __future__ import annotations

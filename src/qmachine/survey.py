@@ -160,14 +160,14 @@ class PairConditionals:
 _PAIR_OUTCOMES = ((Outcome.O1, Outcome.O1), (Outcome.O2, Outcome.O1), (Outcome.O1, Outcome.O2), (Outcome.O2, Outcome.O2))
 
 
-def predict_conditionals(m: SurveyModel, tol: float = 1e-8) -> list[PairConditionals]:
+def predict_conditionals(m: SurveyModel) -> list[PairConditionals]:
     rows = []
     for i, given in enumerate(m.questions):
         for j, target in enumerate(m.questions):
             if i == j:
                 continue
             values = [
-                conditional_quad(ConditionalQuery(target.experiment, given.experiment, t_out, c_out), tol).value
+                conditional_quad(ConditionalQuery(target.experiment, given.experiment, t_out, c_out)).value
                 for t_out, c_out in _PAIR_OUTCOMES
             ]
             rows.append(PairConditionals(target.label, given.label, abs(target.angle - given.angle), *values))
@@ -266,7 +266,7 @@ class SurveyClassification:
     model_class: ModelClass
 
 
-def classify_survey(m: SurveyModel, tol: float = 1e-9) -> SurveyClassification:
+def classify_survey(m: SurveyModel) -> SurveyClassification:
     """Embeddability of the predicted statistics of three questions.
 
     The triad takes the questions in order as W, V, U (so the flagship
@@ -275,11 +275,11 @@ def classify_survey(m: SurveyModel, tol: float = 1e-9) -> SurveyClassification:
     P(U yes | W yes), P(U no | V yes).  gamma^2 for the Hilbert check is
     the adjacent-pair conditional P(V yes | W yes).
 
-    Conditionals are computed by quadrature and snapped to rationals with
-    denominator <= 10^4; classifications of triads sitting exactly on the
-    feasibility boundary are therefore reliable only when the true values
-    are rationals that simple (the classical limit at whole-degree angles
-    is; see _SNAP_DENOMINATOR).
+    Conditionals are predict_conditionals' values (conditional_quad),
+    snapped to rationals with denominator <= 10^4; classifications of
+    triads sitting exactly on the feasibility boundary are therefore
+    reliable only when the true values are rationals that simple (the
+    classical limit at whole-degree angles is; see _SNAP_DENOMINATOR).
     """
     if len(m.questions) != 3:
         raise ValueError("classification is defined for exactly three questions")
@@ -287,7 +287,7 @@ def classify_survey(m: SurveyModel, tol: float = 1e-9) -> SurveyClassification:
 
     def cond(target: FittedQuestion, given: FittedQuestion, t_out: Outcome) -> float:
         q = ConditionalQuery(target.experiment, given.experiment, t_out, Outcome.O1)
-        return conditional_quad(q, tol).value
+        return conditional_quad(q).value
 
     p_v_w = cond(q_v, q_w, Outcome.O1)
     p_u_w = cond(q_u, q_w, Outcome.O1)

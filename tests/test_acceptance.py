@@ -22,7 +22,6 @@ from qmachine.embedding import ModelClass, check_hilbert2d, check_kolmogorov, pa
 from qmachine.geometry import Z_AXIS, sample_uniform_sphere, SectorCap, unit_vector_at_angle
 from qmachine.machine import EpsilonExperiment, estimate_probability_mc, outcome_probabilities, p1_given_projection
 from qmachine.measures import CapUniform, Mixture, OutcomeSet, Uniform, outcome_probability_mixed, sandwich_check
-from qmachine.quadrature import adaptive_simpson
 from qmachine.spin import spin_operator, spin_state, transition_probability
 from qmachine.survey import QuestionStats, build_survey_model, classify_survey, fit_epsilon_model, region_census
 
@@ -116,12 +115,12 @@ def test_04_epsilon_independence_of_uniform_probability():
                 d = frac * (1 - epsilon)
                 e = EpsilonExperiment(Z_AXIS, float(epsilon), float(d))
                 # Independent oracle: integrate the trial kernel against the
-                # uniform projection density (hat-box) by quadrature.
-                edges = [e.band_low, e.band_high] if epsilon > 0 else [e.d]
-                oracle = 0.5 * adaptive_simpson(
-                    lambda x: p1_given_projection(e, x), -1.0, 1.0, 1e-10,
-                    breakpoints=[b for b in edges if -1 < b < 1],
-                )
+                # uniform projection density (hat-box) exactly.  The kernel is
+                # a clamped ramp, linear between -1, the band edges and 1, so
+                # the midpoint rule on those pieces is exact (and never
+                # evaluates the epsilon = 0 tie at d).
+                cuts = sorted({-1.0, 1.0} | {b for b in (e.band_low, e.band_high) if -1 < b < 1})
+                oracle = 0.5 * sum((b - a) * p1_given_projection(e, 0.5 * (a + b)) for a, b in zip(cuts, cuts[1:]))
                 assert abs(oracle - (1 - d) / 2) <= 1e-8
                 assert abs(outcome_probability_mixed(e, OutcomeSet.O1, Uniform()) - oracle) <= 1e-8
         for epsilon, d, seed in ((0.25, 0.3, 41), (0.75, -0.1, 42), (1.0, 0.0, 43)):
@@ -139,16 +138,16 @@ def test_05_conditional_limits():
     with Timer(5, "conditional-limits", budget=30.0):
         for k in range(91):
             alpha = math.pi * k / 90
-            quantum = conditional_quad(symmetric_query(1.0, alpha), 1e-8).value
+            quantum = conditional_quad(symmetric_query(1.0, alpha)).value
             assert abs(quantum - math.cos(alpha / 2) ** 2) <= 1e-6
-            classical = conditional_quad(symmetric_query(1e-6, alpha), 1e-8).value
+            classical = conditional_quad(symmetric_query(1e-6, alpha)).value
             assert abs(classical - (1 - alpha / math.pi)) <= 1e-3
 
 
 def test_06_intermediate_flagship_values():
     with Timer(6, "intermediate-flagship", budget=5.0):
-        near = conditional_quad(symmetric_query(SQ2, math.pi / 3), 1e-8).value
-        far = conditional_quad(symmetric_query(SQ2, 2 * math.pi / 3), 1e-8).value
+        near = conditional_quad(symmetric_query(SQ2, math.pi / 3)).value
+        far = conditional_quad(symmetric_query(SQ2, 2 * math.pi / 3)).value
         assert abs(near - 0.78) <= 0.01
         assert abs(far - 0.22) <= 0.01
         print(
@@ -218,7 +217,7 @@ def test_11_oracle_triangulation():
             epsilon = float(rng.uniform(0.05, 1.0))
             alpha = float(rng.uniform(0.05, math.pi - 0.05))
             q = symmetric_query(epsilon, alpha)
-            quad = conditional_quad(q, 1e-8)
+            quad = conditional_quad(q)
             mc = conditional_mc(q, 100_000, seed=[777, i])
             assert abs(mc.value - quad.value) <= 4 * max(mc.error_bound, 1e-9)
             closed = conditional_closed_form(epsilon, alpha)

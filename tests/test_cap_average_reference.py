@@ -1,7 +1,9 @@
 """The cap-averaged outcome law against an independent 30-digit reference.
 
-cap_averaged_p1 integrates, over where the band breaks, the cap's exact
-overlap with the axis cap above the break point.  The reference here is
+cap_averaged_p1 averages, over where the band breaks, the cap's exact
+overlap with the axis cap above the break point, in closed form from the
+lens's first moment, and bounds its own error.  Each test checks the value
+against the reference and against that error claim.  The reference here is
 a different model of the same law, ported to mpmath: the outcome kernel
 averaged analytically over each ring around the cap's center, integrated
 over the ring's polar angle, with the polar angles where a band edge is
@@ -15,9 +17,9 @@ import mpmath as mp
 import pytest
 
 from qmachine.conditional import ConditionalQuery, conditional_closed_form, conditional_quad, symmetric_query
-from qmachine.geometry import Z_AXIS, SectorCap, unit_vector_at_angle
+from qmachine.geometry import Z_AXIS, SectorCap, angle_between, unit_vector_at_angle
 from qmachine.machine import EpsilonExperiment, Outcome
-from qmachine.measures import UNIFORM, CapUniform, Mixture, OutcomeSet, condition, outcome_probability_mixed
+from qmachine.measures import UNIFORM, CapUniform, Mixture, OutcomeSet, condition, outcome_law, outcome_probability_mixed
 
 TOL = 1e-9
 BASES = {
@@ -106,11 +108,12 @@ def test_conditional_quad_meets_its_tolerance_against_the_reference():
             condition_outcome=condition_outcome,
             base=BASES[base],
         )
-        value = conditional_quad(q, TOL).value
+        result = conditional_quad(q)
         target = q.target if target_outcome is Outcome.O1 else q.target.flipped()
         mu = condition(q.base, q.cond, OutcomeSet.of(condition_outcome))
-        err = float(abs(value - reference_p1(target, mu)))
+        err = float(abs(result.value - reference_p1(target, mu)))
         assert err <= TOL, (epsilon, alpha, d, c, base, target_outcome, condition_outcome, err)
+        assert err <= result.error_bound, (epsilon, alpha, d, c, base, err, result.error_bound)
         worst = max(worst, err)
     assert worst > 0.0  # the reference is independent: it does not round the same way
 
@@ -123,14 +126,18 @@ def test_outcome_probability_of_an_off_axis_cap_matches_the_reference(epsilon, d
         cap = SectorCap(center, rnd.uniform(0.01, math.pi))
         axis = unit_vector_at_angle(Z_AXIS, rnd.uniform(0.0, math.pi), rnd.uniform(0.0, 2 * math.pi))
         e = EpsilonExperiment(axis, epsilon, d)
-        value = outcome_probability_mixed(e, OutcomeSet.O1, CapUniform(cap), TOL)
-        assert float(abs(value - reference_cap_p1(e, cap))) <= TOL
+        value, bound = outcome_law(e, OutcomeSet.O1, CapUniform(cap))
+        err = float(abs(value - reference_cap_p1(e, cap)))
+        assert err <= TOL
+        assert err <= bound, (err, bound)
 
 
 def test_paper_grid_meets_the_closed_form_and_the_mirror_identity():
     tol = 1e-8
     for epsilon in EPSILONS:
-        values = [conditional_quad(symmetric_query(epsilon, math.pi * j / 180), tol).value for j in range(181)]
+        results = [conditional_quad(symmetric_query(epsilon, math.pi * j / 180)) for j in range(181)]
+        assert max(r.error_bound for r in results) <= tol, epsilon
+        values = [r.value for r in results]
         for j, value in enumerate(values):
             alpha = math.pi * j / 180
             assert abs(value + values[180 - j] - 1.0) <= 2 * tol, (epsilon, j)
@@ -144,7 +151,10 @@ def test_zero_band_is_exact():
     # hemisphere, and the answer is the lune fraction 1 - alpha / pi.
     for j in range(37):
         alpha = math.pi * j / 36
-        assert abs(conditional_quad(symmetric_query(0.0, alpha)).value - (1.0 - alpha / math.pi)) <= 1e-14
+        result = conditional_quad(symmetric_query(0.0, alpha))
+        err = abs(result.value - (1.0 - alpha / math.pi))
+        assert err <= 1e-14
+        assert err <= result.error_bound, (j, err, result.error_bound)
 
 
 def test_zero_band_past_the_poles_is_certain():
@@ -153,6 +163,9 @@ def test_zero_band_past_the_poles_is_certain():
     axis = unit_vector_at_angle(Z_AXIS, 0.3)
     assert outcome_probability_mixed(EpsilonExperiment(axis, 0.0, 1.0 + 1e-15), OutcomeSet.O1, mu) == 0.0
     assert outcome_probability_mixed(EpsilonExperiment(axis, 0.0, -1.0 - 1e-15), OutcomeSet.O1, mu) == 1.0
+    for d, exact in ((1.0 + 1e-15, 0.0), (-1.0 - 1e-15, 1.0)):
+        value, bound = outcome_law(EpsilonExperiment(axis, 0.0, d), OutcomeSet.O1, mu)
+        assert abs(value - exact) <= bound <= 1e-14
 
 
 @pytest.mark.parametrize("total", [1.0 - 1e-15, 1.0 - 2.0**-52])
@@ -171,8 +184,10 @@ def test_small_conditioning_cap_meets_the_reference(total, c):
             )
             mu = condition(q.base, q.cond, OutcomeSet.O1)
             assert mu.cap.half_angle < 5e-8
-            err = float(abs(conditional_quad(q, TOL).value - reference_p1(q.target, mu)))
+            result = conditional_quad(q)
+            err = float(abs(result.value - reference_p1(q.target, mu)))
             assert err <= TOL, (total, c, alpha, d, err)
+            assert err <= result.error_bound, (total, c, alpha, d, err, result.error_bound)
 
 
 def test_band_below_an_ulp_of_d_is_the_point_value():
@@ -182,7 +197,9 @@ def test_band_below_an_ulp_of_d_is_the_point_value():
     assert 0.1 < point < 0.9
     for epsilon in (1e-17, 5e-17):
         e = EpsilonExperiment(Z_AXIS, epsilon, 0.5)
-        assert outcome_probability_mixed(e, OutcomeSet.O1, CapUniform(cap)) == point
+        value, bound = outcome_law(e, OutcomeSet.O1, CapUniform(cap))
+        assert value == point
+        assert float(abs(value - reference_cap_p1(e, cap))) <= bound
 
 
 @pytest.mark.parametrize("epsilon, d", [(1e-9, 0.3), (1e-12, -0.3), (5.551115123125783e-17, 0.4)])
@@ -193,8 +210,10 @@ def test_narrow_band_meets_the_reference(epsilon, d):
         for rho in (0.3, 1.0):
             cap = SectorCap(unit_vector_at_angle(Z_AXIS, gamma), rho)
             e = EpsilonExperiment(Z_AXIS, epsilon, d)
-            value = outcome_probability_mixed(e, OutcomeSet.O1, CapUniform(cap), TOL)
-            assert float(abs(value - reference_cap_p1(e, cap))) <= TOL, (gamma, rho)
+            value, bound = outcome_law(e, OutcomeSet.O1, CapUniform(cap))
+            err = float(abs(value - reference_cap_p1(e, cap)))
+            assert err <= TOL, (gamma, rho)
+            assert err <= bound, (gamma, rho, err, bound)
 
 
 @pytest.mark.parametrize("epsilon", [0.3, 0.9, 1.0])
@@ -210,5 +229,44 @@ def test_band_holding_the_whole_cap_meets_the_reference(epsilon):
             e = EpsilonExperiment(Z_AXIS, epsilon, max(-1.0 + epsilon, min(1.0 - epsilon, d)))
             assert e.band_low <= x_min and x_max <= e.band_high
             cap = SectorCap(unit_vector_at_angle(Z_AXIS, gamma), rho)
-            value = outcome_probability_mixed(e, OutcomeSet.O1, CapUniform(cap), TOL)
-            assert float(abs(value - reference_cap_p1(e, cap))) <= TOL, (gamma, rho, e.d)
+            value, bound = outcome_law(e, OutcomeSet.O1, CapUniform(cap))
+            err = float(abs(value - reference_cap_p1(e, cap)))
+            assert err <= TOL, (gamma, rho, e.d)
+            assert err <= bound, (gamma, rho, e.d, err, bound)
+
+
+def _band_with_edge(epsilon: float, edge: float, side: int):
+    """The experiment on Z_AXIS whose upper (side 1) or lower (side -1) float
+    band edge is exactly `edge`, or None when no float d gives it."""
+    d = edge - side * epsilon
+    for _ in range(8):
+        got = d + side * epsilon
+        if got == edge:
+            return EpsilonExperiment(Z_AXIS, epsilon, d) if abs(d) <= 1.0 - epsilon else None
+        d = math.nextafter(d, math.copysign(math.inf, edge - got))
+    return None
+
+
+@pytest.mark.parametrize("gamma, rho", [(0.9, 0.4), (0.5, 0.3), (1.3, 2.0), (2.2, 1.7), (2.8, 2.5)])
+def test_band_edge_tangent_to_the_cap_meets_the_reference(gamma, rho):
+    # A band edge at cos(gamma -+ rho), where the ring at the break point
+    # touches the cap's rim, and 1-4 ulps either side of it.  The lens
+    # angles there come from arguments near 0, which arccos forms lose.
+    cap = SectorCap(unit_vector_at_angle(Z_AXIS, gamma), rho)
+    g = angle_between(cap.center, Z_AXIS)
+    checked = 0
+    for tangent in (math.cos(g - rho), math.cos(g + rho)):
+        for k in range(-4, 5):
+            edge = tangent
+            for _ in range(abs(k)):
+                edge = math.nextafter(edge, math.copysign(math.inf, k))
+            for epsilon, side in ((0.0, 1), (0.25, 1), (0.25, -1)):
+                e = _band_with_edge(epsilon, edge, side)
+                if e is None:
+                    continue
+                value, bound = outcome_law(e, OutcomeSet.O1, CapUniform(cap))
+                err = float(abs(value - reference_cap_p1(e, cap)))
+                assert err <= 1e-12, (tangent, k, epsilon, side, err)
+                assert err <= bound, (tangent, k, epsilon, side, err, bound)
+                checked += 1
+    assert checked >= 27

@@ -124,7 +124,7 @@ def test_conditional_formula_mirrors_the_flagship(capsys):
     payload = json.loads(out)
     assert payload["validity"] == "valid"
     assert payload["diagnostics"] == {"mirrored": True}
-    ref = conditional_quad(symmetric_query(float(SQ2), math.radians(120)), 1e-12).value
+    ref = conditional_quad(symmetric_query(float(SQ2), math.radians(120))).value
     assert abs(payload["value"] - ref) <= 1e-12
 
 
@@ -137,6 +137,20 @@ def test_conditional_alpha_zero_is_certain(capsys):
 def test_conditional_formula_rejects_offsets(capsys):
     code, _, _ = run_cli(capsys, "conditional", "--epsilon", "0.5", "--alpha", "1", "--d", "0.1", "--method", "formula")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("conditional", "--epsilon", "0.5", "--alpha", "1", "--tol", "1e-8"),
+        ("sweep", "--epsilons", "0.5", "--alpha-steps", "3", "--tol", "1e-8", "--out", "-"),
+    ],
+)
+def test_tol_is_not_an_option(argv):
+    # The conditional is computed in closed form, so there is no tolerance to set.
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
 
 
 def test_sweep_csv_contract(tmp_path, capsys):

@@ -12,9 +12,11 @@ from qmachine.conditional import (
     sweep,
     symmetric_query,
 )
+from qmachine import geometry, measures
 from qmachine.geometry import Z_AXIS, SectorCap, unit_vector_at_angle
 from qmachine.machine import MC_CHUNK, EpsilonExperiment, Outcome
 from qmachine.measures import UNIFORM, CapUniform, Mixture
+from qmachine.survey import QuestionStats, build_survey_model, classify_survey, predict_conditionals
 
 SQ2 = math.sqrt(2) / 2
 
@@ -41,8 +43,8 @@ def test_classical_case_is_linear_in_the_angle():
 
 
 def test_flagship_values():
-    p_near = conditional_quad(symmetric_query(SQ2, math.pi / 3), 1e-8).value
-    p_far = conditional_quad(symmetric_query(SQ2, 2 * math.pi / 3), 1e-8).value
+    p_near = conditional_quad(symmetric_query(SQ2, math.pi / 3)).value
+    p_far = conditional_quad(symmetric_query(SQ2, 2 * math.pi / 3)).value
     assert p_near == pytest.approx(0.78, abs=0.01)
     assert p_far == pytest.approx(0.22, abs=0.01)
     assert p_near + p_far == pytest.approx(1.0, abs=1e-7)
@@ -78,8 +80,8 @@ def test_complement_law_monte_carlo_same_seed():
 def test_antipodal_symmetry():
     for k in range(0, 21):
         alpha = math.pi * k / 20
-        p = conditional_quad(symmetric_query(0.55, alpha), 1e-9).value
-        q = conditional_quad(symmetric_query(0.55, math.pi - alpha), 1e-9).value
+        p = conditional_quad(symmetric_query(0.55, alpha)).value
+        q = conditional_quad(symmetric_query(0.55, math.pi - alpha)).value
         assert p + q == pytest.approx(1.0, abs=1e-7)
 
 
@@ -116,7 +118,7 @@ def test_monte_carlo_agrees_with_quadrature_on_a_mixture_base(epsilon, d, c, alp
         target_outcome=target_outcome,
         base=MIXED_BASE,
     )
-    exact = conditional_quad(q, 1e-10).value
+    exact = conditional_quad(q).value
     mc = conditional_mc(q, 200_000, seed=[31, int(1000 * alpha)])
     assert abs(mc.value - exact) <= 5 * mc.error_bound
 
@@ -146,7 +148,7 @@ def test_closed_form_matches_quadrature_in_valid_regimes():
     for eps, alpha in cases:
         cf = conditional_closed_form(eps, alpha)
         assert cf.validity is Validity.VALID
-        ref = conditional_quad(symmetric_query(eps, alpha), 1e-10).value
+        ref = conditional_quad(symmetric_query(eps, alpha)).value
         assert cf.value == pytest.approx(ref, abs=1e-8)
 
 
@@ -155,7 +157,7 @@ def test_closed_form_flagship_is_mirrored():
     r = conditional_closed_form(SQ2, alpha)
     assert r.validity is Validity.VALID
     assert r.diagnostics == {"mirrored": True}
-    assert abs(r.value - conditional_quad(symmetric_query(SQ2, alpha), 1e-12).value) <= 1e-12
+    assert abs(r.value - conditional_quad(symmetric_query(SQ2, alpha)).value) <= 1e-12
 
 
 def test_closed_form_is_total_at_regime_boundaries():
@@ -182,7 +184,7 @@ def test_mirror_identity_holds_on_every_route():
     for i in range(8):
         epsilon, alpha = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, math.pi))
         pair = (symmetric_query(epsilon, alpha), symmetric_query(epsilon, math.pi - alpha))
-        quad = [conditional_quad(q, tol).value for q in pair]
+        quad = [conditional_quad(q).value for q in pair]
         assert abs(sum(quad) - 1.0) <= 2 * tol, (epsilon, alpha)
         mc = [conditional_mc(q, trials, [1013, i, k]) for k, q in enumerate(pair)]
         sigma = math.hypot(*(max(m.error_bound, 1.0 / trials) for m in mc))
@@ -192,7 +194,7 @@ def test_mirror_identity_holds_on_every_route():
 
 
 def test_closed_form_error_bound_against_quadrature():
-    r = conditional_closed_form(0.5, 1.0, quad_tol=1e-9)
+    r = conditional_closed_form(0.5, 1.0)
     assert r.error_bound <= 1e-6
 
 
@@ -206,13 +208,13 @@ def test_closed_form_domain_validation():
 def test_continuity_in_epsilon():
     alpha = 1.0
     grid = np.linspace(0.05, 1.0, 96)  # spacing 0.01
-    values = [conditional_quad(symmetric_query(e, alpha), 1e-6).value for e in grid]
+    values = [conditional_quad(symmetric_query(e, alpha)).value for e in grid]
     jumps = np.abs(np.diff(values))
     assert jumps.max() <= 0.02
 
 
 def test_sweep_table_shape_and_order():
-    rows = sweep([1.0, 0.25], alpha_steps=9, tol=1e-8, mc_trials=2_000, seed=4)
+    rows = sweep([1.0, 0.25], alpha_steps=9, mc_trials=2_000, seed=4)
     assert len(rows) == 18
     assert [r.epsilon for r in rows[:9]] == [0.25] * 9  # sorted by epsilon
     alphas = [r.alpha for r in rows[:9]]
@@ -220,7 +222,7 @@ def test_sweep_table_shape_and_order():
 
 
 def test_sweep_quantum_rows_and_monotonicity():
-    rows = sweep([1.0, 0.5], alpha_steps=19, tol=1e-8, mc_trials=1_000, seed=4)
+    rows = sweep([1.0, 0.5], alpha_steps=19, mc_trials=1_000, seed=4)
     for r in rows:
         if r.epsilon == 1.0:
             assert r.p_quad == pytest.approx(math.cos(r.alpha / 2) ** 2, abs=1e-6)
@@ -245,3 +247,23 @@ def test_sweep_handles_zero_band():
     for r in rows:
         assert r.p_quad == pytest.approx(1 - r.alpha / math.pi, abs=1e-7)
         assert math.isnan(r.p_closed_form) and r.validity == "domain-invalid"
+
+
+def test_no_library_path_runs_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive_simpson was called")
+
+    for module in (measures, geometry):
+        monkeypatch.setattr(module, "adaptive_simpson", refuse)
+    sweep([0.0, 1e-6, 0.5, 1.0], 19, mc_trials=100, seed=0)
+    stats = [QuestionStats(label, 0.5, 0.15, 0.15) for label in ("w", "v", "u")]
+    model = build_survey_model(stats, [math.radians(a) for a in (0, 60, 120)], force_epsilon=SQ2)
+    predict_conditionals(model)
+    classify_survey(model)
+    base = Mixture(((0.4, UNIFORM), (0.6, CapUniform(SectorCap(Z_AXIS, 2.0)))))
+    q = ConditionalQuery(
+        target=EpsilonExperiment(unit_vector_at_angle(Z_AXIS, 1.0), 0.3, 0.1),
+        cond=EpsilonExperiment(Z_AXIS, 0.3, -0.2),
+        base=base,
+    )
+    assert 0.0 <= conditional_quad(q).value <= 1.0

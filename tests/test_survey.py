@@ -293,6 +293,21 @@ def test_classify_gamma2_snapped_to_zero():
     assert outcome.model_class is ModelClass.HILBERTIAN_2D
 
 
+def test_classify_triad_is_the_snapped_predicted_conditionals():
+    # The flagship and two surveys with d != 0: the triad's P(V yes | W yes),
+    # P(U yes | W yes) and P(U no | V yes) are the snapped table entries.
+    models = (
+        flagship_model(force=SQ2),
+        pool_like_model(0.59, (0.0, -0.3, -0.14), (151, 161, 110)),
+        pool_like_model(0.3, (0.63, 0.4, 0.65), (6.5, 138.4, 127.3)),
+    )
+    for model in models:
+        rows = {(r.target, r.given): r for r in predict_conditionals(model)}
+        expected = (rows["v", "w"].yes_given_yes, rows["u", "w"].yes_given_yes, rows["u", "v"].no_given_yes)
+        triad = classify_survey(model).triad.conditionals
+        assert [c.p for c in triad] == [survey._snap(p) for p in expected]
+
+
 def test_forced_epsilon_beyond_a_question_offset_names_it():
     stats = [stats_for(l, yes=0.525, pre_yes=0.15, pre_no=0.1) for l in ("w", "v", "u")]
     with pytest.raises(InconsistentDataError, match="question 'w'"):
