@@ -20,8 +20,9 @@ conditional_closed_form and conditional_quad (the exact route: the band
 average of the cap overlap from the lens's first moment) on the symmetric
 query at every point of the CLI sweep grid (CLI_SWEEP_EPSILONS x
 SWEEP_ALPHA_STEPS alphas).  Each entry times every item REPEATS times and
-reports the median us per call over the items, with their quartiles.  The
-exact route also reports its largest error_bound and its misses at
+reports the median us per call over the items, with their quartiles, and
+its largest error_bound.  The closed form also reports its counts of
+`valid` and `inaccurate` rows, and the exact route its misses at
 MISS_TOL: rows more than MISS_TOL from a `valid` closed form, and rows
 whose mirror identity f(alpha) + f(pi - alpha) = 1 is off by more than
 2 MISS_TOL.  A closed-form miss can be the closed form's own rounding
@@ -240,6 +241,8 @@ def measure_conditionals() -> dict:
     closed_results = [conditional_closed_form(*p) for p in grid]
     closed = per_call_us(lambda p: conditional_closed_form(*p), grid)
     closed["valid"] = sum(c.validity.value == "valid" for c in closed_results)
+    closed["inaccurate"] = sum(c.validity.value == "inaccurate" for c in closed_results)
+    closed["max_error_bound"] = max(c.error_bound for c in closed_results)
     return {
         "epsilons": CLI_SWEEP_EPSILONS,
         "alpha_steps": SWEEP_ALPHA_STEPS,

@@ -53,7 +53,11 @@ DOMAIN_ERROR = 3
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("QMACHINE_SEED", "0"))
+    text = os.environ.get("QMACHINE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"QMACHINE_SEED must be an integer, got {text!r}") from None
 
 
 def _sanitize(value):
@@ -338,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "check":
-        if args.kind in ("kolmogorov", "classify") and not args.triad:
-            parser.error(f"check {args.kind} requires --triad")
-        if args.kind in ("hilbert", "classify") and not args.gamma2:
-            parser.error(f"check {args.kind} requires --gamma2")
     try:
+        parser = build_parser()  # reads QMACHINE_SEED
+        args = parser.parse_args(argv)
+        if args.command == "check":
+            if args.kind in ("kolmogorov", "classify") and not args.triad:
+                parser.error(f"check {args.kind} requires --triad")
+            if args.kind in ("hilbert", "classify") and not args.gamma2:
+                parser.error(f"check {args.kind} requires --gamma2")
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

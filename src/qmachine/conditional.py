@@ -9,11 +9,11 @@ other experiment, starting from a base measure):
                         target axis, streamed in fixed chunks through the
                         hidden-measurement trial kernel,
 * conditional_closed_form -- the printed closed form for the symmetric
-                        d = c = 0 case, evaluated in its one regime at
-                        a = min(alpha, pi - alpha) and mirrored by
-                        f(alpha) = 1 - f(pi - alpha); total on
-                        (0, 1] x [0, pi], with the limits of its accuracy
-                        in its docstring.
+                        d = c = 0 case as one expression in complementary
+                        arcs at a = min(alpha, pi - alpha), mirrored by
+                        f(alpha) = 1 - f(pi - alpha), with an analytic
+                        rounding bound; `valid` where that bound is at
+                        most _VALID_LIMIT and `inaccurate` elsewhere.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import Z_AXIS, SectorCap, clamped_acos, clamped_asin, unit_vector_at_angle
+from .geometry import Z_AXIS, SectorCap, unit_vector_at_angle
 from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, count_o1, p1_given_projection
 from .measures import (  # sample_state_array: perfbench/tracing.py wraps it here by name
     MixedState,
@@ -40,6 +40,11 @@ from .measures import (  # sample_state_array: perfbench/tracing.py wraps it her
 
 SeedLike = Union[int, Sequence[int]]
 
+# The closed form's rounding unit per term, and the largest error_bound it
+# reports as `valid`.
+_ROUNDING = 8.0 * 2.0**-53
+_VALID_LIMIT = 1e-9
+
 
 class Method(enum.Enum):
     QUADRATURE = "quadrature"
@@ -49,6 +54,7 @@ class Method(enum.Enum):
 
 class Validity(enum.Enum):
     VALID = "valid"
+    INACCURATE = "inaccurate"
     DOMAIN_INVALID = "domain-invalid"
 
 
@@ -151,40 +157,27 @@ def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> Conditio
     return ConditionalResult(p_hat, Method.MONTE_CARLO, stderr, Validity.VALID, diag)
 
 
-def _angular_terms(epsilon: float, c: float, s: float) -> tuple[float, float]:
-    """The two auxiliary angular functions at a separation whose half has
-    cosine c and sine s, for epsilon < c.  There the radicand is
-    nonnegative and every arc argument is at most 1 in exact arithmetic;
-    the clamped arcs absorb the rounding overshoot at a regime boundary."""
-    one_minus_e2 = 1.0 - epsilon * epsilon
-    root = math.sqrt(one_minus_e2)
-    radicand = 1.0 - (epsilon / c) ** 2
-    tan_half = s / c
-    omega = 4.0 * epsilon * clamped_acos(math.sqrt(radicand / one_minus_e2)) - 4.0 * clamped_asin(s / root)
-    sigma = epsilon * tan_half * math.sqrt(radicand) - one_minus_e2 * clamped_acos(epsilon * tan_half / root)
-    return omega, sigma
-
-
 def conditional_closed_form(epsilon: float, alpha: float) -> ConditionalResult:
     """The printed closed form for the symmetric d = c = 0 configuration.
 
-    The printed form gates three terms by Heaviside factors of
+    The printed form gates its terms by Heaviside factors of
     (epsilon - cos(alpha/2)), (epsilon - sin(alpha/2), cos(alpha/2) - epsilon)
-    and (sin(alpha/2) - epsilon); past alpha = pi/2 two gates fire at once.
-    So it is evaluated at a = min(alpha, pi - alpha), where exactly one
-    regime holds, and a wide alpha takes the mirror identity
-    f(alpha) = 1 - f(pi - alpha) (diagnostics["mirrored"]).  The regime
-    tests compare epsilon with the same cosines the terms divide by, so
-    every input in (0, 1] x [0, pi] is in its regime's domain and the
-    result is valid.
+    and (sin(alpha/2) - epsilon), and past alpha = pi/2 two gates fire at
+    once.  So it is evaluated at a = min(alpha, pi - alpha), and a wide
+    alpha takes the mirror identity f(alpha) = 1 - f(pi - alpha)
+    (diagnostics["mirrored"]).  With c, s = cos(a/2), sin(a/2) and the rim
+    radii r_c = sqrt(c^2 - epsilon^2) and r_s = sqrt(max(0, s^2 - epsilon^2)),
+    the printed arcs become the complementary arcs A = atan2(r, epsilon x)
+    and B = atan2(r, x), which are exactly 0 where a gate is shut.  So one
+    expression covers every epsilon < c, and epsilon >= c leaves the
+    leading term p1.
 
-    Measured limits against the definitional integral: the terms divide
-    by epsilon and cancel, so the error grows like 1e-16 / epsilon (1.2e-10
-    at epsilon = 1e-6).  They also divide by 1 - epsilon, and one ulp below
-    epsilon = cos(alpha/2) they cancel badly as epsilon nears 1: 3.1e-4 off
-    at alpha = 0.0202 (epsilon = 1 - 5.1e-5), 23 off at alpha = 0.001
-    (epsilon = 1 - 1.25e-7).  error_bound is the deviation from the
-    definitional integral plus that integral's own bound.
+    error_bound is 8 units of rounding (2^-53) times the sum of the terms'
+    magnitudes, plus 1 for the rounding of pi - alpha when mirrored (the
+    conditional's slope in alpha is below 1).  The terms divide by epsilon
+    and by 1 - epsilon, so the bound grows where they cancel; a value is
+    `valid` when its bound is at most _VALID_LIMIT and `inaccurate`
+    otherwise (epsilon <= 1e-9, for one).
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("closed form needs epsilon in (0, 1]")
@@ -192,33 +185,26 @@ def conditional_closed_form(epsilon: float, alpha: float) -> ConditionalResult:
         raise ValueError("alpha must lie in [0, pi]")
     mirrored = alpha > 0.5 * math.pi
     a = math.pi - alpha if mirrored else alpha
-    ch, sh = math.cos(0.5 * a), math.sin(0.5 * a)
-    cos_a = math.cos(a)
-    p1 = cos_a * (1.0 + epsilon) / (4.0 * epsilon) + 0.5
-    if epsilon >= ch:
-        value = p1
-    else:
-        omega_uw, sigma_uw = _angular_terms(epsilon, ch, sh)
-        if epsilon >= sh:
-            value = (
-                p1
-                + 0.5
-                + omega_uw / (4.0 * math.pi * (1.0 - epsilon))
-                + (cos_a + 1.0) * sigma_uw / (4.0 * math.pi * epsilon * (1.0 - epsilon))
-            )
-        else:
-            omega_mu, sigma_mu = _angular_terms(epsilon, sh, ch)  # cos((pi - a) / 2) = sh
-            value = (
-                p1
-                + (omega_uw - omega_mu) / (4.0 * math.pi * (1.0 - epsilon))
-                + ((cos_a - 1.0) * sigma_mu + (cos_a + 1.0) * sigma_uw)
-                / (4.0 * math.pi * epsilon * (1.0 - epsilon))
-            )
+    c, s = math.cos(0.5 * a), math.sin(0.5 * a)
+    p1 = math.cos(a) * (1.0 + epsilon) / (4.0 * epsilon) + 0.5
+    value, size = p1, abs(p1)
+    if epsilon < c:
+        r_c = math.sqrt((c - epsilon) * (c + epsilon))
+        r_s = math.sqrt(max(0.0, (s - epsilon) * (s + epsilon)))
+        a_c, b_c = math.atan2(r_c, epsilon * s), math.atan2(r_c, s)
+        a_s, b_s = math.atan2(r_s, epsilon * c), math.atan2(r_s, c)
+        arcs = math.pi * (1.0 - epsilon)
+        rims = 2.0 * math.pi * epsilon * (1.0 - epsilon)
+        one_minus_e2 = 1.0 - epsilon * epsilon
+        value += ((b_c - epsilon * a_c) - (b_s - epsilon * a_s)) / arcs
+        value += (epsilon * s * r_c - epsilon * c * r_s - one_minus_e2 * (c * c * a_c - s * s * a_s)) / rims
+        size += (b_c + epsilon * a_c + b_s + epsilon * a_s) / arcs
+        size += (epsilon * s * r_c + epsilon * c * r_s + one_minus_e2 * (c * c * a_c + s * s * a_s)) / rims
     if mirrored:
-        value = 1.0 - value
-    ref = conditional_quad(symmetric_query(epsilon, alpha))
-    bound = abs(value - ref.value) + ref.error_bound
-    return ConditionalResult(value, Method.CLOSED_FORM, bound, Validity.VALID, {"mirrored": mirrored})
+        value, size = 1.0 - value, size + 1.0
+    bound = _ROUNDING * size
+    validity = Validity.VALID if bound <= _VALID_LIMIT else Validity.INACCURATE
+    return ConditionalResult(value, Method.CLOSED_FORM, bound, validity, {"mirrored": mirrored})
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,6 @@ def clamped_acos(x: float) -> float:
     return math.acos(_clamp_unit(x))
 
 
-def clamped_asin(x: float) -> float:
-    """arcsin with rounding-noise clamping to [-1, 1]."""
-    return math.asin(_clamp_unit(x))
-
-
 @dataclass(frozen=True)
 class UnitVector:
     """A point on the unit sphere (doubles as the pure state located there)."""

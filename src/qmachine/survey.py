@@ -12,8 +12,8 @@ regions, and ask whether the predicted statistics admit a classical
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -49,6 +49,8 @@ _SNAP_DENOMINATOR = 10_000
 
 # Per-question epsilon fits further apart than this draw a warning.
 _EPSILON_TOLERANCE = 1e-6
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ def build_survey_model(
     """Fit every question and place the axes coplanar at the given angles.
 
     The model family uses one shared epsilon: if the per-question fits
-    disagree beyond _EPSILON_TOLERANCE a warning is raised and the first
+    disagree beyond _EPSILON_TOLERANCE a warning is logged and the first
     fit wins.  `force_epsilon` overrides the fitted value (keeping each
     question's d), for reproducing analyses at a designated epsilon.
     Raises InconsistentDataError, naming the question, when the shared
@@ -125,10 +127,7 @@ def build_survey_model(
     fits = [fit_epsilon_model(q) for q in stats]
     epsilons = [f[0] for f in fits]
     if max(epsilons) - min(epsilons) > _EPSILON_TOLERANCE:
-        warnings.warn(
-            f"per-question epsilon fits disagree ({min(epsilons):.4f}..{max(epsilons):.4f}); using the first",
-            stacklevel=2,
-        )
+        _log.warning("per-question epsilon fits disagree (%.4f..%.4f); using the first", min(epsilons), max(epsilons))
     epsilon = force_epsilon if force_epsilon is not None else epsilons[0]
     questions = []
     for q, angle, (_, d_i, diag) in zip(stats, angles, fits):

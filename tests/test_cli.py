@@ -110,6 +110,13 @@ def test_seed_env_default(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["seed"] == 31337
 
 
+def test_seed_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("QMACHINE_SEED", "abc")
+    code, out, err = run_cli(capsys, "prob", "--epsilon", "0.5", "--x", "0.1")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: QMACHINE_SEED must be an integer, got 'abc'"]
+
+
 def test_conditional_quad_flagship(capsys):
     code, out, _ = run_cli(capsys, "conditional", "--epsilon", SQ2, "--alpha", "2.0943951023931953", "--method", "quad")
     assert code == 0

@@ -2,7 +2,8 @@
 
 Each case runs one CLI command in process and compares the sha256 of its
 stdout, with the `version` field normalized, to a hash recorded with
-qmachine 0.3.1 (sweep and survey_flagship: 0.7.0, whose conditionals come
+qmachine 0.3.1 (sweep: 0.8.0, whose closed-form column is one expression
+in complementary arcs; survey_flagship: 0.7.0, whose conditionals come
 from the lens's first moment, not quadrature; survey_classical: 0.5.0).
 The cases cover every stochastic path the CLI prints:
 the pure-state kernel, the conditioned-cap sampler (flagship and offset
@@ -53,7 +54,7 @@ GOLDEN = {
     "simulate": "1c48459b428a3fed7130a4c30792ed3a8098858bcaf6e332ea85ee7c96e6d6cd",
     "conditional_flagship": "4cb854051a01afd2e82b9e770766eda8aeddd30c3b4a5db416f5322bd41f44da",
     "conditional_offsets": "c9228c1e58f1356225060dfee374c7211367f5f7422add2c4a3d5f317128f3f5",
-    "sweep": "719b945e4e45893ccd1654d1e216bbc24748eaf0e2896d1e708753b365758cae",
+    "sweep": "59c02cdc20061f03542e58879954729813a843f5ff4cd91289e6b818349cdde0",
     "survey_flagship": "fcdd393e7cd77d8b136edaf0d6a707e6fe3b7ad5ec7095577755f9060b0184ed",
     "survey_classical": "6853da9dce97579191be6c62a397bc8798a1bf69199dc0906cd6c7250a33b67c",
 }

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,7 +13,7 @@ from qmachine.conditional import (
     sweep,
     symmetric_query,
 )
-from qmachine import geometry, measures
+from qmachine import conditional, geometry, measures
 from qmachine.geometry import Z_AXIS, SectorCap, unit_vector_at_angle
 from qmachine.machine import MC_CHUNK, EpsilonExperiment, Outcome
 from qmachine.measures import UNIFORM, CapUniform, Mixture
@@ -162,8 +163,8 @@ def test_closed_form_flagship_is_mirrored():
 
 def test_closed_form_is_total_at_regime_boundaries():
     # epsilon = cos(alpha/2) and sin(alpha/2), and one ulp either side, put
-    # an arc argument or radicand at the edge of its domain, where rounding
-    # alone pushes it past 1 (e.g. asin's at epsilon = sin(alpha/2), alpha = 0.6075).
+    # a rim radius at zero, where rounding alone can make its radicand
+    # negative (the printed form's asin argument passed 1 at alpha = 0.6075).
     rng = np.random.default_rng(2400)
     n = 0
     for alpha in [0.6075, *rng.uniform(0.0, math.pi, 399)]:
@@ -193,9 +194,94 @@ def test_mirror_identity_holds_on_every_route():
         assert abs(sum(closed) - 1.0) <= 1e-15, (epsilon, alpha)
 
 
-def test_closed_form_error_bound_against_quadrature():
-    r = conditional_closed_form(0.5, 1.0)
-    assert r.error_bound <= 1e-6
+def test_closed_form_reaches_no_exact_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form ran the exact route")
+
+    for name in ("conditional_quad", "condition", "outcome_law"):
+        monkeypatch.setattr(conditional, name, refuse)
+    for epsilon, alpha in ((0.5, 1.0), (SQ2, 2 * math.pi / 3), (0.9, 0.2), (1.0, 2.0), (1e-17, 1.0)):
+        r = conditional_closed_form(epsilon, alpha)
+        assert r.validity is (Validity.INACCURATE if epsilon < 1e-9 else Validity.VALID)
+    assert conditional_closed_form(0.5, 1.0).error_bound <= 1e-14
+
+
+def _printed_form(epsilon: float, alpha: float) -> mp.mpf:
+    """The printed Heaviside form at 50 digits, with its acos/asin arcs:
+    evaluated at a = min(alpha, pi - alpha), where one regime holds, and
+    mirrored past pi/2."""
+    with mp.workdps(50):
+        e, alpha = mp.mpf(epsilon), mp.mpf(alpha)
+        mirrored = alpha > mp.pi / 2
+        a = mp.pi - alpha if mirrored else alpha
+        c, s, cos_a = mp.cos(a / 2), mp.sin(a / 2), mp.cos(a)
+
+        def terms(c, s):
+            root = mp.sqrt(1 - e * e)
+            radicand = 1 - (e / c) ** 2
+            omega = 4 * e * mp.acos(mp.sqrt(radicand) / root) - 4 * mp.asin(s / root)
+            sigma = e * (s / c) * mp.sqrt(radicand) - (1 - e * e) * mp.acos(e * (s / c) / root)
+            return omega, sigma
+
+        p1 = cos_a * (1 + e) / (4 * e) + mp.mpf(1) / 2
+        if e >= c:
+            value = p1
+        elif e >= s:
+            omega_c, sigma_c = terms(c, s)
+            value = p1 + mp.mpf(1) / 2 + omega_c / (4 * mp.pi * (1 - e))
+            value += (cos_a + 1) * sigma_c / (4 * mp.pi * e * (1 - e))
+        else:
+            (omega_c, sigma_c), (omega_s, sigma_s) = terms(c, s), terms(s, c)
+            value = p1 + (omega_c - omega_s) / (4 * mp.pi * (1 - e))
+            value += ((cos_a + 1) * sigma_c + (cos_a - 1) * sigma_s) / (4 * mp.pi * e * (1 - e))
+        return 1 - value if mirrored else value
+
+
+def _assert_within_bound(epsilon: float, alpha: float) -> None:
+    r = conditional_closed_form(epsilon, alpha)
+    assert r.validity is Validity.VALID, (epsilon, alpha, r.error_bound)
+    assert abs(r.value - _printed_form(epsilon, alpha)) <= r.error_bound, (epsilon, alpha)
+
+
+EDGE_ANGLES = [x for a in (1e-3, 0.0202, 0.1, 0.3, 1.0, 1.5) for x in (a, math.pi - a)]
+
+
+@pytest.mark.parametrize("alpha", EDGE_ANGLES)
+def test_closed_form_meets_the_printed_form_below_the_cos_edge(alpha):
+    # Up to 64 ulps below epsilon = cos(alpha/2) and cos(a/2), where a rim
+    # radius vanishes; at the latter the terms cancel against 1 - epsilon.
+    for edge in {math.cos(0.5 * alpha), math.cos(0.5 * min(alpha, math.pi - alpha))}:
+        epsilon = edge
+        for _ in range(65):
+            _assert_within_bound(epsilon, alpha)
+            epsilon = math.nextafter(epsilon, 0.0)
+
+
+@pytest.mark.parametrize("alpha", EDGE_ANGLES)
+def test_closed_form_meets_the_printed_form_at_the_sin_edge(alpha):
+    # Within 8 ulps of epsilon = sin(a/2), where the second gate opens.
+    edge = math.sin(0.5 * min(alpha, math.pi - alpha))
+    epsilon = edge
+    for _ in range(8):
+        epsilon = math.nextafter(epsilon, 0.0)
+    for _ in range(17):
+        _assert_within_bound(epsilon, alpha)
+        epsilon = math.nextafter(epsilon, 2.0)
+
+
+def test_closed_form_meets_the_printed_form_at_random_points():
+    rng = np.random.default_rng(1212)
+    for _ in range(300):
+        epsilon = float(10.0 ** rng.uniform(-6.0, 0.0))
+        _assert_within_bound(epsilon, float(rng.uniform(0.0, math.pi)))
+
+
+@pytest.mark.parametrize("epsilon", [1e-12, 1e-17, 1e-300, 5e-324])
+def test_closed_form_reports_tiny_epsilon_inaccurate(epsilon):
+    for alpha in (0.0, 0.4, 1.0, math.pi / 2, 2.5, math.pi):
+        r = conditional_closed_form(epsilon, alpha)
+        assert r.validity is Validity.INACCURATE, (epsilon, alpha)
+        assert not r.error_bound <= 1e-9
 
 
 def test_closed_form_domain_validation():

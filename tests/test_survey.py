@@ -1,3 +1,4 @@
+import logging
 import math
 from fractions import Fraction
 
@@ -85,10 +86,12 @@ def test_build_model_fits_and_forces():
     assert [q.experiment.epsilon for q in forced.questions] == [SQ2] * 3
 
 
-def test_build_model_warns_on_epsilon_mismatch():
+def test_build_model_warns_on_epsilon_mismatch(caplog):
     stats = [stats_for("a"), QuestionStats("b", 0.5, 0.25, 0.25), stats_for("c")]
-    with pytest.warns(UserWarning):
+    with caplog.at_level(logging.WARNING, logger="qmachine.survey"):
         build_survey_model(stats, [0.0, 1.0, 2.0])
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "epsilon fits disagree" in caplog.records[0].getMessage()
 
 
 def test_build_model_validates_angle_count():
