@@ -22,11 +22,12 @@ query at every point of the CLI sweep grid (CLI_SWEEP_EPSILONS x
 SWEEP_ALPHA_STEPS alphas).  Each entry times every item REPEATS times and
 reports the median us per call over the items, with their quartiles, and
 its largest error_bound.  The closed form also reports its counts of
-`valid` and `inaccurate` rows, and the exact route its misses at
-MISS_TOL: rows more than MISS_TOL from a `valid` closed form, and rows
-whose mirror identity f(alpha) + f(pi - alpha) = 1 is off by more than
-2 MISS_TOL.  A closed-form miss can be the closed form's own rounding
-error; the mirror check involves the exact route alone.
+`valid` and `inaccurate` rows, and the exact route its misses: rows
+farther from a `valid` closed form than the two routes' error_bounds
+add up to, and rows whose mirror identity f(alpha) + f(pi - alpha) = 1
+is off by more than the two rows' error_bounds.  A row where both routes
+meet their claims is never a miss; the mirror check involves the exact
+route alone.
 
 Exact-checker layer: times check_kolmogorov on CHECKER_TRIADS seeded
 triads of each family (random rational joints with the three standard
@@ -95,7 +96,6 @@ CLI_SWEEP_EPSILONS = "0.000001,0.25,0.5,0.7071068,1"
 CLI_RUNS = 5
 CAP_PAIRS = 1_000
 CAP_SEED = 8
-MISS_TOL = 1e-10
 SURVEY_CENSUS_DRAWS = 1_000_000
 CONSTANT_ROW = "0"  # the expression of a constant-row certificate
 ATOM_BIT = {"U": 4, "V": 2, "W": 1}  # bit of each event in an atom index
@@ -214,17 +214,17 @@ def measure_cap_overlap() -> dict:
 def measure_quad(queries, closed) -> dict:
     """conditional_quad over the grid: time, largest error_bound, misses."""
     results = [conditional_quad(q) for q in queries]
-    values = [r.value for r in results]
     mirror_misses = 0
-    for i, value in enumerate(values):
+    for i, r in enumerate(results):
         j = i % SWEEP_ALPHA_STEPS  # the row at pi - alpha is SWEEP_ALPHA_STEPS - 1 - j
-        mirror_misses += abs(value + values[i - j + SWEEP_ALPHA_STEPS - 1 - j] - 1.0) > 2.0 * MISS_TOL
+        mirror = results[i - j + SWEEP_ALPHA_STEPS - 1 - j]
+        mirror_misses += abs(r.value + mirror.value - 1.0) > r.error_bound + mirror.error_bound
     return {
         **per_call_us(conditional_quad, queries),
         "max_error_bound": max(r.error_bound for r in results),
-        "miss_tol": MISS_TOL,
         "closed_form_misses": sum(
-            c.validity.value == "valid" and abs(v - c.value) > MISS_TOL for v, c in zip(values, closed)
+            c.validity.value == "valid" and abs(r.value - c.value) > r.error_bound + c.error_bound
+            for r, c in zip(results, closed)
         ),
         "mirror_misses": mirror_misses,
     }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import atan2, cos, pi, sin, sqrt  # bare names: cap_overlap and cap_moment run on every outcome law
+from math import atan2, cos, pi, sin, sqrt  # bare names: cap_lens runs on every outcome law
 
 import numpy as np
 
@@ -200,30 +200,40 @@ def sample_uniform_cap_array(rng: np.random.Generator, cap: SectorCap, n: int) -
 
 def cap_intersection_fraction(a: SectorCap, b: SectorCap) -> float:
     """Uniform-measure fraction of the sphere covered by the two caps' overlap
-    (exact, see cap_overlap)."""
-    return cap_overlap(angle_between(a.center, b.center), a.half_angle, b.half_angle)
+    (exact, see cap_lens)."""
+    return cap_lens(angle_between(a.center, b.center), a.half_angle, b.half_angle)[0]
 
 
-def cap_overlap(gamma: float, rho_a: float, rho_b: float) -> float:
-    """Uniform-measure fraction of the sphere covered by the overlap of two
-    caps of half-angles rho_a and rho_b whose centers are gamma apart.
+def cap_lens(gamma: float, rho: float, beta: float) -> tuple[float, float]:
+    """Overlap of the cap of half-angle rho centered gamma from an axis with
+    the axis cap of half-angle beta {x >= cos(beta)}, x the projection on
+    the axis: its uniform-measure fraction of the sphere and its first
+    moment (1 / 4 pi) * integral of x dA.
 
-    Exact, with an error small against the smaller cap's area: empty, the
-    smaller cap, a band (complements disjoint), or a lens, two sectors less
-    a kite, 4 (sin(rho_a / 2)^2 A + sin(rho_b / 2)^2 B - E / 2) out of 4 pi
-    with A, B the center angles and E the excess of the triangle with sides
-    gamma, rho_a, rho_b, each from its half-angle formula.  A cap wider than
-    a hemisphere enters as the sphere less its complement (weight
-    -cos(rho / 2)^2), so no term outgrows the smaller cap.
+    Exact, with errors small against the smaller cap: empty, the
+    smaller cap, a band (complements disjoint), or a lens.  The lens's area
+    is two sectors less a kite, 4 (sin(rho / 2)^2 A + sin(beta / 2)^2 B -
+    E / 2) out of 4 pi with A, B the center angles and E the excess of the
+    triangle with sides gamma, rho, beta, each from its half-angle formula.
+    A cap of half-angle r wider than a hemisphere enters as the sphere less
+    its complement (weight -cos(r / 2)^2), so no term outgrows the smaller
+    cap.  Its moment
+    is (by the vector-area identity over its arcs) (sin(rho)^2 cos(gamma) A -
+    sin(rho) cos(rho) sin(gamma) sin(A) + sin(beta)^2 B) / 4 pi, with B from
+    gamma, rho and A, so that the terms, of order rho for a small cap,
+    cancel as the triangle's do.
     """
-    if gamma >= rho_a + rho_b:
-        return 0.0
-    if gamma <= abs(rho_a - rho_b):
-        return cap_area_fraction(min(rho_a, rho_b))
-    if gamma >= 2.0 * pi - rho_a - rho_b:
-        return -cos(0.5 * (rho_a + rho_b)) * cos(0.5 * (rho_a - rho_b))
-    angle_a, angle_b, root_s, root_g, root_a, root_b = _lens_angles(gamma, rho_a, rho_b)
-    cos_a, cos_b = cos(rho_a), cos(rho_b)
+    if gamma >= rho + beta:
+        return 0.0, 0.0
+    if gamma <= abs(rho - beta):
+        return cap_area_fraction(min(rho, beta)), 0.25 * (sin(rho) ** 2 * cos(gamma) if rho <= beta else sin(beta) ** 2)
+    if gamma >= 2.0 * pi - rho - beta:
+        return -cos(0.5 * (rho + beta)) * cos(0.5 * (rho - beta)), 0.25 * (sin(rho) ** 2 * cos(gamma) + sin(beta) ** 2)
+    angle_a, angle_b, root_s, root_g, root_a, root_b = _lens_angles(gamma, rho, beta)
+    cos_a, cos_b, sin_a = cos(rho), cos(beta), sin(rho)
+    axis_angle = atan2(sin(angle_a) * sin_a, sin(gamma) * cos_a - cos(gamma) * sin_a * cos(angle_a))
+    moment = sin_a * (sin_a * cos(gamma) * angle_a - cos_a * sin(gamma) * sin(angle_a)) + sin(beta) ** 2 * axis_angle
+    moment /= 4.0 * pi
     # tan(E / 2) = rise / run; a wide cap's complement keeps the sines and turns gamma to pi - gamma.
     flip = (cos_a < 0.0) != (cos_b < 0.0)
     half_g = sin(0.5 * gamma) if flip else cos(0.5 * gamma)
@@ -231,31 +241,11 @@ def cap_overlap(gamma: float, rho_a: float, rho_b: float) -> float:
     run = 2.0 * half_g * half_g + abs(cos_a) + abs(cos_b)
     if rise >= run:  # E past pi / 2 leaves no small cap, and the angle sum is as accurate
         p = 2.0 * atan2(root_a * root_b, root_s * root_g)
-        return (pi - p - cos_a * angle_a - cos_b * angle_b) / (2.0 * pi)
-    weight_a = -cos(0.5 * rho_a) ** 2 if cos_a < 0.0 else sin(0.5 * rho_a) ** 2
-    weight_b = -cos(0.5 * rho_b) ** 2 if cos_b < 0.0 else sin(0.5 * rho_b) ** 2
+        return (pi - p - cos_a * angle_a - cos_b * angle_b) / (2.0 * pi), moment
+    weight_a = -cos(0.5 * rho) ** 2 if cos_a < 0.0 else sin(0.5 * rho) ** 2
+    weight_b = -cos(0.5 * beta) ** 2 if cos_b < 0.0 else sin(0.5 * beta) ** 2
     lens = (weight_a * angle_a + weight_b * angle_b + (1.0 if flip else -1.0) * atan2(rise, run)) / pi
-    return lens + 1.0 if cos_a < 0.0 and cos_b < 0.0 else lens
-
-
-def cap_moment(gamma: float, rho: float, beta: float) -> float:
-    """First moment (1 / 4 pi) * integral of x dA over the overlap of the cap
-    of half-angle rho centered gamma from an axis with the axis cap
-    {x >= cos(beta)}, x the projection on the axis.  For a lens it is (by
-    the vector-area identity over its arcs) (sin(rho)^2 cos(gamma) A -
-    sin(rho) cos(rho) sin(gamma) sin(A) + sin(beta)^2 B) / 4 pi, with
-    cap_overlap's center angle A and B from gamma, rho and A, so that the
-    terms, of order rho for a small cap, cancel as the triangle's do."""
-    if gamma >= rho + beta:
-        return 0.0
-    if gamma <= abs(rho - beta):
-        return 0.25 * (sin(rho) ** 2 * cos(gamma) if rho <= beta else sin(beta) ** 2)
-    if gamma >= 2.0 * pi - rho - beta:
-        return 0.25 * (sin(rho) ** 2 * cos(gamma) + sin(beta) ** 2)
-    angle_a = _lens_angles(gamma, rho, beta)[0]
-    angle_b = atan2(sin(angle_a) * sin(rho), sin(gamma) * cos(rho) - cos(gamma) * sin(rho) * cos(angle_a))
-    lens = sin(rho) * (sin(rho) * cos(gamma) * angle_a - cos(rho) * sin(gamma) * sin(angle_a)) + sin(beta) ** 2 * angle_b
-    return lens / (4.0 * pi)
+    return (lens + 1.0 if cos_a < 0.0 and cos_b < 0.0 else lens), moment
 
 
 def _lens_angles(gamma: float, rho_a: float, rho_b: float) -> tuple[float, ...]:

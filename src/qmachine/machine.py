@@ -15,7 +15,7 @@ within RING_ERR / 2 of the float64 one, so every comparison a kernel
 makes (break < x, x > d, a dot against a band edge) is decided by it
 whenever it sits more than RING_ERR from its threshold.  The rare trial
 closer than that gets its value recomputed from z and phi in float64,
-in the float64 draw's operation order (ring_exact), and is decided as
+in the float64 draw's operation order (settle_into), and is decided as
 before, so every outcome count is bitwise the one the float64 draw gives.
 """
 
@@ -147,8 +147,8 @@ def ring_into(
     with the screened sqrt(1 - z^2) cos(phi): the coordinates along and
     across a pole of points uniform on the cap z >= zlow (zlow = -1: the
     whole sphere).  The cosine is float32's, of phi rounded to float32, so
-    `ring` is within RING_ERR / 2 of the float64 term; ring_exact gives that
-    term from the kept z and phi.  `scratch` is a float buffer as long as `z`."""
+    `ring` is within RING_ERR / 2 of the float64 term; settle_into recomputes
+    that term from the kept z and phi.  `scratch` is a float buffer as long as `z`."""
     uniform_into(rng, zlow, 1.0, z)
     uniform_into(rng, 0.0, 2.0 * math.pi, phi)
     np.cos(phi, out=ring, dtype=np.float32, casting="same_kind")
@@ -158,11 +158,13 @@ def ring_into(
     ring *= scratch
 
 
-def ring_exact(z: np.ndarray, phi: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The float64 ring term sqrt(1 - z^2) cos(phi) at the indices idx, in
-    the operation order the fixed-seed counts were recorded with."""
+def settle_into(out: np.ndarray, idx: np.ndarray, z: np.ndarray, phi: np.ndarray, along: float, across: float) -> None:
+    """Set out[idx] to the float64 projection z along + sqrt(1 - z^2) cos(phi)
+    across of ring_into's draws at idx, (along, across) the axis's components
+    along the pole and along phi = 0, in the operation order the fixed-seed
+    counts were recorded with."""
     zi = z[idx]
-    return np.cos(phi[idx]) * np.sqrt(1.0 - zi * zi)
+    out[idx] = zi * along + np.cos(phi[idx]) * np.sqrt(1.0 - zi * zi) * across
 
 
 def near_threshold(values: np.ndarray, threshold, gap: np.ndarray, flags: np.ndarray) -> np.ndarray:

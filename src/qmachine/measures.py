@@ -5,7 +5,7 @@ measure, uniform-on-a-cap, and finite mixtures of those.  Every measure
 the model needs lives in this family; outcome probabilities under it take
 a closed form: for a cap, the band average, over where the band breaks,
 of the cap's exact overlap with the axis cap above that point, which the
-lens's first moment (geometry.cap_moment) gives without quadrature.
+lens's area and first moment (geometry.cap_lens) give without quadrature.
 
 Certainty regions: eig(A) collects the states for which the experiment's
 outcome is certainly in A, pos(A) those for which it is possible.  Both
@@ -28,13 +28,12 @@ from .geometry import (
     UnitVector,
     angle_between,
     cap_intersection_fraction,
-    cap_moment,
-    cap_overlap,
+    cap_lens,
     sample_uniform_cap_array,
     sample_uniform_sphere_array,
     sector_angles,
 )
-from .machine import EpsilonExperiment, Outcome, near_threshold, ring_exact, ring_into
+from .machine import EpsilonExperiment, Outcome, near_threshold, ring_into, settle_into
 from .quadrature import adaptive_simpson  # adaptive_simpson: perfbench/tracing.py wraps it here by name
 
 
@@ -142,13 +141,14 @@ def cap_averaged_p1(e: EpsilonExperiment, cap: SectorCap) -> tuple[float, float]
     The band breaks at s uniform on [d - epsilon, d + epsilon]; outcome 1
     happens when s lies below the state's projection x.  So the answer is the
     band average of m(s) = P(x > s) = -G'(s), G(a) = E[(x - a)+] =
-    (cap_moment - a cap_overlap) / area at acos(a): (lo - band_low + G(lo) -
-    G(hi)) / width, [lo, hi] the band clipped to [-1, 1] (below x's range G is
-    E[x] - a, so a band holding the range takes no lens).  Bound: both ends
-    shifted by _SHIFT (past the rounding of the edges, gamma and acos(s)) plus
-    G's rounding (lens terms of order rho over an area of order rho^2), over
-    the width.  A band narrower than _POINT_WIDTH or clear of x's range takes
-    m(d), bounded by m's spread (m falls with s) over the band widened by _SHIFT.
+    (moment - a overlap) / area, both from cap_lens at acos(a): (lo -
+    band_low + G(lo) - G(hi)) / width, [lo, hi] the band clipped to [-1, 1]
+    (below x's range G is E[x] - a, so a band holding the range takes no
+    lens).  Bound: both ends shifted by _SHIFT (past the rounding of the
+    edges, gamma and acos(s)) plus G's rounding (lens terms of order rho over
+    an area of order rho^2), over the width.  A band narrower than
+    _POINT_WIDTH or clear of x's range takes m(d), bounded by m's spread (m
+    falls with s) over the band widened by _SHIFT.
     """
     gamma = angle_between(cap.center, e.axis)
     rho = cap.half_angle
@@ -157,13 +157,16 @@ def cap_averaged_p1(e: EpsilonExperiment, cap: SectorCap) -> tuple[float, float]
     x_min = math.cos(gamma + rho) if gamma + rho <= math.pi else -1.0
     x_max = math.cos(gamma - rho) if gamma - rho >= 0.0 else 1.0
 
-    def share(s: float) -> float:  # m(s); at epsilon = 0, d may lie 1e-15 outside [-1, 1]
-        return cap_overlap(gamma, rho, math.acos(min(1.0, max(-1.0, s)))) / area
+    def lens(s: float) -> tuple[float, float]:  # m(s) and the moment, over the area
+        # At epsilon = 0, d may lie 1e-15 outside [-1, 1].
+        overlap, moment = cap_lens(gamma, rho, math.acos(min(1.0, max(-1.0, s))))
+        return overlap / area, moment / area
 
     if width < _POINT_WIDTH or x_min >= e.band_high or x_max <= e.band_low:
-        return share(e.d), share(e.band_low - _SHIFT) - share(e.band_high + _SHIFT) + _SHIFT
+        return lens(e.d)[0], lens(e.band_low - _SHIFT)[0] - lens(e.band_high + _SHIFT)[0] + _SHIFT
     lo, hi = max(e.band_low, -1.0), min(e.band_high, 1.0)
-    g_lo, g_hi = (cap_moment(gamma, rho, math.acos(a)) / area - a * share(a) for a in (lo, hi))
+    (share_lo, moment_lo), (share_hi, moment_hi) = lens(lo), lens(hi)
+    g_lo, g_hi = moment_lo - lo * share_lo, moment_hi - hi * share_hi
     return min(1.0, max(0.0, (lo - e.band_low + g_lo - g_hi) / width)), (2.0 + 1.0 / math.sin(0.5 * rho)) * _SHIFT / width
 
 
@@ -279,8 +282,7 @@ def sample_projection(
         if not idx.size:
             return
         for start, stop, cg, sg in pieces:
-            j = idx[(idx >= start) & (idx < stop)]
-            out[j] = z[j] * cg + ring_exact(z, phi, j) * sg
+            settle_into(out, idx[(idx >= start) & (idx < stop)], z, phi, cg, sg)
 
     return settle
 

@@ -38,7 +38,7 @@ from .geometry import (  # sample_uniform_sphere_array: perfbench/tracing.py wra
     sample_uniform_sphere_array,
     unit_vector_at_angle,
 )
-from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, near_threshold, ring_exact, ring_into
+from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, near_threshold, ring_into, settle_into
 
 # Denominator cap when snapping numerically computed conditionals to exact
 # rationals.  Large enough to keep the snap error ~1e-4 at most, small
@@ -195,10 +195,10 @@ def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
     needs only z ~ U(-1, 1) and x = sqrt(1 - z^2) cos(phi), phi ~ U(0, 2 pi)
     (the stream sample_uniform_sphere_array draws, without its y column).
     x is screened (see ring_into): a respondent whose dot with an axis lies
-    within RING_ERR of a band edge gets the float64 x before its status is
-    read, so the tally is bitwise the float64 one.  Each question's status
-    is 0 undetermined, 1 certain yes or 2 certain no, and the three statuses
-    read as one base-3 number index the tally.
+    within RING_ERR of a band edge gets the float64 dot (settle_into) before
+    its status is read, so the tally is bitwise the float64 one.  Each
+    question's status is 0 undetermined, 1 certain yes or 2 certain no, and
+    the three statuses read as one base-3 number index the tally.
     """
     if len(m.questions) != 3:
         raise ValueError("the census is defined for exactly three questions")
@@ -230,8 +230,7 @@ def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
             np.abs(pk, out=pk)
             idx = near_threshold(pk, e.epsilon, pk, yes[:k])
             if idx.size:
-                xk[idx] = ring_exact(zk, fk, idx)
-                dk[idx] = xk[idx] * e.axis.x + zk[idx] * e.axis.z
+                settle_into(dk, idx, zk, fk, e.axis.z, e.axis.x)
             np.greater_equal(dk, e.band_high, out=yes[:k])
             # On a zero-width band (epsilon = 0) the edge itself is certain yes.
             (np.less_equal if e.band_low < e.band_high else np.less)(dk, e.band_low, out=no[:k])

@@ -14,7 +14,7 @@ from qmachine.geometry import (
     angle_between,
     cap_area_fraction,
     cap_intersection_fraction,
-    cap_overlap,
+    cap_lens,
     sample_uniform_cap_array,
     sample_uniform_sphere,
     sample_uniform_sphere_array,
@@ -328,7 +328,55 @@ def test_cap_overlap_error_is_small_against_the_smaller_cap():
                     ref = _arccos_lens(mp.mpf(gamma), mp.mpf(ra), mp.mpf(rb))
                 bound = 2e-15 * cap_area_fraction(min(ra, rb)) / min(ra, rb)
                 for x, y in ((ra, rb), (rb, ra)):
-                    assert float(abs(cap_overlap(gamma, x, y) - ref)) <= bound, (gamma, x, y)
+                    assert float(abs(cap_lens(gamma, x, y)[0] - ref)) <= bound, (gamma, x, y)
+
+
+def _band_integral_lens(gamma: float, rho: float, beta: float):
+    """cap_lens to 30 digits as integrals over the projection s on the axis:
+    the area and first moment are (1 / 4 pi) times the integrals of theta(s)
+    and s theta(s) over [cos(beta), 1], theta(s) the arc of the circle x = s
+    inside the cap (dA = ds dphi).  theta kinks where the circle touches the
+    cap's rim, at cos(gamma + rho) (also when gamma + rho > pi) and
+    cos(|gamma - rho|), which are breakpoints."""
+    with mp.workdps(30):
+        g, r, b = mp.mpf(gamma), mp.mpf(rho), mp.mpf(beta)
+        cos_g, sin_g, cos_r = mp.cos(g), mp.sin(g), mp.cos(r)
+
+        def theta(s):
+            r2 = 1 - s * s
+            if r2 <= 0 or sin_g == 0:
+                return 2 * mp.pi if s * cos_g >= cos_r else mp.mpf(0)
+            return 2 * mp.acos(min(mp.mpf(1), max(mp.mpf(-1), (cos_r - s * cos_g) / (mp.sqrt(r2) * sin_g))))
+
+        low = mp.cos(b)
+        cuts = sorted({low, mp.mpf(1)} | {c for c in (mp.cos(g + r), mp.cos(abs(g - r))) if low < c < 1})
+        return mp.quad(theta, cuts) / (4 * mp.pi), mp.quad(lambda s: s * theta(s), cuts) / (4 * mp.pi)
+
+
+def test_cap_lens_matches_the_band_integral():
+    # The moment's terms are of order sin(rho) and sin(beta), so its error is
+    # a few ulps of the smaller; the area keeps the overlap test's bound.
+    rnd = random.Random(13)
+    triples = [tuple(rnd.uniform(0.0, math.pi) for _ in range(3)) for _ in range(40)]
+    # Wide caps near pi, whose moment is small against their area.
+    for k in range(25):
+        wide = math.pi - 10 ** rnd.uniform(-7, -1)
+        other = math.pi - 10 ** rnd.uniform(-7, -1) if k < 15 else rnd.uniform(0.0, math.pi)
+        triples.append((rnd.uniform(0.0, math.pi), wide, other))
+    # Small caps straddling the axis cap's edge.
+    for _ in range(30):
+        rho, beta = 10 ** rnd.uniform(-7, -2), rnd.uniform(0.1, math.pi - 0.1)
+        triples.append((beta + rnd.uniform(-rho, rho), rho, beta))
+    worst = 0.0
+    for gamma, rho, beta in triples:
+        area, moment = cap_lens(gamma, rho, beta)
+        ref_area, ref_moment = _band_integral_lens(gamma, rho, beta)
+        small = min(rho, beta)
+        assert float(abs(area - ref_area)) <= 2e-15 * cap_area_fraction(small) / small, (gamma, rho, beta)
+        err = float(abs(moment - ref_moment))
+        assert err <= 8 * 2.0**-53 * math.sin(small), (gamma, rho, beta, err)
+        worst = max(worst, err)
+    assert worst > 0.0  # the check can fail
 
 
 def test_overlap_reference_against_ring_quadrature():

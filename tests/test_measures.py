@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qmachine import measures
 from qmachine.errors import ConditioningError
 from qmachine.geometry import (
     SectorCap,
     Z_AXIS,
     cap_area_fraction,
     cap_intersection_fraction,
+    cap_lens,
     sample_uniform_sphere,
     unit_vector_at_angle,
 )
@@ -20,6 +22,7 @@ from qmachine.measures import (
     Mixture,
     OutcomeSet,
     Uniform,
+    cap_averaged_p1,
     condition,
     eig_set,
     is_classical,
@@ -274,3 +277,20 @@ def test_bayes_formula_for_classical_experiments():
         )
         rhs = cap_intersection_fraction(eig_set(e, OutcomeSet.O1), eig_set(f, OutcomeSet.O1))
         assert lhs == pytest.approx(rhs, abs=1e-14)
+
+
+def test_band_average_solves_one_lens_per_band_edge(monkeypatch):
+    # The moment route reads a band edge's overlap and moment from one lens
+    # solve; the point rule reads m at d and at the two widened edges.
+    calls = []
+
+    def counting(gamma, rho, beta):
+        calls.append(beta)
+        return cap_lens(gamma, rho, beta)
+
+    monkeypatch.setattr(measures, "cap_lens", counting)
+    cap = SectorCap(unit_vector_at_angle(Z_AXIS, 0.4), 0.5)
+    for epsilon, d, lenses in ((0.3, 0.5, 2), (0.3, 0.1, 3), (0.0, 0.5, 3), (1.0, 0.0, 2)):
+        calls.clear()
+        cap_averaged_p1(experiment(epsilon, d), cap)
+        assert len(calls) == lenses, (epsilon, d)

@@ -17,7 +17,7 @@ import pytest
 from qmachine import measures, survey
 from qmachine.conditional import ConditionalQuery, conditional_mc, symmetric_query
 from qmachine.geometry import X_AXIS, Z_AXIS, SectorCap, angle_between, unit_vector_at_angle
-from qmachine.machine import MC_CHUNK, RING_ERR, EpsilonExperiment, Outcome, count_o1, ring_exact, ring_into
+from qmachine.machine import MC_CHUNK, RING_ERR, EpsilonExperiment, Outcome, count_o1, ring_into, settle_into
 from qmachine.measures import UNIFORM, CapUniform, Mixture, OutcomeSet, condition, eig_set, sample_projection
 from qmachine.survey import FitDiagnostics, FittedQuestion, QuestionStats, SurveyModel, build_survey_model, region_census
 
@@ -37,6 +37,11 @@ class Planted:
         return out
 
 
+def float64_ring(z, phi):
+    """The float64 ring term cos(phi) sqrt(1 - z^2), in settle_into's order."""
+    return np.cos(phi) * np.sqrt(1.0 - z * z)
+
+
 def screened_cosines(r_phi):
     """ring_into's ring term at z = 0 (r = 1/2 on U(-1, 1)), where it is the
     screened cosine itself, with the float64 cosine of the same phi."""
@@ -44,7 +49,7 @@ def screened_cosines(r_phi):
     z, phi, ring, scratch = np.empty((4, n))
     ring_into(Planted(np.full(n, 0.5), r_phi), -1.0, z, phi, ring, scratch)
     assert not z.any()
-    return ring, ring_exact(z, phi, np.arange(n))
+    return ring, float64_ring(z, phi)
 
 
 def test_float32_cosine_is_within_half_the_screen():
@@ -186,7 +191,7 @@ def replay_ring(seed, zlow, k):
     rng = np.random.default_rng(seed)
     z, phi, ring, scratch = np.empty((4, k))
     ring_into(rng, zlow, z, phi, ring, scratch)
-    return rng, z, phi, ring, ring_exact(z, phi, np.arange(k))
+    return rng, z, phi, ring, float64_ring(z, phi)
 
 
 def first_split(screened, exact):
@@ -201,12 +206,12 @@ def refined(monkeypatch):
     """Counts the trials whose values the kernels recompute in float64."""
     seen = []
 
-    def counting(z, phi, idx):
+    def counting(out, idx, z, phi, along, across):
         seen.append(len(idx))
-        return ring_exact(z, phi, idx)
+        settle_into(out, idx, z, phi, along, across)
 
-    monkeypatch.setattr(measures, "ring_exact", counting)
-    monkeypatch.setattr(survey, "ring_exact", counting)
+    monkeypatch.setattr(measures, "settle_into", counting)
+    monkeypatch.setattr(survey, "settle_into", counting)
     return seen
 
 
@@ -219,7 +224,7 @@ def test_settle_rewrites_only_values_near_their_threshold(refined):
     settle = sample_projection(mu, axis, rng, x, work, gap)
     screened = x.copy()
     gamma = angle_between(Z_AXIS, axis)
-    exact = work[0] * math.cos(gamma) + ring_exact(work[0], work[1], np.arange(k)) * math.sin(gamma)
+    exact = work[0] * math.cos(gamma) + float64_ring(work[0], work[1]) * math.sin(gamma)
     # Thresholds far from every value, but for three planted within RING_ERR.
     threshold = screened + 1.0
     planted = [first_split(screened, exact), k // 2, k - 1]
