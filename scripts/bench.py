@@ -34,14 +34,16 @@ triads of each family (random rational joints with the three standard
 conditionals, the half-marginal family, random rational triads with 0-5
 random conditionals, constant-row certificates among them).  Each
 triad's time is the median of CHECKER_REPEATS calls; each family reports
-the median ms per triad with the triads' quartiles, its verdict mix, and
-the median and largest tracemalloc peak of one call per triad.
+the median ms per triad with the triads' quartiles, the same for CPU ms
+(time.process_time, which a preempted process does not accrue), its
+verdict mix, and the median and largest tracemalloc peak of one call per
+triad.
 
 Survey stages, on the flagship survey (three questions at 0, 60 and 120
 degrees, 15% predetermined each way, epsilon forced to sqrt(2)/2): the fit
 (build_survey_model), predict_conditionals, region_census at
-SURVEY_CENSUS_DRAWS draws and classify_survey, each the median ms of
-REPEATS calls with their quartiles.
+SURVEY_CENSUS_DRAWS draws and classify_survey, each the median wall ms
+and the median CPU ms of REPEATS calls with their quartiles.
 
 End to end: CLI `sweep` over CLI_SWEEP_EPSILONS x SWEEP_ALPHA_STEPS alphas
 (the sweep's defaults otherwise, CSV to stdout, discarded), the median
@@ -252,15 +254,23 @@ def measure_conditionals() -> dict:
 
 
 def median_ms(call) -> dict:
-    """Median ms of REPEATS calls, with their quartiles."""
+    """Median wall ms of REPEATS calls, with their quartiles, and the median
+    CPU ms (process time) of the same calls, with theirs."""
     call()  # warm caches and lazy set-up before timing
-    ms = []
+    ms, cpu_ms = [], []
     for _ in range(REPEATS):
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         call()
+        cpu_ms.append((time.process_time() - cpu_start) * 1e3)
         ms.append((time.perf_counter() - start) * 1e3)
     q1, _, q3 = statistics.quantiles(ms, n=4)
-    return {"ms": statistics.median(ms), "ms_quartiles": [q1, q3]}
+    c1, _, c3 = statistics.quantiles(cpu_ms, n=4)
+    return {
+        "ms": statistics.median(ms),
+        "ms_quartiles": [q1, q3],
+        "cpu_ms": statistics.median(cpu_ms),
+        "cpu_ms_quartiles": [c1, c3],
+    }
 
 
 def measure_survey() -> dict:
@@ -327,14 +337,16 @@ def measure_checker(make) -> dict:
     rnd = random.Random(CHECKER_SEED)
     triads = [make(rnd) for _ in range(CHECKER_TRIADS)]
     verdicts = [check_kolmogorov(t) for t in triads]  # also warms caches
-    ms = []
+    ms, cpu_ms = [], []
     for t in triads:
-        runs = []
+        runs, cpu_runs = [], []
         for _ in range(CHECKER_REPEATS):
-            start = time.perf_counter()
+            start, cpu_start = time.perf_counter(), time.process_time()
             check_kolmogorov(t)
+            cpu_runs.append(time.process_time() - cpu_start)
             runs.append(time.perf_counter() - start)
         ms.append(statistics.median(runs) * 1e3)
+        cpu_ms.append(statistics.median(cpu_runs) * 1e3)
     peaks = []
     for t in triads:
         tracemalloc.start()
@@ -344,9 +356,12 @@ def measure_checker(make) -> dict:
         finally:
             tracemalloc.stop()
     q1, _, q3 = statistics.quantiles(ms, n=4)
+    c1, _, c3 = statistics.quantiles(cpu_ms, n=4)
     return {
         "ms_per_triad": statistics.median(ms),
         "ms_per_triad_quartiles": [q1, q3],
+        "cpu_ms_per_triad": statistics.median(cpu_ms),
+        "cpu_ms_per_triad_quartiles": [c1, c3],
         "feasible": sum(v.feasible for v in verdicts),
         "constant_contradiction": sum(not v.feasible and v.certificate.expression == CONSTANT_ROW for v in verdicts),
         "tracemalloc_peak_bytes": statistics.median(peaks),

@@ -10,7 +10,7 @@ mixed-state measures, conditional probabilities by three routes, exact
 embeddability verdicts, and the opinion-poll mapping.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 from .conditional import (
     ConditionalQuery,

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import Z_AXIS, SectorCap, unit_vector_at_angle
+from .geometry import Z_AXIS, SectorCap, UnitVector, unit_vector_at_angle
 from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, count_o1, p1_given_projection
 from .measures import (  # sample_state_array: perfbench/tracing.py wraps it here by name
     MixedState,
@@ -40,9 +40,10 @@ from .measures import (  # sample_state_array: perfbench/tracing.py wraps it her
 
 SeedLike = Union[int, Sequence[int]]
 
-# The closed form's rounding unit per term, and the largest error_bound it
-# reports as `valid`.
-_ROUNDING = 8.0 * 2.0**-53
+# One unit of rounding; the closed form's rounding per term, and the
+# largest error_bound it reports as `valid`.
+_UNIT = 2.0**-53
+_ROUNDING = 8.0 * _UNIT
 _VALID_LIMIT = 1e-9
 
 
@@ -106,19 +107,35 @@ def _oriented_target(q: ConditionalQuery) -> EpsilonExperiment:
     return q.target if q.target_outcome is Outcome.O1 else q.target.flipped()
 
 
+def _pinned_bound(target: EpsilonExperiment, center: UnitVector, x: float) -> float:
+    """Rounding bound of p1_given_projection(target, x), x the float dot of
+    `center` and the target axis, against the exact kernel at the exact dot:
+    the dot's 4 units (2^-53) of sum |center_i axis_i| through the ramp's
+    slope 1 / (2 epsilon), (|d| + epsilon) / epsilon units for the rounded
+    band edges and 3 for the ramp's operations.  A step (epsilon = 0) is
+    exact unless x lies within the dot's bound of d."""
+    a = target.axis
+    dot = 4.0 * _UNIT * (abs(center.x * a.x) + abs(center.y * a.y) + abs(center.z * a.z))
+    if target.epsilon == 0.0:
+        return 0.0 if abs(x - target.d) > dot else 1.0
+    return (dot + 2.0 * _UNIT * (abs(target.d) + target.epsilon)) / (2.0 * target.epsilon) + 3.0 * _UNIT
+
+
 def conditional_quad(q: ConditionalQuery, tol: Optional[float] = None) -> ConditionalResult:
     """The definitional integral of the outcome kernel over the conditioned
     measure, in closed form (cap_averaged_p1), with its rounding bound as
     error_bound.  `tol` is ignored, kept for callers that still pass one.
 
     A zero-radius conditioning cap (epsilon = 1) pins the preparation to the
-    cap center, so the integral degenerates to the kernel value there.
+    cap center, so the integral degenerates to the kernel value there, with
+    the dot's and the ramp's rounding as error_bound (_pinned_bound).
     """
     cap = _conditioning_cap(q)
     target = _oriented_target(q)
     if cap.half_angle <= 0.0:
-        value = p1_given_projection(target, cap.center.dot(target.axis))
-        return ConditionalResult(value, Method.QUADRATURE, 0.0, Validity.VALID)
+        x = cap.center.dot(target.axis)
+        value = p1_given_projection(target, x)
+        return ConditionalResult(value, Method.QUADRATURE, _pinned_bound(target, cap.center, x), Validity.VALID)
     mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))
     value, bound = outcome_law(target, OutcomeSet.O1, mu)
     return ConditionalResult(value, Method.QUADRATURE, bound, Validity.VALID)

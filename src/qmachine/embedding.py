@@ -7,10 +7,12 @@ feasibility is decided by exact Fourier-Motzkin elimination over
 rationals.  Each equality constraint is substituted when its atom is
 eliminated, so the row count stays linear; inequalities are paired only
 for atoms no remaining equality involves.  Rows are canonical integer
-rows (numerators over one common denominator, reduced by their gcd), so
-the elimination runs on Python ints and stays exact; only the bounds it
-reports are Fractions.  An infeasible verdict's certificate is a crossed
-pair of implied bounds on one atom, or a derived row 0 <= r with r < 0.
+rows (numerators over one common denominator, reduced by their gcd),
+built once from the triad, each event an 8-atom mask: elimination,
+back-substitution and the witness check all run on them in Python ints,
+and only the bounds and witness reported are Fractions.  An infeasible
+verdict's certificate is a crossed pair of implied bounds on one atom,
+or a derived row 0 <= r with r < 0.
 
 check_hilbert2d asks whether the symmetric transition-probability table
 (all cyclically adjacent pairs gamma^2, all skew pairs delta^2) can be
@@ -26,6 +28,7 @@ them.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,19 +70,10 @@ def atom_label(index: int) -> str:
     return " & ".join(name if bit else f"not {name}" for name, bit in zip(VARIABLES, bits))
 
 
-def _atoms_of(*events: Event) -> list[int]:
-    """Atom indices where every listed event holds."""
-    out = []
-    for idx in range(N_ATOMS):
-        ok = True
-        for name, positive in events:
-            bit = (idx >> (2 - VARIABLES.index(name))) & 1
-            if bool(bit) != positive:
-                ok = False
-                break
-        if ok:
-            out.append(idx)
-    return out
+@functools.cache
+def _mask(*events: Event) -> tuple[int, ...]:
+    """The 0/1 indicator of the atoms where every listed event holds (all for no event)."""
+    return tuple([int(all(bool(i >> (2 - VARIABLES.index(n)) & 1) == pos for n, pos in events)) for i in range(N_ATOMS)])
 
 
 @dataclass(frozen=True)
@@ -139,24 +133,28 @@ class LinearConstraint:
     label: str
 
 
+def _equalities(t: TriadData) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Each equality constraint as (atom mask, rhs): total mass, the
+    marginals, then each conditional turned into an intersection mass using
+    the given conditioning marginal."""
+    eqs = [(_mask(), Fraction(1))]
+    eqs += [(_mask((name, True)), t.marginals[name]) for name in VARIABLES]
+    eqs += [(_mask(c.event, c.given), c.p * t.marginal_of(c.given)) for c in t.conditionals]
+    return eqs
+
+
 def joint_constraints(t: TriadData) -> list[LinearConstraint]:
     """Equality constraints over the eight atoms: total mass, marginals, and
     each conditional turned into an intersection mass using the given
     conditioning marginal (atoms are additionally nonnegative)."""
-    cons = [LinearConstraint(tuple([Fraction(1)] * N_ATOMS), Fraction(1), "total mass")]
-    for name in VARIABLES:
-        coeffs = [Fraction(0)] * N_ATOMS
-        for idx in _atoms_of((name, True)):
-            coeffs[idx] = Fraction(1)
-        cons.append(LinearConstraint(tuple(coeffs), t.marginals[name], f"marginal {name}"))
-    for c in t.conditionals:
-        coeffs = [Fraction(0)] * N_ATOMS
-        for idx in _atoms_of(c.event, c.given):
-            coeffs[idx] = Fraction(1)
-        rhs = c.p * t.marginal_of(c.given)
-        label = f"P({event_label(c.event)} | {event_label(c.given)}) * P({event_label(c.given)})"
-        cons.append(LinearConstraint(tuple(coeffs), rhs, label))
-    return cons
+    labels = ["total mass"] + [f"marginal {name}" for name in VARIABLES]
+    labels += [
+        f"P({event_label(c.event)} | {event_label(c.given)}) * P({event_label(c.given)})" for c in t.conditionals
+    ]
+    return [
+        LinearConstraint(tuple([Fraction(m) for m in mask]), rhs, label)
+        for (mask, rhs), label in zip(_equalities(t), labels)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +162,34 @@ def joint_constraints(t: TriadData) -> list[LinearConstraint]:
 # (nums, den): the eight coefficient numerators and the rhs numerator over
 # one common denominator den > 0, reduced so that gcd(*nums, den) == 1.
 # That form is unique, so two rows are equal exactly when their rational
-# coefficients and rhs are, and the elimination runs on Python ints.
+# coefficients and rhs are, and the elimination runs on Python ints.  The
+# rows are built once from the triad: an equality mask . x = a/b is the
+# row (b mask, a) over b, already reduced since gcd(a, b) == 1, and its
+# negation; the witness check reads the same rows.
 # Tuples are built from lists: tuple(generator) allocates ten slots and
 # shrinks, and the shrunk tuples pile up in size freelists nothing reuses.
 
 Row = tuple[tuple[int, ...], int]
 RHS = N_ATOMS
+Ratio = tuple[int, int]  # a bound as (numerator, positive denominator)
 
-
-def _row(values) -> Row:
-    """The canonical integer row of a sequence of Fractions."""
-    den = math.lcm(*[v.denominator for v in values])
-    return tuple([v.numerator * (den // v.denominator) for v in values]), den
+# The eight rows -x_i <= 0.
+_NONNEGATIVE: list[Row] = [(tuple([-1 if j == i else 0 for j in range(N_ATOMS + 1)]), 1) for i in range(N_ATOMS)]
 
 
 def _negated(row: Row) -> Row:
     nums, den = row
     return tuple([-n for n in nums]), den
+
+
+def _system_rows(t: TriadData) -> list[Row]:
+    """The system as rows: each equality of joint_constraints, in order, as
+    itself and its negation, then the eight rows -x_i <= 0."""
+    rows: list[Row] = []
+    for mask, rhs in _equalities(t):
+        row = (tuple([rhs.denominator * m for m in mask] + [rhs.numerator]), rhs.denominator)
+        rows += [row, _negated(row)]
+    return rows + _NONNEGATIVE
 
 
 def _eliminate(rows: list[Row], var: int) -> tuple[list[Row], list[Row]]:
@@ -203,8 +212,8 @@ def _eliminate(rows: list[Row], var: int) -> tuple[list[Row], list[Row]]:
             lowers.append(row)
         else:
             rest.append(row)
-    negated_lowers = {_negated(row) for row in lowers}
-    up = next((row for row in uppers if row in negated_lowers), None)
+    lower_set = set(lowers)
+    up = next((row for row in uppers if _negated(row) in lower_set), None)
     if up is None:
         pairs = [(u, lo) for u in uppers for lo in lowers]
     else:
@@ -217,49 +226,32 @@ def _eliminate(rows: list[Row], var: int) -> tuple[list[Row], list[Row]]:
         nums = [scale_u * a + scale_l * b for a, b in zip(un, ln)]
         den = ud * ld
         g = math.gcd(*nums, den)
-        combined.append((tuple([n // g for n in nums]), den // g))
+        combined.append((tuple(nums), den) if g == 1 else (tuple([n // g for n in nums]), den // g))
     return rest + combined, uppers + lowers
 
 
-def _bounds(rows: list[Row], var: int, values: Mapping[int, Fraction]) -> tuple[Optional[Fraction], Optional[Fraction]]:
+def _bounds(rows: list[Row], var: int, known: list[int], den: int) -> tuple[Optional[Ratio], Optional[Ratio]]:
     """(max lower bound, min upper bound) on `var` from the rows that
-    involve it, every other atom a row involves taken at its `values`."""
-    # The known values as integers over one common denominator, so each
-    # row's bound (rhs - rest) / coeff is a single Fraction.
-    den = math.lcm(*[v.denominator for v in values.values()])
-    known = [0] * N_ATOMS
-    for i, v in values.items():
-        known[i] = v.numerator * (den // v.denominator)
-    lower: Optional[Fraction] = None
-    upper: Optional[Fraction] = None
+    involve it, every other atom a row involves taken at known[i] / den, or
+    None where no row bounds that side.  Each row's bound (rhs - rest) /
+    coeff is an integer ratio, and the tightest on each side is picked by
+    cross-multiplying."""
+    lower: Optional[Ratio] = None
+    upper: Optional[Ratio] = None
     for nums, _ in rows:
         c = nums[var]
         if c == 0:
             continue
-        rest = sum(a * x for a, x in zip(nums, known))  # known[var] is 0
-        bound = Fraction(nums[RHS] * den - rest, c * den)
+        num = nums[RHS] * den - sum([a * x for a, x in zip(nums, known)])  # known[var] is 0
         if c > 0:
-            upper = bound if upper is None else min(upper, bound)
-        else:
-            lower = bound if lower is None else max(lower, bound)
+            if upper is None or num * upper[1] < upper[0] * c * den:
+                upper = (num, c * den)
+        elif lower is None or num * lower[1] < lower[0] * c * den:  # -num / (-c den) > lower
+            lower = (-num, -c * den)
     return lower, upper
 
 
-def _system_rows(equalities: list[LinearConstraint]) -> list[Row]:
-    """The system as rows: each equality as itself and its negation, in
-    order, then the eight rows -x_i <= 0."""
-    rows: list[Row] = []
-    for con in equalities:
-        row = _row((*con.coeffs, con.rhs))
-        rows.append(row)
-        rows.append(_negated(row))
-    for i in range(N_ATOMS):
-        rows.append((tuple([-1 if j == i else 0 for j in range(N_ATOMS + 1)]), 1))
-    return rows
-
-
-def _project_to_atom(equalities: list[LinearConstraint], target: int):
-    rows = _system_rows(equalities)
+def _project_to_atom(rows: list[Row], target: int):
     stack = []
     for var in range(N_ATOMS):
         if var == target:
@@ -267,24 +259,32 @@ def _project_to_atom(equalities: list[LinearConstraint], target: int):
         rows, used = _eliminate(rows, var)
         stack.append((var, used))
     # Every row left involves the target alone or no atom at all.
-    lower, upper = _bounds(rows, target, {})
+    lower, upper = (None if b is None else Fraction(*b) for b in _bounds(rows, target, [0] * N_ATOMS, 1))
     violated = next((Fraction(nums[RHS], den) for nums, den in rows if nums[target] == 0 and nums[RHS] < 0), None)
     return lower, upper, violated, stack
 
 
 def _back_substitute(stack, target: int, target_value: Fraction) -> tuple[Fraction, ...]:
-    values: dict[int, Fraction] = {target: target_value}
+    """Set each eliminated atom, last first, to the midpoint of its bounds
+    given the atoms already set (of a half-open range, its point nearest 0;
+    0 if unbounded), keeping the atoms as integers known / den over one
+    common denominator."""
+    known = [0] * N_ATOMS
+    known[target], den = target_value.numerator, target_value.denominator
     for var, used_rows in reversed(stack):
-        lo, hi = _bounds(used_rows, var, values)
+        lo, hi = _bounds(used_rows, var, known, den)
         if lo is not None and hi is not None:
-            values[var] = (lo + hi) / 2
+            value = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
         elif lo is not None:
-            values[var] = max(lo, Fraction(0))
+            value = max(Fraction(*lo), Fraction(0))
         elif hi is not None:
-            values[var] = min(hi, Fraction(0))
+            value = min(Fraction(*hi), Fraction(0))
         else:
-            values[var] = Fraction(0)
-    return tuple([values[i] for i in range(N_ATOMS)])
+            value = Fraction(0)
+        scale = value.denominator // math.gcd(den, value.denominator)
+        known, den = [k * scale for k in known], den * scale
+        known[var] = value.numerator * (den // value.denominator)
+    return tuple([Fraction(k, den) for k in known])
 
 
 @dataclass(frozen=True)
@@ -315,8 +315,8 @@ def check_kolmogorov(t: TriadData) -> KolmogorovVerdict:
     the order of the flagship derivation; its implied bound pair is the
     certificate when contradictory, else a derived row 0 <= r with r < 0.
     """
-    equalities = joint_constraints(t)
-    lower, upper, violated, stack = _project_to_atom(equalities, _PAPER_TARGET)
+    rows = _system_rows(t)
+    lower, upper, violated, stack = _project_to_atom(rows, _PAPER_TARGET)
     if lower is not None and upper is not None and lower > upper:
         return KolmogorovVerdict(False, certificate=Certificate(lower, upper, atom_label(_PAPER_TARGET)))
     if violated is not None:
@@ -324,19 +324,20 @@ def check_kolmogorov(t: TriadData) -> KolmogorovVerdict:
     if lower is None or upper is None:  # total mass bounds every atom
         raise RuntimeError(f"the elimination left {atom_label(_PAPER_TARGET)} unbounded")
     witness = _back_substitute(stack, _PAPER_TARGET, (lower + upper) / 2)
-    _check_witness(equalities, witness)
+    _check_witness(t, rows, witness)
     return KolmogorovVerdict(True, witness=witness)
 
 
-def _check_witness(equalities: list[LinearConstraint], witness: tuple[Fraction, ...]) -> None:
+def _check_witness(t: TriadData, rows: list[Row], witness: tuple[Fraction, ...]) -> None:
     """Raise unless the witness satisfies every row of the system exactly.
     Over one common denominator den the witness is an integer vector, and
     a row nums . x <= rhs holds iff nums . (den x) <= rhs * den."""
     den = math.lcm(*[x.denominator for x in witness])
     scaled = [x.numerator * (den // x.denominator) for x in witness]
-    for i, (nums, _) in enumerate(_system_rows(equalities)):
+    for i, (nums, _) in enumerate(rows):
         if sum([a * w for a, w in zip(nums, scaled)]) > nums[RHS] * den:
-            broken = equalities[i // 2].label if i < 2 * len(equalities) else f"{atom_label(i - 2 * len(equalities))} >= 0"
+            n_eq = len(rows) - N_ATOMS  # equality rows come first, two per constraint
+            broken = joint_constraints(t)[i // 2].label if i < n_eq else f"{atom_label(i - n_eq)} >= 0"
             raise RuntimeError(f"the witness breaks {broken}")
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -35,6 +36,73 @@ def test_quantum_case_via_degenerate_cap():
     for alpha in (0.0, math.pi / 3, math.pi / 2, 2.5):
         r = conditional_quad(symmetric_query(1.0, alpha))
         assert r.value == pytest.approx(math.cos(alpha / 2) ** 2, abs=1e-12)
+
+
+UNIT = 2.0**-53
+
+
+def exact_pinned_kernel(target, center):
+    """The kernel at a zero-radius cap's center in exact rationals, from the
+    same float inputs: the exact dot, then the exact clamped ramp (or step)."""
+    x = sum(Fraction(c) * Fraction(a) for c, a in zip((center.x, center.y, center.z), (target.axis.x, target.axis.y, target.axis.z)))
+    eps, d = Fraction(target.epsilon), Fraction(target.d)
+    if eps == 0:
+        return Fraction(1) if x > d else Fraction(0) if x < d else Fraction(1, 2)
+    return min(max((x - d + eps) / (2 * eps), Fraction(0)), Fraction(1))
+
+
+def pinned_cases():
+    """Zero-radius conditioning caps: epsilon = 1 on the bench's 181-alpha
+    grid, then epsilon < 1 with the conditioning band against the pole and
+    random targets, a third of them with the dot on a band edge."""
+    for j in range(181):
+        for t_out in Outcome:
+            for c_out in Outcome:
+                yield symmetric_query(1.0, math.pi * j / 180, t_out, c_out)
+    rng = np.random.default_rng(2718)
+    for epsilon in (0.5, 0.1, 1e-3, 1e-6, 0.0):
+        for i in range(60):
+            c_out = Outcome.O1 if i % 2 else Outcome.O2
+            d = 1.0 - epsilon
+            while epsilon + d < 1.0:
+                d = math.nextafter(d, 2.0)
+            cond_axis = unit_vector_at_angle(Z_AXIS, float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
+            cond = EpsilonExperiment(cond_axis, epsilon, d if c_out is Outcome.O1 else -d)
+            axis = unit_vector_at_angle(Z_AXIS, float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
+            limit = 1.0 - epsilon
+            target_d = float(rng.uniform(-limit, limit))
+            if i % 3 == 0:
+                dot = (cond_axis if c_out is Outcome.O1 else -cond_axis).dot(axis)
+                edge = dot + (epsilon if i % 6 else -epsilon)
+                target_d = min(max(edge, -limit), limit)
+                for _ in range(int(rng.integers(0, 4))):
+                    target_d = math.nextafter(target_d, 0.0)
+            target = EpsilonExperiment(axis, epsilon, target_d)
+            yield ConditionalQuery(target, cond, Outcome.O1 if i % 4 < 2 else Outcome.O2, c_out)
+
+
+def test_zero_radius_bound_holds_against_exact_evaluation():
+    n = 0
+    for q in pinned_cases():
+        cap = conditional._conditioning_cap(q)
+        assert cap.half_angle == 0.0
+        r = conditional_quad(q)
+        exact = exact_pinned_kernel(conditional._oriented_target(q), cap.center)
+        assert abs(Fraction(r.value) - exact) <= Fraction(r.error_bound), (q, r)
+        if q.target.epsilon == 1.0:
+            assert r.error_bound <= 8 * UNIT  # a few units, not a blanket tolerance
+        n += 1
+    assert n == 181 * 4 + 5 * 60
+
+
+def test_zero_radius_mirror_identity_within_the_bounds():
+    # At epsilon = 1 the pinned value is a float dot through a ramp, so
+    # f(alpha) + f(pi - alpha) - 1 is a few units off; the two error_bounds
+    # must cover it.
+    rows = [conditional_quad(symmetric_query(1.0, math.pi * j / 180)) for j in range(181)]
+    for j, r in enumerate(rows):
+        mirror = rows[180 - j]
+        assert abs(r.value + mirror.value - 1.0) <= r.error_bound + mirror.error_bound, j
 
 
 def test_classical_case_is_linear_in_the_angle():

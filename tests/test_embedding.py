@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from test_checker_golden import golden_triads
 
 from qmachine import embedding
 from qmachine.embedding import (
@@ -12,6 +13,7 @@ from qmachine.embedding import (
     ModelClass,
     TriadData,
     _project_to_atom,
+    _system_rows,
     atom_label,
     check_hilbert2d,
     check_kolmogorov,
@@ -193,10 +195,59 @@ def test_elimination_rows_are_canonical():
     for _ in range(60):
         marg = {n: Fraction(rnd.randint(1, 99), 100) for n in "UVW"}
         conds = [(rnd.choice(names), rnd.choice(names), Fraction(rnd.randint(0, 100), 100)) for _ in range(rnd.randint(0, 5))]
-        _, _, _, stack = _project_to_atom(joint_constraints(triad(marg, conds)), _PAPER_TARGET)
+        _, _, _, stack = _project_to_atom(_system_rows(triad(marg, conds)), _PAPER_TARGET)
         for _, rows in stack:
             for nums, den in rows:
                 assert den > 0 and math.gcd(*nums, den) == 1
+
+
+def canonical_row(values):
+    """A row of Fractions as integer numerators over their lcm denominator."""
+    den = math.lcm(*[v.denominator for v in values])
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def half_family_triad(g):
+    return TriadData(
+        {"U": HALF, "V": HALF, "W": HALF},
+        (
+            CondProb(("V", True), ("W", True), g),
+            CondProb(("U", True), ("W", True), 1 - g),
+            CondProb(("U", False), ("V", True), 1 - g),
+        ),
+    )
+
+
+def test_system_rows_match_joint_constraints():
+    # The rows the checker builds straight from the triad are the canonical
+    # rows of joint_constraints, in its order: each equality, then its
+    # negation, then the eight rows -x_i <= 0.
+    rnd = random.Random(31)
+    triads = golden_triads()[:60]
+    triads += [triad_from_atoms(atoms_from_random_joint(rnd)) for _ in range(30)]
+    triads += [half_family_triad(Fraction(rnd.randint(1, 9999), 10_000)) for _ in range(30)]
+    triads += [half_family_triad(Fraction(2, 3)), paper_triad()]
+    for t in triads:
+        expected = []
+        for con in joint_constraints(t):
+            values = (*con.coeffs, con.rhs)
+            expected += [canonical_row(values), canonical_row([-v for v in values])]
+        for i in range(8):
+            expected.append(canonical_row([Fraction(-1 if j == i else 0) for j in range(9)]))
+        assert _system_rows(t) == expected
+
+
+def test_a_check_builds_the_system_once(monkeypatch):
+    # Elimination and the witness check read one set of rows; the labelled
+    # constraints are built only to name the one a broken witness violates.
+    calls = []
+    for name in ("_system_rows", "joint_constraints"):
+        build = getattr(embedding, name)
+        monkeypatch.setattr(embedding, name, lambda t, build=build, name=name: calls.append(name) or build(t))
+    for t, feasible in ((independence_triad(), True), (half_family_triad(Fraction(3, 5)), True), (paper_triad(), False)):
+        calls.clear()
+        assert check_kolmogorov(t).feasible is feasible
+        assert calls == ["_system_rows"]
 
 
 def _grid_oracle_finds_feasible(t, steps=200):
