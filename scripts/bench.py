@@ -1,64 +1,65 @@
 #!/usr/bin/env python3
 """Layer benchmark: MC kernels, cap overlap, conditionals, checker, survey, CLI sweep.
 
-MC kernel layer: times conditional_mc on the flagship query (its
-conditioned state is uniform on a cap, so every trial runs the cap
-sampler), estimate_probability_mc on one pure state, and region_census on
-the flagship survey.  For each it reports the median of REPEATS runs of
-TRIALS trials each, in ms per 1e6 trials (with the runs' quartiles), the
-median count of minor page faults per call, and the tracemalloc peak of
-one more call.
+Every timing follows one rule (`timed`): after a warm-up, call(item) runs
+a fixed number of times for each of an entry's items, and the item's
+figures are the medians over those calls of its wall seconds
+(time.perf_counter around the call alone), its CPU seconds
+(time.process_time, which a preempted process does not accrue, read just
+outside the wall window) and its minor page faults (resource.getrusage
+of this process, read outside both).  An entry reports the median over
+its items with their quartiles, in its own unit.  Its items, calls per
+item and warm-up:
 
-Sweep-row MC: conditional_mc at the sweep's SWEEP_ROW_TRIALS trials, for
-the flagship epsilon at each of SWEEP_ALPHA_STEPS alphas with the sweep's
-seeds; each alpha's time is the median of REPEATS calls, and the entry
-reports the median us per call over the alphas with their quartiles.
-
-Cap overlap: cap_intersection_fraction on CAP_PAIRS seeded pairs of caps
-(uniform centers, half-angles uniform on [0, pi]).  Conditionals:
-conditional_closed_form and conditional_quad (the exact route: the band
-average of the cap overlap from the lens's first moment) on the symmetric
-query at every point of the CLI sweep grid (CLI_SWEEP_EPSILONS x
-SWEEP_ALPHA_STEPS alphas).  Each entry times every item REPEATS times and
-reports the median us per call over the items, with their quartiles, and
-its largest error_bound.  The closed form also reports its counts of
-`valid` and `inaccurate` rows, and the exact route its misses: rows
-farther from a `valid` closed form than the two routes' error_bounds
-add up to, and rows whose mirror identity f(alpha) + f(pi - alpha) = 1
-is off by more than the two rows' error_bounds.  A row where both routes
-meet their claims is never a miss; the mirror check involves the exact
-route alone.
-
-Exact-checker layer: times check_kolmogorov on CHECKER_TRIADS seeded
-triads of each family (random rational joints with the three standard
-conditionals, the half-marginal family, random rational triads with 0-5
-random conditionals, constant-row certificates among them).  Each
-triad's time is the median of CHECKER_REPEATS calls; each family reports
-the median ms per triad with the triads' quartiles, the same for CPU ms
-(time.process_time, which a preempted process does not accrue), its
-verdict mix, and the median and largest tracemalloc peak of one call per
-triad.
-
-Survey stages, on the flagship survey (three questions at 0, 60 and 120
-degrees, 15% predetermined each way, epsilon forced to sqrt(2)/2): the fit
-(build_survey_model), predict_conditionals, region_census at
-SURVEY_CENSUS_DRAWS draws and classify_survey, each the median wall ms
-and the median CPU ms of REPEATS calls with their quartiles.
-
-End to end: CLI `sweep` over CLI_SWEEP_EPSILONS x SWEEP_ALPHA_STEPS alphas
-(the sweep's defaults otherwise, CSV to stdout, discarded), the median
-wall time of CLI_RUNS subprocess runs with their quartiles, and the rows
-per second that median gives.
+* MC kernels: conditional_mc on the flagship query (its conditioned state
+  is uniform on a cap, so every trial runs the cap sampler),
+  estimate_probability_mc on one pure state and region_census on the
+  flagship survey.  REPEATS seeds, one call of TRIALS trials each, warmed
+  by 1,000 trials; ms per 1e6 trials, the median minor faults per call
+  and the tracemalloc peak of one more call.
+* Sweep-row MC: conditional_mc at SWEEP_ROW_TRIALS trials for the
+  flagship epsilon at each of SWEEP_ALPHA_STEPS alphas with the sweep's
+  seeds, REPEATS calls each; us per call.
+* Cap overlap: cap_intersection_fraction on CAP_PAIRS seeded pairs of
+  caps (uniform centers, half-angles uniform on [0, pi]), REPEATS calls
+  each; us per call.
+* Conditionals: conditional_closed_form and conditional_quad (the exact
+  route: the band average of the cap overlap from the lens's first
+  moment) on the symmetric query at every point of the CLI sweep grid
+  (CLI_SWEEP_EPSILONS x SWEEP_ALPHA_STEPS alphas), REPEATS calls each;
+  us per call and each route's largest error_bound.  The closed form
+  also reports its counts of `valid` and `inaccurate` rows, and the
+  exact route its misses: rows farther from a `valid` closed form than
+  the two routes' error_bounds add up to, and rows whose mirror identity
+  f(alpha) + f(pi - alpha) = 1 is off by more than the two rows'
+  error_bounds.  A row where both routes meet their claims is never a
+  miss; the mirror check involves the exact route alone.
+* Exact checker: check_kolmogorov on CHECKER_TRIADS seeded triads of
+  each family (random rational joints with the three standard
+  conditionals, the half-marginal family, random rational triads with
+  0-5 random conditionals, constant-row certificates among them),
+  CHECKER_REPEATS calls each, warmed by the verdict pass over every
+  triad; wall and CPU ms per triad, the verdict mix, and the median and
+  largest tracemalloc peak of one call per triad.
+* Survey stages, on the flagship survey (three questions at 0, 60 and
+  120 degrees, 15% predetermined each way, epsilon forced to sqrt(2)/2):
+  the fit (build_survey_model), predict_conditionals, region_census at
+  SURVEY_CENSUS_DRAWS draws and classify_survey, each REPEATS single
+  calls; wall and CPU ms.
+* End to end: CLI `sweep` over CLI_SWEEP_EPSILONS x SWEEP_ALPHA_STEPS
+  alphas (the sweep's defaults otherwise, CSV to stdout, discarded),
+  CLI_RUNS single subprocess runs with no warm-up; s per run, and the
+  rows per second its median gives.
 
 Then the Python, numpy and qmachine versions and a machine note.
 Standard library and numpy only.
 
     PYTHONPATH=src python scripts/bench.py --out BENCH_<n>.json
 
-Page faults come from resource.getrusage of this process alone, so run it
-on an otherwise quiet machine and compare files made on the same one.
-TRIALS, REPEATS and the checker, sweep and CLI constants are fixed so
-that every BENCH_<n>.json is comparable.
+Page faults and CPU time are this process's alone, so run it on an
+otherwise quiet machine and compare files made on the same one.  TRIALS,
+REPEATS and the checker, sweep and CLI constants are fixed so that every
+BENCH_<n>.json is comparable.
 """
 
 from __future__ import annotations
@@ -117,89 +118,88 @@ KERNELS = {
 }
 
 
-def measure(call) -> dict:
-    call(1_000, 0)  # warm caches and lazy set-up before timing
-    times, faults = [], []
-    for seed in range(REPEATS):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        start = time.perf_counter()
-        call(TRIALS, seed)
-        times.append(time.perf_counter() - start)
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+def timed(call, items, repeats: int = REPEATS, warm=None) -> tuple[list, list, list]:
+    """Each item's median wall seconds, CPU seconds and minor page faults
+    over `repeats` calls of call(item), after warm-up calls of the items in
+    `warm` (items[0] by default).  The wall window holds the call alone: the
+    CPU clock is read outside it and the fault counter outside both."""
+    for item in items[:1] if warm is None else warm:
+        call(item)  # warm caches and lazy set-up before timing
+    wall, cpu, faults = [], [], []
+    for item in items:
+        runs = []
+        for _ in range(repeats):
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            cpu_start = time.process_time()
+            start = time.perf_counter()
+            call(item)
+            seconds = time.perf_counter() - start
+            cpu_seconds = time.process_time() - cpu_start
+            runs.append((seconds, cpu_seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt))
+        for out, values in zip((wall, cpu, faults), zip(*runs)):
+            out.append(statistics.median(values))
+    return wall, cpu, faults
+
+
+def spread(key: str, seconds, scale: float) -> dict:
+    """The median of `seconds` times `scale` under `key`, and their
+    quartiles under `key`_quartiles."""
+    values = [s * scale for s in seconds]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {key: statistics.median(values), f"{key}_quartiles": [q1, q3]}
+
+
+def traced_peak(call, *args) -> int:
+    """The tracemalloc peak of one call(*args), in bytes."""
     tracemalloc.start()
     try:
-        call(TRIALS, REPEATS)
-        peak = tracemalloc.get_traced_memory()[1]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    per_1e6 = sorted(t * 1e9 / TRIALS for t in times)
-    q1, _, q3 = statistics.quantiles(per_1e6, n=4)
+
+
+def measure(call) -> dict:
+    runs = [(TRIALS, seed) for seed in range(REPEATS)]
+    wall, _, faults = timed(lambda run: call(*run), runs, repeats=1, warm=[(1_000, 0)])
     return {
-        "ms_per_1e6_trials": statistics.median(per_1e6),
-        "ms_per_1e6_trials_quartiles": [q1, q3],
+        **spread("ms_per_1e6_trials", wall, 1e9 / TRIALS),
         "minor_faults_per_call": statistics.median(faults),
-        "tracemalloc_peak_bytes": peak,
+        "tracemalloc_peak_bytes": traced_peak(call, TRIALS, REPEATS),
     }
+
+
+def per_call_us(call, items) -> dict:
+    """The item count and the median us per call(item), with quartiles."""
+    return {"calls": len(items), **spread("us_per_call", timed(call, items)[0], 1e6)}
 
 
 def measure_sweep_row() -> dict:
     """conditional_mc as one sweep row calls it, at every alpha of one epsilon."""
     queries = [symmetric_query(SQ2, math.pi * j / (SWEEP_ALPHA_STEPS - 1)) for j in range(SWEEP_ALPHA_STEPS)]
-    conditional_mc(queries[1], SWEEP_ROW_TRIALS, 0)  # warm caches and lazy set-up before timing
-    us = []
-    for j, q in enumerate(queries):
-        runs = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            conditional_mc(q, SWEEP_ROW_TRIALS, [0, 0, j])
-            runs.append(time.perf_counter() - start)
-        us.append(statistics.median(runs) * 1e6)
-    q1, _, q3 = statistics.quantiles(us, n=4)
-    return {
-        "epsilon": SQ2,
-        "alphas": SWEEP_ALPHA_STEPS,
-        "trials_per_call": SWEEP_ROW_TRIALS,
-        "us_per_call": statistics.median(us),
-        "us_per_call_quartiles": [q1, q3],
-    }
+    runs = [(q, SWEEP_ROW_TRIALS, [0, 0, j]) for j, q in enumerate(queries)]
+    wall = timed(lambda run: conditional_mc(*run), runs, warm=[(queries[1], SWEEP_ROW_TRIALS, 0)])[0]
+    entry = {"epsilon": SQ2, "alphas": SWEEP_ALPHA_STEPS, "trials_per_call": SWEEP_ROW_TRIALS}
+    return {**entry, **spread("us_per_call", wall, 1e6)}
 
 
 def measure_cli_sweep() -> dict:
     """Wall time of the CLI sweep, interpreter start-up included."""
     argv = [sys.executable, "-m", "qmachine.cli", "sweep", "--epsilons", CLI_SWEEP_EPSILONS]
     argv += ["--alpha-steps", str(SWEEP_ALPHA_STEPS), "--seed", "0", "--out", "-"]
-    seconds = []
-    for _ in range(CLI_RUNS):
-        start = time.perf_counter()
+
+    def run(_) -> None:
         subprocess.run(argv, check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        seconds.append(time.perf_counter() - start)
-    q1, _, q3 = statistics.quantiles(seconds, n=4)
-    median = statistics.median(seconds)
+
+    timing = spread("s_per_run", timed(run, [None] * CLI_RUNS, repeats=1, warm=())[0], 1.0)
     rows = len(CLI_SWEEP_EPSILONS.split(",")) * SWEEP_ALPHA_STEPS
     return {
         "epsilons": CLI_SWEEP_EPSILONS,
         "alpha_steps": SWEEP_ALPHA_STEPS,
         "runs": CLI_RUNS,
-        "s_per_run": median,
-        "s_per_run_quartiles": [q1, q3],
-        "rows_per_s": rows / median,
+        **timing,
+        "rows_per_s": rows / timing["s_per_run"],
     }
-
-
-def per_call_us(call, items) -> dict:
-    """Median us per call(item) over the items, each item's time the median
-    of REPEATS calls, with the items' quartiles."""
-    call(items[0])  # warm caches and lazy set-up before timing
-    us = []
-    for item in items:
-        runs = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            call(item)
-            runs.append(time.perf_counter() - start)
-        us.append(statistics.median(runs) * 1e6)
-    q1, _, q3 = statistics.quantiles(us, n=4)
-    return {"calls": len(items), "us_per_call": statistics.median(us), "us_per_call_quartiles": [q1, q3]}
 
 
 def measure_cap_overlap() -> dict:
@@ -254,23 +254,9 @@ def measure_conditionals() -> dict:
 
 
 def median_ms(call) -> dict:
-    """Median wall ms of REPEATS calls, with their quartiles, and the median
-    CPU ms (process time) of the same calls, with theirs."""
-    call()  # warm caches and lazy set-up before timing
-    ms, cpu_ms = [], []
-    for _ in range(REPEATS):
-        start, cpu_start = time.perf_counter(), time.process_time()
-        call()
-        cpu_ms.append((time.process_time() - cpu_start) * 1e3)
-        ms.append((time.perf_counter() - start) * 1e3)
-    q1, _, q3 = statistics.quantiles(ms, n=4)
-    c1, _, c3 = statistics.quantiles(cpu_ms, n=4)
-    return {
-        "ms": statistics.median(ms),
-        "ms_quartiles": [q1, q3],
-        "cpu_ms": statistics.median(cpu_ms),
-        "cpu_ms_quartiles": [c1, c3],
-    }
+    """Wall and CPU ms of REPEATS single calls."""
+    wall, cpu, _ = timed(lambda _: call(), [None] * REPEATS, repeats=1)
+    return {**spread("ms", wall, 1e3), **spread("cpu_ms", cpu, 1e3)}
 
 
 def measure_survey() -> dict:
@@ -337,31 +323,11 @@ def measure_checker(make) -> dict:
     rnd = random.Random(CHECKER_SEED)
     triads = [make(rnd) for _ in range(CHECKER_TRIADS)]
     verdicts = [check_kolmogorov(t) for t in triads]  # also warms caches
-    ms, cpu_ms = [], []
-    for t in triads:
-        runs, cpu_runs = [], []
-        for _ in range(CHECKER_REPEATS):
-            start, cpu_start = time.perf_counter(), time.process_time()
-            check_kolmogorov(t)
-            cpu_runs.append(time.process_time() - cpu_start)
-            runs.append(time.perf_counter() - start)
-        ms.append(statistics.median(runs) * 1e3)
-        cpu_ms.append(statistics.median(cpu_runs) * 1e3)
-    peaks = []
-    for t in triads:
-        tracemalloc.start()
-        try:
-            check_kolmogorov(t)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    q1, _, q3 = statistics.quantiles(ms, n=4)
-    c1, _, c3 = statistics.quantiles(cpu_ms, n=4)
+    wall, cpu, _ = timed(check_kolmogorov, triads, CHECKER_REPEATS, warm=())
+    peaks = [traced_peak(check_kolmogorov, t) for t in triads]
     return {
-        "ms_per_triad": statistics.median(ms),
-        "ms_per_triad_quartiles": [q1, q3],
-        "cpu_ms_per_triad": statistics.median(cpu_ms),
-        "cpu_ms_per_triad_quartiles": [c1, c3],
+        **spread("ms_per_triad", wall, 1e3),
+        **spread("cpu_ms_per_triad", cpu, 1e3),
         "feasible": sum(v.feasible for v in verdicts),
         "constant_contradiction": sum(not v.feasible and v.certificate.expression == CONSTANT_ROW for v in verdicts),
         "tracemalloc_peak_bytes": statistics.median(peaks),

@@ -25,9 +25,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import Z_AXIS, SectorCap, UnitVector, unit_vector_at_angle
+from .errors import ConditioningError
+from .geometry import Z_AXIS, SectorCap, UnitVector, angle_between, unit_vector_at_angle
 from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, count_o1, p1_given_projection
 from .measures import (  # sample_state_array: perfbench/tracing.py wraps it here by name
+    CapUniform,
     MixedState,
     OutcomeSet,
     Uniform,
@@ -107,6 +109,24 @@ def _oriented_target(q: ConditionalQuery) -> EpsilonExperiment:
     return q.target if q.target_outcome is Outcome.O1 else q.target.flipped()
 
 
+def _pinned_state(base: MixedState, cap: SectorCap) -> UnitVector:
+    """The state a zero-radius conditioning cap pins the preparation to: its
+    center, provided the base holds it.  A uniform base always does, a
+    cap-uniform one when its closed cap contains the center (by angle, which
+    keeps a tiny cap's own center inside it), a mixture when a component of
+    positive weight does; otherwise no state of the base makes the outcome
+    certain, and ConditioningError is raised."""
+
+    def holds(mu: MixedState) -> bool:
+        if isinstance(mu, CapUniform):
+            return angle_between(mu.cap.center, cap.center) <= mu.cap.half_angle
+        return isinstance(mu, Uniform) or any(w > 0.0 and holds(m) for w, m in mu.components)
+
+    if not holds(base):
+        raise ConditioningError("the base holds no state where the zero-radius conditioning cap pins the outcome")
+    return cap.center
+
+
 def _pinned_bound(target: EpsilonExperiment, center: UnitVector, x: float) -> float:
     """Rounding bound of p1_given_projection(target, x), x the float dot of
     `center` and the target axis, against the exact kernel at the exact dot:
@@ -127,15 +147,17 @@ def conditional_quad(q: ConditionalQuery, tol: Optional[float] = None) -> Condit
     error_bound.  `tol` is ignored, kept for callers that still pass one.
 
     A zero-radius conditioning cap (epsilon = 1) pins the preparation to the
-    cap center, so the integral degenerates to the kernel value there, with
-    the dot's and the ramp's rounding as error_bound (_pinned_bound).
+    cap center (_pinned_state), so the integral degenerates to the kernel
+    value there, with the dot's and the ramp's rounding as error_bound
+    (_pinned_bound).
     """
     cap = _conditioning_cap(q)
     target = _oriented_target(q)
     if cap.half_angle <= 0.0:
-        x = cap.center.dot(target.axis)
+        center = _pinned_state(q.base, cap)
+        x = center.dot(target.axis)
         value = p1_given_projection(target, x)
-        return ConditionalResult(value, Method.QUADRATURE, _pinned_bound(target, cap.center, x), Validity.VALID)
+        return ConditionalResult(value, Method.QUADRATURE, _pinned_bound(target, center, x), Validity.VALID)
     mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))
     value, bound = outcome_law(target, OutcomeSet.O1, mu)
     return ConditionalResult(value, Method.QUADRATURE, bound, Validity.VALID)
@@ -157,7 +179,7 @@ def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> Conditio
     # then takes the break points; `gap` is the screen's float32 row.
     rows, up = chunk_workspace(trials, 4)
     if cap.half_angle <= 0.0:
-        pinned = cap.center.dot(axis)
+        pinned = _pinned_state(q.base, cap).dot(axis)
         hits = sum(count_o1(q.target, pinned, rng, rows[3, :k], up[:k]) for k in chunk_sizes(trials))
     else:
         mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))

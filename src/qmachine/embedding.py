@@ -266,21 +266,17 @@ def _project_to_atom(rows: list[Row], target: int):
 
 def _back_substitute(stack, target: int, target_value: Fraction) -> tuple[Fraction, ...]:
     """Set each eliminated atom, last first, to the midpoint of its bounds
-    given the atoms already set (of a half-open range, its point nearest 0;
-    0 if unbounded), keeping the atoms as integers known / den over one
-    common denominator."""
+    given the atoms already set, keeping the atoms as integers known / den
+    over one common denominator."""
     known = [0] * N_ATOMS
     known[target], den = target_value.numerator, target_value.denominator
     for var, used_rows in reversed(stack):
+        # Both bounds exist: the system holds total mass and every x_i >= 0,
+        # so each projection is bounded, and on a feasible system the atom's
+        # fiber over the atoms already set is a nonempty bounded interval,
+        # which the rows that involved it bound from above and from below.
         lo, hi = _bounds(used_rows, var, known, den)
-        if lo is not None and hi is not None:
-            value = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
-        elif lo is not None:
-            value = max(Fraction(*lo), Fraction(0))
-        elif hi is not None:
-            value = min(Fraction(*hi), Fraction(0))
-        else:
-            value = Fraction(0)
+        value = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
         scale = value.denominator // math.gcd(den, value.denominator)
         known, den = [k * scale for k in known], den * scale
         known[var] = value.numerator * (den // value.denominator)

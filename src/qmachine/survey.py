@@ -231,9 +231,11 @@ def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
             idx = near_threshold(pk, e.epsilon, pk, yes[:k])
             if idx.size:
                 settle_into(dk, idx, zk, fk, e.axis.z, e.axis.x)
-            np.greater_equal(dk, e.band_high, out=yes[:k])
-            # On a zero-width band (epsilon = 0) the edge itself is certain yes.
-            (np.less_equal if e.band_low < e.band_high else np.less)(dk, e.band_low, out=no[:k])
+            # The certainty caps are closed for epsilon > 0 and open on a
+            # zero-width band (epsilon = 0), where the edge itself is a tie.
+            closed = e.band_low < e.band_high
+            (np.greater_equal if closed else np.greater)(dk, e.band_high, out=yes[:k])
+            (np.less_equal if closed else np.less)(dk, e.band_low, out=no[:k])
             ck *= 3
             ck += yes8[:k]
             ck += no8[:k]

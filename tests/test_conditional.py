@@ -15,6 +15,7 @@ from qmachine.conditional import (
     symmetric_query,
 )
 from qmachine import conditional, geometry, measures
+from qmachine.errors import ConditioningError
 from qmachine.geometry import Z_AXIS, SectorCap, unit_vector_at_angle
 from qmachine.machine import MC_CHUNK, EpsilonExperiment, Outcome
 from qmachine.measures import UNIFORM, CapUniform, Mixture
@@ -103,6 +104,30 @@ def test_zero_radius_mirror_identity_within_the_bounds():
     for j, r in enumerate(rows):
         mirror = rows[180 - j]
         assert abs(r.value + mirror.value - 1.0) <= r.error_bound + mirror.error_bound, j
+
+
+def pinned_query(base):
+    """epsilon = 1: the conditioning cap pins the state to +Z; the target
+    axis is 1 rad from it."""
+    target = EpsilonExperiment(unit_vector_at_angle(Z_AXIS, 1.0), 1.0)
+    return ConditionalQuery(target, EpsilonExperiment(Z_AXIS, 1.0), base=base)
+
+
+def test_zero_radius_cap_pins_only_where_the_base_holds_its_center():
+    # No state of `away` lies within pi - 0.5 rad of +Z, and a zero-weight
+    # component that would hold +Z prepares nothing: both routes raise.
+    away = CapUniform(SectorCap(-Z_AXIS, 0.5))
+    near_z = CapUniform(SectorCap(unit_vector_at_angle(Z_AXIS, 0.1), 0.5))
+    for base in (away, Mixture(((1.0, away), (0.0, near_z)))):
+        q = pinned_query(base)
+        with pytest.raises(ConditioningError):
+            conditional_quad(q)
+        with pytest.raises(ConditioningError):
+            conditional_mc(q, 1000, 0)
+    # A base cap around +Z holds the pinned state: the uniform base's values.
+    uniform, inside = pinned_query(UNIFORM), pinned_query(CapUniform(SectorCap(Z_AXIS, 0.5)))
+    assert conditional_quad(inside) == conditional_quad(uniform)
+    assert conditional_mc(inside, 1000, 0) == conditional_mc(uniform, 1000, 0)
 
 
 def test_classical_case_is_linear_in_the_angle():

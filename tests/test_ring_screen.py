@@ -121,8 +121,9 @@ def oracle_census_counts(m, trials, seed):
         for fq in m.questions:
             e = fq.experiment
             dot = x * e.axis.x + z * e.axis.z
-            yes = dot >= e.band_high
-            no = dot <= e.band_low if e.band_low < e.band_high else dot < e.band_low
+            closed = e.band_low < e.band_high
+            yes = dot >= e.band_high if closed else dot > e.band_high
+            no = dot <= e.band_low if closed else dot < e.band_low
             codes = codes * 3 + yes + 2 * no
         tally += np.bincount(codes, minlength=27)
     return {(names[c // 9], names[c // 3 % 3], names[c % 3]): int(tally[c]) for c in np.flatnonzero(tally)}

@@ -127,6 +127,23 @@ def test_census_maximal_band_has_single_region():
     assert census.fractions == {("none", "none", "none"): 1.0}
 
 
+def test_census_reads_an_epsilon_zero_tie_as_undetermined(monkeypatch):
+    # Every respondent at z = 0 has dot 0 = d with each question along Z. At
+    # epsilon = 0 the certainty caps are open, so the tie is neither yes nor
+    # no: p1_given_projection gives it 1/2.
+    def equator(rng, zlow, z, phi, ring, scratch):
+        z.fill(0.0)
+        phi.fill(0.0)
+        ring.fill(1.0)
+
+    monkeypatch.setattr(survey, "ring_into", equator)
+    stats = [QuestionStats(l, 0.5, 0.5, 0.5) for l in ("a", "b", "c")]
+    model = build_survey_model(stats, [0.0, 0.0, 0.0])
+    assert all(fq.experiment.epsilon == 0.0 and fq.experiment.d == 0.0 for fq in model.questions)
+    census = region_census(model, 1_000, seed=0)
+    assert census.fractions == {("none", "none", "none"): 1.0}
+
+
 def test_census_rotation_invariance():
     base = [math.radians(a) for a in (0, 60, 120)]
     rotated = [a + math.radians(17.0) for a in base]
@@ -159,8 +176,10 @@ def whole_point_census(m, trials, seed):
     tally = np.zeros(27, dtype=np.int64)
     for k in chunk_sizes(trials):
         dots = sample_uniform_sphere_array(rng, k) @ axes
-        yes = dots >= high
-        status = yes + 2 * ((dots <= low) & ~yes)
+        # Certainty caps are closed for epsilon > 0 and open at epsilon = 0.
+        closed = low < high
+        yes = np.where(closed, dots >= high, dots > high)
+        status = yes + 2 * np.where(closed, dots <= low, dots < low)
         tally += np.bincount(status @ np.array([9, 3, 1]), minlength=27)
     return {
         (STATUS_NAMES[c // 9], STATUS_NAMES[c // 3 % 3], STATUS_NAMES[c % 3]): int(tally[c])
