@@ -46,7 +46,7 @@ def main() -> None:
     print("== intermediate band (epsilon = sqrt(2)/2), axes at 0/60/120 deg ==")
     for alpha_deg in (60, 120):
         alpha = math.radians(alpha_deg)
-        quad = conditional_quad(symmetric_query(SQ2, alpha), 1e-10).value
+        quad = conditional_quad(symmetric_query(SQ2, alpha)).value
         mc = conditional_mc(symmetric_query(SQ2, alpha), args.trials, args.seed)
         closed = conditional_closed_form(SQ2, alpha).value
         print(f"  alpha={alpha_deg:3d}deg  quad={quad:.6f}  mc={mc.value:.6f} +- {mc.error_bound:.6f}  closed={closed:.6f}")

@@ -3,6 +3,13 @@
 Subcommands: prob (exact outcome probabilities), simulate (seeded trial
 frequencies), conditional (the three routes), sweep (CSV table over
 alpha), check (exact embeddability verdicts), survey (poll pipeline).
+check takes a kind and exactly its flags: kolmogorov --triad, hilbert
+--gamma2, classify --triad --gamma2.
+
+Output: each command prints one JSON object on stdout, non-finite numbers
+as null (NaN) or "Infinity" / "-Infinity".  The exception is `sweep --out
+-`, which writes its CSV on stdout and its JSON summary on stderr.  A
+non-finite state or survey angle is a usage error.
 
 Exit codes: 0 for any successfully computed result, including infeasible
 verdicts; 2 for usage errors; 3 for domain errors (a well-formed request
@@ -62,6 +69,7 @@ def _default_seed() -> int:
 
 def _sanitize(value):
     """Strict JSON has no NaN/Infinity; map them to null / signed strings."""
+    # Reachable: the closed form overflows at subnormal epsilon (value nan, error_bound inf).
     if isinstance(value, float) and not math.isfinite(value):
         return None if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
     if isinstance(value, dict):
@@ -69,10 +77,6 @@ def _sanitize(value):
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
     return value
-
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(_sanitize(payload)))
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -97,36 +101,30 @@ def _state_with_projection(x: float) -> UnitVector:
     return UnitVector(math.sqrt(1.0 - x * x), 0.0, x)
 
 
-def _cmd_prob(args) -> int:
+def _cmd_prob(args) -> dict:
     x = _state_projection(args)
     e = EpsilonExperiment(Z_AXIS, args.epsilon, args.d)
     dist = outcome_probabilities(e, _state_with_projection(x))
-    _emit({"epsilon": args.epsilon, "d": args.d, "x": x, "p1": dist.p1, "p2": dist.p2})
-    return 0
+    return {"epsilon": args.epsilon, "d": args.d, "x": x, "p1": dist.p1, "p2": dist.p2}
 
 
-def _cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
+def _cmd_simulate(args) -> dict:
     x = _state_projection(args)
     e = EpsilonExperiment(Z_AXIS, args.epsilon, args.d)
     estimate, stderr = estimate_probability_mc(e, _state_with_projection(x), args.trials, args.seed)
-    _emit(
-        {
-            "epsilon": args.epsilon,
-            "d": args.d,
-            "x": x,
-            "estimate": estimate,
-            "std_error": stderr,
-            "trials": args.trials,
-            "seed": args.seed,
-            "version": __version__,
-        }
-    )
-    return 0
+    return {
+        "epsilon": args.epsilon,
+        "d": args.d,
+        "x": x,
+        "estimate": estimate,
+        "std_error": stderr,
+        "trials": args.trials,
+        "seed": args.seed,
+        "version": __version__,
+    }
 
 
-def _cmd_conditional(args) -> int:
+def _cmd_conditional(args) -> dict:
     alpha = _angle(args.alpha, args.degrees)
     if not 0.0 <= alpha <= math.pi:
         raise ValueError("alpha must lie in [0, pi] (after unit conversion)")
@@ -147,11 +145,10 @@ def _cmd_conditional(args) -> int:
             result = conditional_mc(query, args.trials, args.seed)
             payload.update(trials=args.trials, seed=args.seed, version=__version__)
     payload.update(value=result.value, error_bound=result.error_bound, validity=result.validity.value)
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> Optional[dict]:
     epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
     if not epsilons:
         raise ValueError("--epsilons needs at least one value")
@@ -173,11 +170,10 @@ def _cmd_sweep(args) -> int:
     if args.out == "-":
         write(sys.stdout)
         print(json.dumps(summary), file=sys.stderr)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write(fh)
-        _emit(summary)
-    return 0
+        return None
+    with open(args.out, "w", encoding="utf-8") as fh:
+        write(fh)
+    return summary
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -219,22 +215,25 @@ def _hilbert_payload(verdict: HilbertVerdict) -> dict:
     }
 
 
-def _cmd_check(args) -> int:
-    if args.kind == "kolmogorov":
-        _emit(_kolmogorov_payload(check_kolmogorov(_load_triad(args.triad))))
-    elif args.kind == "hilbert":
-        _emit(_hilbert_payload(check_hilbert2d(Fraction(args.gamma2))))
-    else:
-        triad = _load_triad(args.triad)
-        kolmogorov = check_kolmogorov(triad)
-        hilbert = check_hilbert2d(Fraction(args.gamma2))
-        payload = {
-            "classification": model_class(kolmogorov, hilbert).value,
-            "kolmogorov": _kolmogorov_payload(kolmogorov),
-            "hilbert2d": _hilbert_payload(hilbert),
-        }
-        _emit(payload)
-    return 0
+def _classification_payload(kolmogorov: KolmogorovVerdict, hilbert: HilbertVerdict) -> dict:
+    return {
+        "classification": model_class(kolmogorov, hilbert).value,
+        "kolmogorov": _kolmogorov_payload(kolmogorov),
+        "hilbert2d": _hilbert_payload(hilbert),
+    }
+
+
+def _cmd_kolmogorov(args) -> dict:
+    return _kolmogorov_payload(check_kolmogorov(_load_triad(args.triad)))
+
+
+def _cmd_hilbert(args) -> dict:
+    return _hilbert_payload(check_hilbert2d(Fraction(args.gamma2)))
+
+
+def _cmd_classify(args) -> dict:
+    kolmogorov = check_kolmogorov(_load_triad(args.triad))
+    return _classification_payload(kolmogorov, check_hilbert2d(Fraction(args.gamma2)))
 
 
 def _load_survey(path: str) -> tuple[list[QuestionStats], list[float]]:
@@ -253,12 +252,12 @@ def _load_survey(path: str) -> tuple[list[QuestionStats], list[float]]:
     return stats, angles
 
 
-def _cmd_survey(args) -> int:
+def _cmd_survey(args) -> dict:
     stats, angles = _load_survey(args.input)
     model = build_survey_model(stats, angles, force_epsilon=args.force_epsilon)
     census = region_census(model, args.census_trials, args.seed)
     outcome = classify_survey(model)
-    payload = {
+    return {
         "epsilon": model.epsilon,
         "forced_epsilon": args.force_epsilon,
         "questions": [
@@ -280,13 +279,9 @@ def _cmd_survey(args) -> int:
             "trials": census.trials,
             "seed": census.seed,
         },
-        "classification": outcome.model_class.value,
-        "kolmogorov": _kolmogorov_payload(outcome.kolmogorov),
-        "hilbert2d": _hilbert_payload(outcome.hilbert),
+        **_classification_payload(outcome.kolmogorov, outcome.hilbert),
         "version": __version__,
     }
-    _emit(payload)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,11 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, required=True, help="output path, or - for stdout")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("check", help="exact embeddability verdicts")
-    p.add_argument("kind", choices=("kolmogorov", "hilbert", "classify"))
-    p.add_argument("--triad", type=str, help="triad JSON file")
-    p.add_argument("--gamma2", type=str, help="adjacent transition probability, exact decimal")
-    p.set_defaults(func=_cmd_check)
+    triad = argparse.ArgumentParser(add_help=False)
+    triad.add_argument("--triad", type=str, required=True, help="triad JSON file")
+    gamma2 = argparse.ArgumentParser(add_help=False)
+    gamma2.add_argument("--gamma2", type=str, required=True, help="adjacent transition probability, exact decimal")
+    check = sub.add_parser("check", help="exact embeddability verdicts").add_subparsers(dest="kind", required=True)
+    check.add_parser("kolmogorov", parents=[triad], help="joint distribution").set_defaults(func=_cmd_kolmogorov)
+    check.add_parser("hilbert", parents=[gamma2], help="2-D transition model").set_defaults(func=_cmd_hilbert)
+    p = check.add_parser("classify", parents=[triad, gamma2], help="both checks and the model class")
+    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("survey", parents=[seeded], help="poll pipeline: fit, predict, census, classify")
     p.add_argument("--input", type=str, required=True, help="survey JSON file")
@@ -343,20 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        parser = build_parser()  # reads QMACHINE_SEED
-        args = parser.parse_args(argv)
-        if args.command == "check":
-            if args.kind in ("kolmogorov", "classify") and not args.triad:
-                parser.error(f"check {args.kind} requires --triad")
-            if args.kind in ("hilbert", "classify") and not args.gamma2:
-                parser.error(f"check {args.kind} requires --gamma2")
-        return args.func(args)
+        args = build_parser().parse_args(argv)  # reads QMACHINE_SEED
+        payload = args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if payload is not None:  # sweep --out - has already written its CSV
+        print(json.dumps(_sanitize(payload)))
+    return 0
 
 
 def run() -> None:

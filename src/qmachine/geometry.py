@@ -46,7 +46,7 @@ class UnitVector:
 
     def __post_init__(self) -> None:
         n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(n2 - 1.0) > 1e-12:
+        if not abs(n2 - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"({self.x}, {self.y}, {self.z}) is not unit length")
 
     @classmethod

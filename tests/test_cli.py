@@ -100,8 +100,40 @@ def test_conditional_mc_reruns_are_byte_identical(capsys):
 
 
 def test_simulate_zero_trials_exits_2(capsys):
-    code, _, _ = run_cli(capsys, "simulate", "--epsilon", "1", "--theta", "1", "--trials", "0")
-    assert code == 2
+    code, out, err = run_cli(capsys, "simulate", "--epsilon", "1", "--theta", "1", "--trials", "0")
+    assert code == 2 and out == ""
+    assert err == "error: trial count must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("prob", "--epsilon", "0.5", "--theta", "1", "--x", "0.5"), "give either --theta or --x, not both"),
+        (("prob", "--epsilon", "0.5", "--x", "1.5"), "--x must lie in [-1, 1]"),
+        (("conditional", "--epsilon", "0.5", "--alpha", "200", "--degrees"), "alpha must lie in [0, pi]"),
+        (("sweep", "--epsilons", ",", "--alpha-steps", "3", "--out", "-"), "--epsilons needs at least one value"),
+        (("prob", "--epsilon", "0.5", "--theta", "nan"), "is not unit length"),
+        (("simulate", "--epsilon", "0.5", "--theta", "nan", "--trials", "10"), "is not unit length"),
+    ],
+)
+def test_usage_errors_exit_2_with_their_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_non_finite_values_print_as_null_and_signed_strings(capsys, monkeypatch):
+    monkeypatch.setattr(qmachine.cli, "_cmd_prob", lambda args: {"a": math.nan, "b": [math.inf, -math.inf]})
+    code, out, _ = run_cli(capsys, "prob", "--epsilon", "0.5", "--x", "0")
+    assert code == 0
+    assert out == '{"a": null, "b": ["Infinity", "-Infinity"]}\n'
+
+
+def test_closed_form_overflow_at_subnormal_epsilon_prints_strict_json(capsys):
+    code, out, _ = run_cli(capsys, "conditional", "--method", "formula", "--epsilon", "1e-320", "--alpha", "1")
+    assert code == 0
+    payload = json.loads(out, parse_constant=pytest.fail)
+    assert payload["value"] is None and payload["error_bound"] == "Infinity"
 
 
 def test_seed_env_default(capsys, monkeypatch):
@@ -276,10 +308,37 @@ def test_check_classify_runs_each_check_once(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["kolmogorov"]["certificate"]["lower"] == "7/25"
 
 
-def test_check_missing_flags(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (("check",), "kind"),
+        (("check", "kolmogorov"), "--triad"),
+        (("check", "hilbert"), "--gamma2"),
+        (("check", "classify", "--gamma2", "0.78"), "--triad"),
+        (("check", "classify", "--triad", "t.json"), "--gamma2"),
+        (("check", "classify"), "--triad, --gamma2"),
+    ],
+    ids=["no-kind", "kolmogorov", "hilbert", "classify-triad", "classify-gamma2", "classify-both"],
+)
+def test_check_missing_flags(capsys, argv, missing):
     with pytest.raises(SystemExit) as err:
-        main(["check", "kolmogorov"])
+        main(list(argv))
     assert err.value.code == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "kolmogorov", "--triad", "t.json", "--gamma2", "0.5"),
+        ("check", "hilbert", "--gamma2", "0.5", "--triad", "t.json"),
+    ],
+)
+def test_check_rejects_a_flag_its_kind_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def survey_file(tmp_path, pre=0.15, angles=(0, 60, 120)):
@@ -349,6 +408,12 @@ def test_survey_malformed_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run_cli(capsys, "survey", "--input", str(path), "--census-trials", "10")
     assert code == 2 and err
+
+
+def test_survey_nan_angle_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "survey", "--input", survey_file(tmp_path, angles=(0, math.nan, 120)), "--census-trials", "10")
+    assert code == 2 and out == ""
+    assert "not unit length" in err
 
 
 def test_survey_missing_key_exits_2(tmp_path, capsys):

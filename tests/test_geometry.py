@@ -30,6 +30,13 @@ def test_unit_vector_rejects_non_unit():
         UnitVector(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("coords", [(math.nan, 0.0, math.nan), (0.0, 0.0, math.nan), (math.inf, 0.0, 0.0)])
+def test_unit_vector_rejects_non_finite(coords):
+    # A NaN norm compares false with every bound, so the check must fail closed.
+    with pytest.raises(ValueError):
+        UnitVector(*coords)
+
+
 def test_normalized_and_negation():
     v = UnitVector.normalized(3.0, 4.0, 0.0)
     assert v.x == pytest.approx(0.6) and v.y == pytest.approx(0.8)
