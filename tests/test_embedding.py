@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,36 @@ def test_wrong_witness_raises(monkeypatch, wrong, broken):
     monkeypatch.setattr(embedding, "_back_substitute", lambda stack, target, value: wrong)
     with pytest.raises(RuntimeError, match=broken):
         check_kolmogorov(independence_triad())
+
+
+# The U xor V xor W parity of each atom: orthogonal to every event mask on
+# at most two variables, so adding it to a joint keeps every equality.
+PARITY = tuple((-1) ** bin(i).count("1") for i in range(8))
+
+
+def test_check_witness_names_the_broken_constraint():
+    rnd = random.Random(41)
+    for _ in range(20):
+        t = triad_from_atoms(atoms_from_random_joint(rnd))
+        rows = _system_rows(t)
+        witness = check_kolmogorov(t).witness
+        embedding._check_witness(t, rows, witness)
+        # Mass moved between two atoms keeps the total but breaks the first
+        # constraint, in joint_constraints order, that tells them apart.
+        src, dst = rnd.sample(range(8), 2)
+        shift = witness[src] or Fraction(1, 1000)
+        moved = [x - shift if i == src else x + shift if i == dst else x for i, x in enumerate(witness)]
+        broken = [c.label for c in joint_constraints(t) if sum(a * x for a, x in zip(c.coeffs, moved)) != c.rhs]
+        assert broken and broken[0] != "total mass"
+        with pytest.raises(RuntimeError, match=re.escape(f"the witness breaks {broken[0]}")):
+            embedding._check_witness(t, rows, tuple(moved))
+        # The parity vector pushes an atom below 0 and keeps every equality.
+        low = min((i for i in range(8) if PARITY[i] < 0), key=lambda i: witness[i])
+        step = witness[low] + Fraction(1, 1000)
+        negative = tuple(x + step * s for x, s in zip(witness, PARITY))
+        first = next(i for i, x in enumerate(negative) if x < 0)
+        with pytest.raises(RuntimeError, match=re.escape(f"the witness breaks {atom_label(first)} >= 0")):
+            embedding._check_witness(t, rows, negative)
 
 
 def test_random_joint_round_trips_feasible():
