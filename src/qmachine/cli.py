@@ -92,6 +92,8 @@ def _state_projection(args) -> float:
         return args.x
     if args.theta is None:
         raise ValueError("one of --theta or --x is required")
+    if not math.isfinite(args.theta):
+        raise ValueError(f"--theta must be finite, got {args.theta}")
     return math.cos(_angle(args.theta, args.degrees))
 
 

@@ -5,11 +5,13 @@ events can reproduce the given marginals and Bayes-rule conditionals; the
 unknowns are the eight atom probabilities of the U/V/W sign table, and
 feasibility is decided by exact Fourier-Motzkin elimination over
 rationals.  Each equality constraint is substituted when its atom is
-eliminated, so the row count stays linear; inequalities are paired only
-for atoms no remaining equality involves.  Rows are canonical integer
-rows (numerators over one common denominator, reduced by their gcd),
-built once from the triad, each event an 8-atom mask: elimination,
-back-substitution and the witness check all run on them in Python ints,
+eliminated, so the row count stays linear, and back-substitution reads
+that atom from the equality alone; inequalities are paired only for
+atoms no remaining equality involves.  Rows are canonical integer rows
+(numerators over one common denominator, reduced by their gcd), built
+once from the triad's numerators and denominators, each event an 8-atom
+mask: elimination, back-substitution and the witness check (each
+equality once, then each atom's sign) all run on them in Python ints,
 and only the bounds and witness reported are Fractions.  An infeasible
 verdict's certificate is a crossed pair of implied bounds on one atom,
 or a derived row 0 <= r with r < 0.
@@ -18,7 +20,7 @@ check_hilbert2d asks whether the symmetric transition-probability table
 (all cyclically adjacent pairs gamma^2, all skew pairs delta^2) can be
 realized by three orthonormal bases of a 2-D complex inner-product space;
 the five relative phases collapse to one solvability condition on a
-cosine.
+cosine, tested on the numerator and denominator of gamma^2.
 
 Everything here is exact rational arithmetic: the interesting verdicts
 hinge on strict inequality gaps, and no tolerance should be able to blur
@@ -30,6 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -105,10 +108,6 @@ class TriadData:
             if not 0 <= p <= 1:
                 raise ValueError(f"probability {p} outside [0, 1]")
 
-    def marginal_of(self, ev: Event) -> Fraction:
-        m = self.marginals[ev[0]]
-        return m if ev[1] else 1 - m
-
 
 def paper_triad() -> TriadData:
     """The flagship instance: three half/half experiments whose pairwise
@@ -133,13 +132,20 @@ class LinearConstraint:
     label: str
 
 
-def _equalities(t: TriadData) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Each equality constraint as (atom mask, rhs): total mass, the
-    marginals, then each conditional turned into an intersection mass using
-    the given conditioning marginal."""
-    eqs = [(_mask(), Fraction(1))]
-    eqs += [(_mask((name, True)), t.marginals[name]) for name in VARIABLES]
-    eqs += [(_mask(c.event, c.given), c.p * t.marginal_of(c.given)) for c in t.conditionals]
+def _equalities(t: TriadData) -> list[tuple[tuple[int, ...], int, int]]:
+    """Each equality constraint as (atom mask, rhs numerator, rhs
+    denominator) in lowest terms: total mass, the marginals, then each
+    conditional P(event | given) = p turned into the intersection mass
+    p P(given), formed from numerators and denominators with one gcd."""
+    marginals = t.marginals
+    eqs = [(_mask(), 1, 1)]
+    eqs += [(_mask((name, True)), marginals[name].numerator, marginals[name].denominator) for name in VARIABLES]
+    for c in t.conditionals:
+        (name, positive), m = c.given, marginals[c.given[0]]
+        num = c.p.numerator * (m.numerator if positive else m.denominator - m.numerator)
+        den = c.p.denominator * m.denominator
+        g = math.gcd(num, den)
+        eqs.append((_mask(c.event, c.given), num // g, den // g))
     return eqs
 
 
@@ -152,8 +158,8 @@ def joint_constraints(t: TriadData) -> list[LinearConstraint]:
         f"P({event_label(c.event)} | {event_label(c.given)}) * P({event_label(c.given)})" for c in t.conditionals
     ]
     return [
-        LinearConstraint(tuple([Fraction(m) for m in mask]), rhs, label)
-        for (mask, rhs), label in zip(_equalities(t), labels)
+        LinearConstraint(tuple([Fraction(m) for m in mask]), Fraction(num, den), label)
+        for (mask, num, den), label in zip(_equalities(t), labels)
     ]
 
 
@@ -186,48 +192,54 @@ def _system_rows(t: TriadData) -> list[Row]:
     """The system as rows: each equality of joint_constraints, in order, as
     itself and its negation, then the eight rows -x_i <= 0."""
     rows: list[Row] = []
-    for mask, rhs in _equalities(t):
-        row = (tuple([rhs.denominator * m for m in mask] + [rhs.numerator]), rhs.denominator)
+    for mask, num, den in _equalities(t):
+        row = (tuple([den * m for m in mask] + [num]), den)
         rows += [row, _negated(row)]
     return rows + _NONNEGATIVE
 
 
+def _combination(r: Row, s: int, q: Row, t: int) -> Row:
+    """The canonical row with numerators s r + t q over r's and q's
+    denominators multiplied."""
+    nums = [s * a + t * b for a, b in zip(r[0], q[0])]
+    den = r[1] * q[1]
+    g = math.gcd(*nums, den)
+    return (tuple(nums), den) if g == 1 else (tuple([n // g for n in nums]), den // g)
+
+
 def _eliminate(rows: list[Row], var: int) -> tuple[list[Row], list[Row]]:
     """Project the system onto the remaining variables; returns (projected
-    rows, the rows that involved `var`, kept for back-substitution).
+    rows, the rows kept to bound `var` in back-substitution).
 
-    When an equality (a row whose exact negation is also present) involves
-    `var`, it is substituted: every upper row meets only the equality's
-    lower half and every lower row its upper half.  That is the same exact
-    projection as pairing all uppers with all lowers, and it keeps the row
-    count linear.  Substitution maps equality pairs to equality pairs, so
-    later steps find theirs again.
+    When an equality (a row `up` with coefficient c > 0 on `var` whose
+    exact negation `down` is also present) involves `var`, it is
+    substituted: every other row r that involves `var` becomes
+    c r - r[var] up, which is r paired with `down` for an upper r and with
+    `up` for a lower one.  That is the same exact projection as pairing all
+    uppers with all lowers, and it keeps the row count linear.  The pair
+    alone is kept: on any point of the projection it fixes `var` at the
+    one value the other rows allow.  Substitution maps equality pairs to
+    equality pairs, so later steps find theirs again.
     """
     uppers, lowers, rest = [], [], []
     for row in rows:
-        c = row[0][var]
-        if c > 0:
+        coeff = row[0][var]
+        if coeff > 0:
             uppers.append(row)
-        elif c < 0:
+        elif coeff < 0:
             lowers.append(row)
         else:
             rest.append(row)
     lower_set = set(lowers)
-    up = next((row for row in uppers if _negated(row) in lower_set), None)
-    if up is None:
-        pairs = [(u, lo) for u in uppers for lo in lowers]
-    else:
+    for up in uppers:
         down = _negated(up)
-        pairs = [(u, down) for u in uppers if u != up] + [(up, lo) for lo in lowers if lo != down]
-    combined = []
-    for (un, ud), (ln, ld) in pairs:
-        scale_u = -ln[var]
-        scale_l = un[var]
-        nums = [scale_u * a + scale_l * b for a, b in zip(un, ln)]
-        den = ud * ld
-        g = math.gcd(*nums, den)
-        combined.append((tuple(nums), den) if g == 1 else (tuple([n // g for n in nums]), den // g))
-    return rest + combined, uppers + lowers
+        if down in lower_set:
+            break
+    else:
+        return rest + [_combination(u, -lo[0][var], lo, u[0][var]) for u in uppers for lo in lowers], uppers + lowers
+    c = up[0][var]
+    combined = [_combination(r, c, up, -r[0][var]) for r in uppers + lowers if r != up and r != down]
+    return rest + combined, [up, down]
 
 
 def _bounds(rows: list[Row], var: int, known: list[int], den: int) -> tuple[Optional[Ratio], Optional[Ratio]]:
@@ -242,7 +254,7 @@ def _bounds(rows: list[Row], var: int, known: list[int], den: int) -> tuple[Opti
         c = nums[var]
         if c == 0:
             continue
-        num = nums[RHS] * den - sum([a * x for a, x in zip(nums, known)])  # known[var] is 0
+        num = nums[RHS] * den - sum(map(operator.mul, nums, known))  # known[var] is 0
         if c > 0:
             if upper is None or num * upper[1] < upper[0] * c * den:
                 upper = (num, c * den)
@@ -251,35 +263,43 @@ def _bounds(rows: list[Row], var: int, known: list[int], den: int) -> tuple[Opti
     return lower, upper
 
 
+def _midpoint(lower: Ratio, upper: Ratio) -> Ratio:
+    """(lower + upper) / 2 in lowest terms."""
+    num, den = lower[0] * upper[1] + upper[0] * lower[1], 2 * lower[1] * upper[1]
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def _project_to_atom(rows: list[Row], target: int):
     stack = []
     for var in range(N_ATOMS):
         if var == target:
             continue
-        rows, used = _eliminate(rows, var)
-        stack.append((var, used))
+        rows, kept = _eliminate(rows, var)
+        stack.append((var, kept))
     # Every row left involves the target alone or no atom at all.
-    lower, upper = (None if b is None else Fraction(*b) for b in _bounds(rows, target, [0] * N_ATOMS, 1))
+    lower, upper = _bounds(rows, target, [0] * N_ATOMS, 1)
     violated = next((Fraction(nums[RHS], den) for nums, den in rows if nums[target] == 0 and nums[RHS] < 0), None)
     return lower, upper, violated, stack
 
 
-def _back_substitute(stack, target: int, target_value: Fraction) -> tuple[Fraction, ...]:
+def _back_substitute(stack, target: int, target_value: Ratio) -> tuple[Fraction, ...]:
     """Set each eliminated atom, last first, to the midpoint of its bounds
     given the atoms already set, keeping the atoms as integers known / den
-    over one common denominator."""
+    over one common denominator; only the witness returned is Fractions."""
     known = [0] * N_ATOMS
-    known[target], den = target_value.numerator, target_value.denominator
-    for var, used_rows in reversed(stack):
+    known[target], den = target_value
+    for var, rows in reversed(stack):
         # Both bounds exist: the system holds total mass and every x_i >= 0,
         # so each projection is bounded, and on a feasible system the atom's
         # fiber over the atoms already set is a nonempty bounded interval,
-        # which the rows that involved it bound from above and from below.
-        lo, hi = _bounds(used_rows, var, known, den)
-        value = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
-        scale = value.denominator // math.gcd(den, value.denominator)
-        known, den = [k * scale for k in known], den * scale
-        known[var] = value.numerator * (den // value.denominator)
+        # which the rows kept for it bound from above and from below (a
+        # substituted equality pins both ends to the one value it allows).
+        num, value_den = _midpoint(*_bounds(rows, var, known, den))
+        scale = value_den // math.gcd(den, value_den)
+        if scale != 1:
+            known, den = [k * scale for k in known], den * scale
+        known[var] = num * (den // value_den)
     return tuple([Fraction(k, den) for k in known])
 
 
@@ -313,28 +333,30 @@ def check_kolmogorov(t: TriadData) -> KolmogorovVerdict:
     """
     rows = _system_rows(t)
     lower, upper, violated, stack = _project_to_atom(rows, _PAPER_TARGET)
-    if lower is not None and upper is not None and lower > upper:
-        return KolmogorovVerdict(False, certificate=Certificate(lower, upper, atom_label(_PAPER_TARGET)))
+    if lower is not None and upper is not None and lower[0] * upper[1] > upper[0] * lower[1]:
+        return KolmogorovVerdict(False, certificate=Certificate(Fraction(*lower), Fraction(*upper), atom_label(_PAPER_TARGET)))
     if violated is not None:
         return KolmogorovVerdict(False, certificate=Certificate(Fraction(0), violated, "0"))
     if lower is None or upper is None:  # total mass bounds every atom
         raise RuntimeError(f"the elimination left {atom_label(_PAPER_TARGET)} unbounded")
-    witness = _back_substitute(stack, _PAPER_TARGET, (lower + upper) / 2)
+    witness = _back_substitute(stack, _PAPER_TARGET, _midpoint(lower, upper))
     _check_witness(t, rows, witness)
     return KolmogorovVerdict(True, witness=witness)
 
 
 def _check_witness(t: TriadData, rows: list[Row], witness: tuple[Fraction, ...]) -> None:
-    """Raise unless the witness satisfies every row of the system exactly.
-    Over one common denominator den the witness is an integer vector, and
-    a row nums . x <= rhs holds iff nums . (den x) <= rhs * den."""
+    """Raise unless the witness satisfies the system exactly: each equality,
+    read from the first of its two rows, holds with ==, and each atom is
+    >= 0.  Over one common denominator den the witness is an integer
+    vector, and nums . x = rhs holds iff nums . (den x) == rhs * den."""
     den = math.lcm(*[x.denominator for x in witness])
     scaled = [x.numerator * (den // x.denominator) for x in witness]
-    for i, (nums, _) in enumerate(rows):
-        if sum([a * w for a, w in zip(nums, scaled)]) > nums[RHS] * den:
-            n_eq = len(rows) - N_ATOMS  # equality rows come first, two per constraint
-            broken = joint_constraints(t)[i // 2].label if i < n_eq else f"{atom_label(i - n_eq)} >= 0"
-            raise RuntimeError(f"the witness breaks {broken}")
+    for i, (nums, _) in enumerate(rows[:-N_ATOMS:2]):  # equality rows come first, two per constraint
+        if sum(map(operator.mul, nums, scaled)) != nums[RHS] * den:
+            raise RuntimeError(f"the witness breaks {joint_constraints(t)[i].label}")
+    for i, x in enumerate(scaled):
+        if x < 0:
+            raise RuntimeError(f"the witness breaks {atom_label(i)} >= 0")
 
 
 @dataclass(frozen=True)
@@ -359,11 +381,15 @@ def check_hilbert2d(gamma2: RationalLike) -> HilbertVerdict:
     required cosine.  Values outside [0, 1] raise ValueError.
     """
     g = to_fraction(gamma2)
-    if not 0 <= g <= 1:
+    a, b = g.numerator, g.denominator
+    if not 0 <= a <= b:
         raise ValueError("gamma^2 must lie in [0, 1]")
-    d = 1 - g
-    required = (1 - 2 * g) / (2 * d) if d else None
-    return HilbertVerdict(required is not None and abs(required) <= 1, g, d, required)
+    # With g = a / b: delta^2 = (b - a) / b, already in lowest terms, and
+    # the cosine is (b - 2a) / (2 (b - a)), within [-1, 1] iff
+    # |b - 2a| <= 2 (b - a).
+    if a == b:
+        return HilbertVerdict(False, g, Fraction(0), None)
+    return HilbertVerdict(abs(b - 2 * a) <= 2 * (b - a), g, Fraction(b - a, b), Fraction(b - 2 * a, 2 * (b - a)))
 
 
 class ModelClass(enum.Enum):

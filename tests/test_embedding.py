@@ -230,6 +230,10 @@ def test_elimination_rows_are_canonical():
         for _, rows in stack:
             for nums, den in rows:
                 assert den > 0 and math.gcd(*nums, den) == 1
+            # A step that substituted an equality keeps exactly that row and
+            # its negation; a paired step keeps no row with its negation.
+            negations = [(tuple(-n for n in nums), den) for nums, den in rows]
+            assert not set(negations) & set(rows) or (len(rows) == 2 and negations[0] == rows[1])
 
 
 def canonical_row(values):
