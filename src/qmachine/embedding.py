@@ -141,8 +141,8 @@ def _equalities(t: TriadData) -> list[tuple[tuple[int, ...], int, int]]:
     eqs = [(_mask(), 1, 1)]
     eqs += [(_mask((name, True)), marginals[name].numerator, marginals[name].denominator) for name in VARIABLES]
     for c in t.conditionals:
-        (name, positive), m = c.given, marginals[c.given[0]]
-        num = c.p.numerator * (m.numerator if positive else m.denominator - m.numerator)
+        m = marginals[c.given[0]]
+        num = c.p.numerator * (m.numerator if c.given[1] else m.denominator - m.numerator)
         den = c.p.denominator * m.denominator
         g = math.gcd(num, den)
         eqs.append((_mask(c.event, c.given), num // g, den // g))
@@ -384,12 +384,10 @@ def check_hilbert2d(gamma2: RationalLike) -> HilbertVerdict:
     a, b = g.numerator, g.denominator
     if not 0 <= a <= b:
         raise ValueError("gamma^2 must lie in [0, 1]")
-    # With g = a / b: delta^2 = (b - a) / b, already in lowest terms, and
-    # the cosine is (b - 2a) / (2 (b - a)), within [-1, 1] iff
-    # |b - 2a| <= 2 (b - a).
-    if a == b:
-        return HilbertVerdict(False, g, Fraction(0), None)
-    return HilbertVerdict(abs(b - 2 * a) <= 2 * (b - a), g, Fraction(b - a, b), Fraction(b - 2 * a, 2 * (b - a)))
+    # With g = a / b the cosine is (b - 2a) / (2 (b - a)), within [-1, 1]
+    # iff |b - 2a| <= 2 (b - a).
+    required = Fraction(b - 2 * a, 2 * (b - a)) if a != b else None
+    return HilbertVerdict(a != b and abs(b - 2 * a) <= 2 * (b - a), g, Fraction(b - a, b), required)
 
 
 class ModelClass(enum.Enum):
