@@ -271,6 +271,9 @@ def _midpoint(lower: Ratio, upper: Ratio) -> Ratio:
 
 
 def _project_to_atom(rows: list[Row], target: int):
+    """Eliminate every atom but `target`: returns the target's (lower,
+    upper) bounds as integer ratios or None, the first violated constant
+    row's rhs as a Fraction or None, and the (var, kept rows) stack."""
     stack = []
     for var in range(N_ATOMS):
         if var == target:
