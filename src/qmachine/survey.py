@@ -38,7 +38,7 @@ from .geometry import (  # sample_uniform_sphere_array: perfbench/tracing.py wra
     sample_uniform_sphere_array,
     unit_vector_at_angle,
 )
-from .machine import EpsilonExperiment, Outcome, chunk_sizes, chunk_workspace, near_threshold, ring_into, settle_into
+from .machine import EpsilonExperiment, Outcome, chunk_workspace, near_threshold, ring_into, run_chunks, settle_into
 
 # Denominator cap when snapping numerically computed conditionals to exact
 # rationals.  Large enough to keep the snap error ~1e-4 at most, small
@@ -198,7 +198,9 @@ def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
     within RING_ERR of a band edge gets the float64 dot (settle_into) before
     its status is read, so the tally is bitwise the float64 one.  Each
     question's status is 0 undetermined, 1 certain yes or 2 certain no, and
-    the three statuses read as one base-3 number index the tally.
+    the three statuses read as one base-3 number index the tally.  Every
+    draw fills a whole row, so a large census splits across CPUs
+    (run_chunks).
     """
     if len(m.questions) != 3:
         raise ValueError("the census is defined for exactly three questions")
@@ -215,33 +217,39 @@ def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
     # is free by then.
     yes8, no8 = yes.view(np.uint8), no.view(np.uint8)
     digits, codes = np.empty(len(yes), dtype=np.uint8), phi.view(np.intp)
-    tally = np.zeros(27, dtype=np.int64)
-    for k in chunk_sizes(trials):
-        zk, fk, xk, dk, pk, ck = z[:k], phi[:k], x[:k], dot[:k], zpart[:k], digits[:k]
-        ring_into(rng, -1.0, zk, fk, xk, dk)
-        ck.fill(0)
-        for e in experiments:
-            np.multiply(xk, e.axis.x, out=dk)
-            np.multiply(zk, e.axis.z, out=pk)
-            dk += pk
-            # The band edges are d -+ epsilon: settle the dots within
-            # RING_ERR of one, where ||dot - d| - epsilon| <= RING_ERR.
-            np.subtract(dk, e.d, out=pk)
-            np.abs(pk, out=pk)
-            idx = near_threshold(pk, e.epsilon, pk, yes[:k])
-            if idx.size:
-                settle_into(dk, idx, zk, fk, e.axis.z, e.axis.x)
-            # The certainty caps are closed for epsilon > 0 and open on a
-            # zero-width band (epsilon = 0), where the edge itself is a tie.
-            closed = e.band_low < e.band_high
-            (np.greater_equal if closed else np.greater)(dk, e.band_high, out=yes[:k])
-            (np.less_equal if closed else np.less)(dk, e.band_low, out=no[:k])
-            ck *= 3
-            ck += yes8[:k]
-            ck += no8[:k]
-            ck += no8[:k]
-        np.copyto(codes[:k], ck)
-        tally += np.bincount(codes[:k], minlength=27)
+
+    def body(stream, windows) -> np.ndarray:
+        tally = np.zeros(27, dtype=np.int64)
+        for lo, hi in windows:
+            zk, fk, xk, dk, pk, ck = z[lo:hi], phi[lo:hi], x[lo:hi], dot[lo:hi], zpart[lo:hi], digits[lo:hi]
+            yk, nk, y8, n8, codek = yes[lo:hi], no[lo:hi], yes8[lo:hi], no8[lo:hi], codes[lo:hi]
+            ring_into(stream, -1.0, zk, fk, xk, dk)
+            ck.fill(0)
+            for e in experiments:
+                np.multiply(xk, e.axis.x, out=dk)
+                np.multiply(zk, e.axis.z, out=pk)
+                dk += pk
+                # The band edges are d -+ epsilon: settle the dots within
+                # RING_ERR of one, where ||dot - d| - epsilon| <= RING_ERR.
+                np.subtract(dk, e.d, out=pk)
+                np.abs(pk, out=pk)
+                idx = near_threshold(pk, e.epsilon, pk, yk)
+                if idx.size:
+                    settle_into(dk, idx, zk, fk, e.axis.z, e.axis.x)
+                # The certainty caps are closed for epsilon > 0 and open on a
+                # zero-width band (epsilon = 0), where the edge itself is a tie.
+                closed = e.band_low < e.band_high
+                (np.greater_equal if closed else np.greater)(dk, e.band_high, out=yk)
+                (np.less_equal if closed else np.less)(dk, e.band_low, out=nk)
+                ck *= 3
+                ck += y8
+                ck += n8
+                ck += n8
+            np.copyto(codek, ck)
+            tally += np.bincount(codek, minlength=27)
+        return tally
+
+    tally = run_chunks(rng, trials, body, True)
     names = ("none", "yes", "no")
     fractions = {}
     errors = {}

@@ -1,15 +1,25 @@
-"""Monte Carlo counts past two MC_CHUNKs are pinned: these were recorded
-with qmachine 0.8.1 on one core, at a trial count above the size where a
-call may spread its columns over several CPUs, so such a split has to
-reproduce the serial stream draw for draw."""
+"""A large Monte Carlo call splits its chunk columns over the process's
+CPUs (machine.run_chunks).  The counts at 2^21 + 7 trials below were
+recorded with qmachine 0.8.1 on one core, so the split has to reproduce
+the serial stream draw for draw; the other tests force the split on small
+calls, where the fixed-seed counts, the streaming memory bounds, worker
+failures and thread counts are checked."""
 
 import math
+import threading
+import time
 
+import numpy as np
+import pytest
+import test_fixed_seed
+import test_streaming
+
+from qmachine import machine
 from qmachine.conditional import conditional_mc, symmetric_query
 from qmachine.geometry import Z_AXIS, unit_vector_at_angle
-from qmachine.machine import EpsilonExperiment, estimate_probability_mc
+from qmachine.machine import MC_CHUNK, EpsilonExperiment, chunk_sizes, estimate_probability_mc, run_chunks
 from qmachine.survey import QuestionStats, build_survey_model, region_census
-from test_fixed_seed import CENSUS_KEYS, QUERIES, SEED
+from test_fixed_seed import CENSUS_COUNTS, CENSUS_KEYS, NS, QUERIES, SEED
 
 N = 2**21 + 7
 SQ2 = math.sqrt(2) / 2
@@ -49,3 +59,140 @@ def test_large_estimate_is_pinned():
 
 def test_large_census_is_pinned():
     assert census_counts(N) == LARGE_CENSUS_COUNTS
+
+
+class Windows(machine._Window):
+    """machine._Window that records the columns of every part it serves."""
+
+    made: list = []
+
+    def __init__(self, rng, n, lo, hi):
+        super().__init__(rng, n, lo, hi)
+        self.made.append((lo, hi))
+
+
+@pytest.fixture(params=[2, 3], ids=["2-parts", "3-parts"])
+def split(request, monkeypatch):
+    """Split every eligible call of at least 2 MC_CHUNKs into request.param
+    parts, whatever the CPU count; yields the list of parts' columns."""
+    monkeypatch.setattr(machine, "_SPLIT_MIN", 2 * MC_CHUNK)
+    monkeypatch.setattr(machine, "_CPUS", request.param)
+    monkeypatch.setattr(machine, "_Window", Windows)
+    Windows.made = []
+    return Windows.made
+
+
+def test_default_split_runs_at_the_pinned_size():
+    assert MC_CHUNK <= machine._SPLIT_MIN <= N and machine._SPLIT_MIN % MC_CHUNK == 0
+
+
+def owned(parts):
+    """Each part's columns of a chunk, for a call of at least MC_CHUNK trials."""
+    return [(MC_CHUNK * p // parts, MC_CHUNK * (p + 1) // parts) for p in range(parts)]
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_split_conditional_mc_keeps_the_fixed_seed_counts(split, name):
+    test_fixed_seed.test_conditional_mc_is_pinned(name)
+    # A mixture base draws its multinomial first, and an epsilon = 0 target
+    # its tie coins in a data-dependent number: both stay serial.
+    assert sorted(split) == ([] if name in ("mixture", "ties") else owned(machine._CPUS))
+
+
+def test_split_estimate_keeps_the_fixed_seed_counts(split):
+    test_fixed_seed.test_estimate_probability_mc_is_pinned()
+    assert sorted(split) == owned(machine._CPUS)
+
+
+def test_split_census_keeps_the_fixed_seed_counts(split):
+    test_fixed_seed.test_region_census_is_pinned()
+    assert sorted(split) == owned(machine._CPUS)
+
+
+def test_epsilon_zero_estimate_stays_serial(split):
+    e = EpsilonExperiment(Z_AXIS, 0.0, 0.0)
+    estimate_probability_mc(e, unit_vector_at_angle(Z_AXIS, 0.5 * math.pi), 3 * MC_CHUNK, SEED)
+    assert split == []
+
+
+def test_a_lagging_first_part_keeps_its_columns(split, monkeypatch):
+    # Part 0 stalls after its first fill while the other parts run on to the
+    # short last chunk.  Each part owns its columns for the whole call, so
+    # nothing the others write there reaches part 0's first chunk.
+    fill = machine._Window.random
+    lagged = []
+
+    def random(self, out):
+        fill(self, out)
+        if self.cols[0] == 0 and not lagged:
+            lagged.append(True)
+            time.sleep(0.02)
+        return out
+
+    monkeypatch.setattr(machine._Window, "random", random)
+    assert census_counts(NS[2]) == CENSUS_COUNTS[2]
+    assert lagged
+
+
+def serial_draws(n):
+    return np.random.default_rng(SEED).random(n)
+
+
+def draws_by_window(n):
+    """Every chunk's draws of an n-trial call through run_chunks, one fill
+    per chunk, put back at their trial positions; returns them and the
+    caller's generator afterwards."""
+    rng = np.random.default_rng(SEED)
+    got = np.full(n, np.nan)
+
+    def body(stream, windows):
+        for start, (lo, hi) in zip(range(0, n, MC_CHUNK), windows):
+            stream.random(out=got[start + lo : start + hi])
+        return 0
+
+    run_chunks(rng, n, body, True)
+    return got, rng
+
+
+@pytest.mark.parametrize("n", [2 * MC_CHUNK, 3 * MC_CHUNK + 7, 4 * MC_CHUNK - 1])
+def test_windows_read_the_serial_stream(split, n):
+    got, rng = draws_by_window(n)
+    expected = np.random.default_rng(SEED)
+    assert got.tobytes() == expected.random(n).tobytes()
+    # Part 0 ran on the caller's generator and left it where a serial call would.
+    assert rng.bit_generator.state == expected.bit_generator.state
+    assert sorted(split) == owned(machine._CPUS)
+
+
+def test_a_failing_part_raises_in_the_caller(split):
+    before = threading.active_count()
+
+    def body(stream, windows):
+        for lo, hi in windows:
+            if lo > 0:
+                raise ZeroDivisionError(f"part at column {lo}")
+        return 1
+
+    with pytest.raises(ZeroDivisionError, match=f"part at column {MC_CHUNK // machine._CPUS}$"):
+        run_chunks(np.random.default_rng(0), 3 * MC_CHUNK, body, True)
+    assert threading.active_count() == before
+    assert run_chunks(np.random.default_rng(0), 3 * MC_CHUNK, lambda stream, windows: 1, True) == machine._CPUS
+    assert threading.active_count() == before
+
+
+def test_serial_call_is_one_part_on_the_callers_generator(split):
+    rng = np.random.default_rng(0)
+    seen = []
+    run_chunks(rng, 2 * MC_CHUNK - 1, lambda stream, windows: seen.append((stream, list(windows))) or 0, True)
+    assert seen == [(rng, [(0, k) for k in chunk_sizes(2 * MC_CHUNK - 1)])] and split == []
+
+
+@pytest.mark.parametrize("name", sorted(test_streaming.CALLS))
+def test_split_memory_is_one_workspace(split, name):
+    test_streaming.test_peak_memory_is_bounded(name)
+    assert sorted(split) == owned(machine._CPUS)
+
+
+def test_split_census_memory_is_lean(split):
+    test_streaming.test_census_peak_memory_is_lean()
+    assert sorted(split) == owned(machine._CPUS)
