@@ -33,7 +33,7 @@ import enum
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -92,8 +92,9 @@ class CondProb:
 class TriadData:
     """Marginals of U, V, W plus a map of conditional probabilities.
 
-    All probabilities are exact rationals; decimal inputs should be parsed
-    to fractions before they get here.
+    All probabilities are exact rationals: marginals and each CondProb's p
+    pass through to_fraction, so an int or a str such as '1/2' is taken
+    and a float is refused.
     """
 
     marginals: Mapping[str, Fraction]
@@ -101,6 +102,9 @@ class TriadData:
 
     def __post_init__(self) -> None:
         self.marginals = {k: to_fraction(v) for k, v in self.marginals.items()}
+        self.conditionals = tuple(
+            c if isinstance(c.p, Fraction) else replace(c, p=to_fraction(c.p)) for c in self.conditionals
+        )
         for name in VARIABLES:
             if name not in self.marginals:
                 raise ValueError(f"missing marginal for {name}")

@@ -72,6 +72,25 @@ def test_to_fraction_rejects_floats():
     assert to_fraction("0.78") == Fraction(39, 50)
 
 
+def test_triad_conditionals_pass_through_to_fraction():
+    marginals = {"U": "1/2", "V": "1/2", "W": "1/2"}
+
+    def triad(p):
+        return TriadData(marginals, (CondProb(("V", True), ("W", True), p),))
+
+    with pytest.raises(TypeError, match="pass probabilities as str/Fraction/int"):
+        triad(0.5)
+    for p in ("3/2", -1, "-1/3"):
+        with pytest.raises(ValueError, match="outside"):
+            triad(p)
+    kept = CondProb(("V", True), ("W", True), HALF)
+    assert TriadData(marginals, (kept,)).conditionals[0] is kept
+    converted = triad("1/2")
+    assert converted.conditionals == (kept,) and type(converted.conditionals[0].p) is Fraction
+    assert check_kolmogorov(converted) == check_kolmogorov(TriadData(marginals, (kept,)))
+    assert triad(1).conditionals[0].p == Fraction(1)
+
+
 def test_parse_event():
     assert parse_event("U") == ("U", True)
     assert parse_event("not V") == ("V", False)
