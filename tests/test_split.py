@@ -6,6 +6,7 @@ calls, where the fixed-seed counts, the streaming memory bounds, worker
 failures and thread counts are checked."""
 
 import math
+import sys
 import threading
 import time
 
@@ -134,10 +135,6 @@ def test_a_lagging_first_part_keeps_its_columns(split, monkeypatch):
     assert lagged
 
 
-def serial_draws(n):
-    return np.random.default_rng(SEED).random(n)
-
-
 def draws_by_window(n):
     """Every chunk's draws of an n-trial call through run_chunks, one fill
     per chunk, put back at their trial positions; returns them and the
@@ -164,26 +161,51 @@ def test_windows_read_the_serial_stream(split, n):
     assert sorted(split) == owned(machine._CPUS)
 
 
+def test_more_parts_than_cpus_under_fast_switching(monkeypatch):
+    # Parts interleave at every bytecode boundary the interpreter allows; a
+    # part writing outside its columns or drawing out of turn changes counts.
+    monkeypatch.setattr(machine, "_SPLIT_MIN", 2 * MC_CHUNK)
+    monkeypatch.setattr(machine, "_CPUS", machine._CPUS + 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert census_counts(NS[2]) == CENSUS_COUNTS[2]
+        test_fixed_seed.test_conditional_mc_is_pinned("uniform")
+        got, rng = draws_by_window(3 * MC_CHUNK + 7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == np.random.default_rng(SEED).random(3 * MC_CHUNK + 7).tobytes()
+
+
 def test_a_failing_part_raises_in_the_caller(split):
     before = threading.active_count()
+    raised = {}
 
     def body(stream, windows):
         for lo, hi in windows:
             if lo > 0:
-                raise ZeroDivisionError(f"part at column {lo}")
+                raised[lo] = ZeroDivisionError(f"part at column {lo}")
+                raise raised[lo]
         return 1
 
-    with pytest.raises(ZeroDivisionError, match=f"part at column {MC_CHUNK // machine._CPUS}$"):
+    with pytest.raises(ZeroDivisionError) as caught:
         run_chunks(np.random.default_rng(0), 3 * MC_CHUNK, body, True)
+    # The first failing part's exception, once every part has ended.
+    assert caught.value is raised[MC_CHUNK // machine._CPUS]
     assert threading.active_count() == before
     assert run_chunks(np.random.default_rng(0), 3 * MC_CHUNK, lambda stream, windows: 1, True) == machine._CPUS
     assert threading.active_count() == before
 
 
-def test_serial_call_is_one_part_on_the_callers_generator(split):
+def test_a_small_call_is_one_part_on_the_callers_generator(split):
     rng = np.random.default_rng(0)
     seen = []
-    run_chunks(rng, 2 * MC_CHUNK - 1, lambda stream, windows: seen.append((stream, list(windows))) or 0, True)
+
+    def body(stream, windows):
+        seen.append((stream, list(windows)))
+        return 0
+
+    run_chunks(rng, 2 * MC_CHUNK - 1, body, True)
     assert seen == [(rng, [(0, k) for k in chunk_sizes(2 * MC_CHUNK - 1)])] and split == []
 
 
