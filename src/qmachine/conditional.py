@@ -185,7 +185,7 @@ def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> Conditio
         def body(stream, windows) -> int:
             return sum(count_o1(q.target, pinned, stream, rows[3, lo:hi], up[lo:hi]) for lo, hi in windows)
 
-        split = True
+        whole_rows = True
     else:
         mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))
         gap = np.empty(len(up), dtype=np.float32)
@@ -198,8 +198,10 @@ def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> Conditio
                 hits += count_o1(q.target, x, stream, rows[3, lo:hi], up[lo:hi], settle)
             return hits
 
-        split = isinstance(mu, CapUniform)
-    hits = run_chunks(rng, trials, body, split and q.target.epsilon > 0.0)
+        # A mixture draws its multinomial split before its rows.
+        whole_rows = isinstance(mu, CapUniform)
+    # An epsilon = 0 target draws tie coins in a number the data decides.
+    hits = run_chunks(rng, trials, body, whole_rows and q.target.epsilon > 0.0)
     n_hit = hits if q.target_outcome is Outcome.O1 else trials - hits
     p_hat = n_hit / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)

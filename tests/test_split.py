@@ -19,11 +19,11 @@ from qmachine import machine
 from qmachine.conditional import conditional_mc, symmetric_query
 from qmachine.geometry import Z_AXIS, unit_vector_at_angle
 from qmachine.machine import MC_CHUNK, EpsilonExperiment, chunk_sizes, estimate_probability_mc, run_chunks
-from qmachine.survey import QuestionStats, build_survey_model, region_census
+from qmachine.survey import region_census
 from test_fixed_seed import CENSUS_COUNTS, CENSUS_KEYS, NS, QUERIES, SEED
+from test_streaming import flagship_model
 
 N = 2**21 + 7
-SQ2 = math.sqrt(2) / 2
 
 LARGE_CONDITIONAL_HITS = {
     "uniform": 547794,
@@ -35,11 +35,6 @@ LARGE_ESTIMATE_HITS = 1442020
 LARGE_CENSUS_COUNTS = (73084, 160248, 73146, 73734, 160675, 160779, 693636, 160203, 160435, 73871, 73385, 160350, 73613)
 
 LARGE_QUERIES = {"uniform": QUERIES["uniform"], "cap": QUERIES["cap"], "pinned": symmetric_query(1.0, 2.0)}
-
-
-def flagship_model():
-    stats = [QuestionStats(label, 0.5, 0.15, 0.15) for label in ("w", "v", "u")]
-    return build_survey_model(stats, [math.radians(a) for a in (0, 60, 120)], force_epsilon=SQ2)
 
 
 def census_counts(n):
@@ -75,7 +70,7 @@ class Windows(machine._Window):
 @pytest.fixture(params=[2, 3], ids=["2-parts", "3-parts"])
 def split(request, monkeypatch):
     """Split every eligible call of at least 2 MC_CHUNKs into request.param
-    parts, whatever the CPU count; yields the list of parts' columns."""
+    parts, whatever the CPU count; returns the list the parts' columns go to."""
     monkeypatch.setattr(machine, "_SPLIT_MIN", 2 * MC_CHUNK)
     monkeypatch.setattr(machine, "_CPUS", request.param)
     monkeypatch.setattr(machine, "_Window", Windows)
