@@ -10,7 +10,7 @@ mixed-state measures, conditional probabilities by three routes, exact
 embeddability verdicts, and the opinion-poll mapping.
 """
 
-__version__ = "0.8.1"
+__version__ = "0.9.0"
 
 from .conditional import (
     ConditionalQuery,
@@ -50,11 +50,9 @@ from .machine import (
     EpsilonExperiment,
     Outcome,
     OutcomeDistribution,
-    TrialResult,
     estimate_probability_mc,
     outcome_probabilities,
     p1_given_projection,
-    run_trial,
 )
 from .measures import (
     EMPTY,
@@ -68,7 +66,6 @@ from .measures import (
     eig_set,
     is_classical,
     measure_of,
-    outcome_probability_mixed,
     pos_set,
     sandwich_check,
 )

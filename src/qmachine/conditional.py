@@ -26,8 +26,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConditioningError
-from .geometry import Z_AXIS, SectorCap, UnitVector, angle_between, unit_vector_at_angle
-from .machine import EpsilonExperiment, Outcome, chunk_workspace, count_o1, p1_given_projection, run_chunks
+from .geometry import Z_AXIS, SectorCap, UnitVector, unit_vector_at_angle
+from .machine import EpsilonExperiment, Outcome, chunk_workspace, count_at, count_o1, p1_given_projection, run_chunks
 from .measures import (  # sample_state_array: perfbench/tracing.py wraps it here by name
     CapUniform,
     MixedState,
@@ -112,14 +112,15 @@ def _oriented_target(q: ConditionalQuery) -> EpsilonExperiment:
 def _pinned_state(base: MixedState, cap: SectorCap) -> UnitVector:
     """The state a zero-radius conditioning cap pins the preparation to: its
     center, provided the base holds it.  A uniform base always does, a
-    cap-uniform one when its closed cap contains the center (by angle, which
-    keeps a tiny cap's own center inside it), a mixture when a component of
-    positive weight does; otherwise no state of the base makes the outcome
-    certain, and ConditioningError is raised."""
+    cap-uniform one when its closed cap contains the center (by angle,
+    SectorCap.contains_cap, which keeps a tiny cap's own center inside it),
+    a mixture when a component of positive weight does; otherwise no state
+    of the base makes the outcome certain, and ConditioningError is
+    raised."""
 
     def holds(mu: MixedState) -> bool:
         if isinstance(mu, CapUniform):
-            return angle_between(mu.cap.center, cap.center) <= mu.cap.half_angle
+            return mu.cap.contains_cap(cap)
         return isinstance(mu, Uniform) or any(w > 0.0 and holds(m) for w, m in mu.components)
 
     if not holds(base):
@@ -168,44 +169,39 @@ def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> Conditio
     their projections on the target axis, MC_CHUNK at a time, into buffers
     reused by every chunk), run one hidden-measurement trial each.
     Deterministic given the seed; both target outcomes share one stream, so
-    their counts sum to `trials`.  Split across CPUs (run_chunks) unless
+    their counts sum to `trials`.  A zero-radius conditioning cap
+    (epsilon = 1) pins every state (_pinned_state), so its trials run at
+    one projection (count_at).  Split across CPUs (run_chunks) unless
     epsilon = 0 or the conditioned base is a mixture."""
     if trials < 1:
         raise ValueError("trial count must be at least 1")
     cap = _conditioning_cap(q)
-    axis = q.target.axis
     rng = np.random.default_rng(seed)
-    # One workspace serves every chunk: row 0 takes the projections, rows 1-3
-    # are the sampler's (z and phi kept for settling, and scratch), and row 3
-    # then takes the break points; `gap` is the screen's float32 row.
-    rows, up = chunk_workspace(trials, 4)
     if cap.half_angle <= 0.0:
-        pinned = _pinned_state(q.base, cap).dot(axis)
-
-        def body(stream, windows) -> int:
-            return sum(count_o1(q.target, pinned, stream, rows[3, lo:hi], up[lo:hi]) for lo, hi in windows)
-
-        whole_rows = True
+        hits = count_at(q.target, _pinned_state(q.base, cap).dot(q.target.axis), trials, rng)
     else:
         mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))
-        gap = np.empty(len(up), dtype=np.float32)
+        axis = q.target.axis
+        # One workspace serves every chunk: row 0 takes the projections, rows
+        # 1-3 are the sampler's (z and phi kept for settling, and scratch),
+        # row 3 then takes the break points, and row 4 is the screen's gap.
+        rows, up = chunk_workspace(trials, 5)
 
         def body(stream, windows) -> int:
             hits = 0
             for lo, hi in windows:
                 x = rows[0, lo:hi]
-                settle = sample_projection(mu, axis, stream, x, rows[1:, lo:hi], gap[lo:hi])
+                settle = sample_projection(mu, axis, stream, x, rows[1:4, lo:hi], rows[4, lo:hi])
                 hits += count_o1(q.target, x, stream, rows[3, lo:hi], up[lo:hi], settle)
             return hits
 
-        # A mixture draws its multinomial split before its rows.
-        whole_rows = isinstance(mu, CapUniform)
-    # An epsilon = 0 target draws tie coins in a number the data decides.
-    hits = run_chunks(rng, trials, body, whole_rows and q.target.epsilon > 0.0)
+        # A mixture draws its multinomial split before its rows, and an
+        # epsilon = 0 target its tie coins in a number the data decides.
+        hits = run_chunks(rng, trials, body, isinstance(mu, CapUniform) and q.target.epsilon > 0.0)
     n_hit = hits if q.target_outcome is Outcome.O1 else trials - hits
     p_hat = n_hit / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    diag = {"trials": trials, "seed": seed if isinstance(seed, int) else list(seed)}
+    diag = {"trials": trials, "seed": np.asarray(seed).tolist()}
     return ConditionalResult(p_hat, Method.MONTE_CARLO, stderr, Validity.VALID, diag)
 
 

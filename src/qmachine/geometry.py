@@ -139,6 +139,10 @@ class SectorCap:
     def contains(self, v: UnitVector) -> bool:
         return v.dot(self.center) >= math.cos(self.half_angle)
 
+    def contains_cap(self, other: "SectorCap") -> bool:
+        """Whether `other` lies in this cap, decided by angle with no slack."""
+        return angle_between(self.center, other.center) + other.half_angle <= self.half_angle
+
     @property
     def area_fraction(self) -> float:
         return cap_area_fraction(self.half_angle)

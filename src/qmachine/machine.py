@@ -18,14 +18,16 @@ closer than that gets its value recomputed from z and phi in float64,
 in the float64 draw's operation order (settle_into), and is decided as
 before, so every outcome count is bitwise the one the float64 draw gives.
 
-Monte Carlo streams its trials MC_CHUNK at a time through one workspace
-(chunk_workspace), and run_chunks walks the chunks.  A call of at least
-_SPLIT_MIN trials splits each chunk's columns over the CPUs the process
-may use, when every draw it makes fills a whole chunk row with
-rng.random (uniform_into).  Part p owns the same columns of every chunk
-and reads exactly their draws from the stream (_Window), so every count,
-and the caller's generator afterwards, is bitwise the serial one, in the
-same memory.  Two paths stay serial because where a part's draws start
+count_o1 is the one trial kernel: every Monte Carlo path draws its break
+points and decides its outcomes there.  Monte Carlo streams its trials
+MC_CHUNK at a time through one workspace (chunk_workspace), run_chunks
+walks the chunks, and count_at runs n trials at one fixed projection.
+A call of at least _SPLIT_MIN trials splits each chunk's columns over
+the CPUs the process may use, when every draw it makes fills a whole
+chunk row with rng.random (uniform_into).  Part p owns the same columns
+of every chunk and reads exactly their draws from the stream (_Window),
+so every count, and the caller's generator afterwards, is bitwise the
+serial one, in the same memory.  Two paths stay serial because where a part's draws start
 is not known in advance: an epsilon = 0 target settles ties with
 rng.integers coins whose number depends on the data, and a mixture base
 draws its multinomial split first.  Smaller calls stay serial too, since
@@ -88,13 +90,6 @@ class OutcomeDistribution:
     @property
     def p2(self) -> float:
         return 1.0 - self.p1
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    outcome: Outcome
-    post_state: UnitVector
-    break_point: float  # the hidden variable: where the band broke
 
 
 def p1_given_projection(e: EpsilonExperiment, x: float) -> float:
@@ -268,67 +263,56 @@ def settle_into(out: np.ndarray, idx: np.ndarray, z: np.ndarray, phi: np.ndarray
 
 def near_threshold(values: np.ndarray, threshold, gap: np.ndarray, flags: np.ndarray) -> np.ndarray:
     """Indices where |values - threshold| <= RING_ERR: the comparisons a
-    screened value cannot decide.  `gap` (float, float32 will do) and
-    `flags` (bool) are buffers as long as `values`; `gap` may be `values`."""
+    screened value cannot decide.  `gap` (float) and `flags` (bool) are
+    buffers as long as `values`; `gap` may be `values`."""
     np.subtract(values, threshold, out=gap)
     np.abs(gap, out=gap)
     np.less_equal(gap, RING_ERR, out=flags)
     return np.flatnonzero(flags)
 
 
-def _trials(e: EpsilonExperiment, x, rng: np.random.Generator, breaks: np.ndarray, up: np.ndarray, settle=None) -> None:
-    """Hidden-measurement trials at projection(s) x, a float or an array,
-    one per slot of the caller's buffers: `breaks` gets the break points,
-    uniform on the band, and `up` the outcome-1 flags, break < x.  For
-    epsilon = 0 the band is the point d and a tie x = d goes to a fair coin.
-    When x holds screened values (see ring_into), `settle(threshold, flags)`
-    makes exact those within RING_ERR of their threshold before any is
-    compared; `flags` is bool scratch, here `up`."""
+def count_o1(e: EpsilonExperiment, x, rng: np.random.Generator, breaks: np.ndarray, up: np.ndarray, settle=None) -> int:
+    """Outcome-1 count of hidden-measurement trials at projection(s) x, a
+    float or an array, one per slot of the caller's buffers: `breaks` gets
+    the break points, uniform on the band, and `up` the outcome-1 flags,
+    break < x (the particle then sits at the axis point, otherwise at its
+    antipode).  For epsilon = 0 the band is the point d and a tie x = d
+    goes to a fair coin.  When x holds screened values (see ring_into),
+    `settle(threshold, flags)` makes exact those within RING_ERR of their
+    threshold before any is compared; `flags` is bool scratch, here `up`."""
     if e.epsilon > 0.0:
         uniform_into(rng, e.band_low, e.band_high, breaks)
         if settle is not None:
             settle(breaks, up)
         np.less(breaks, x, out=up)
-        return
-    breaks.fill(e.d)
-    if settle is not None:
-        settle(e.d, up)
-    np.greater(x, e.d, out=up)
-    ties = np.broadcast_to(x, up.shape) == e.d
-    up[ties] = rng.integers(0, 2, int(np.count_nonzero(ties))).astype(bool)
-
-
-def count_o1(e: EpsilonExperiment, x, rng: np.random.Generator, breaks: np.ndarray, up: np.ndarray, settle=None) -> int:
-    """Outcome-1 count of len(up) hidden-measurement trials at projection(s) x."""
-    _trials(e, x, rng, breaks, up, settle)
+    else:
+        breaks.fill(e.d)
+        if settle is not None:
+            settle(e.d, up)
+        np.greater(x, e.d, out=up)
+        ties = np.broadcast_to(x, up.shape) == e.d
+        up[ties] = rng.integers(0, 2, int(np.count_nonzero(ties))).astype(bool)
     return int(np.count_nonzero(up))
 
 
-def run_trial(e: EpsilonExperiment, state: UnitVector, rng: np.random.Generator) -> TrialResult:
-    """One seeded measurement: draw the hidden break point, collapse the state."""
-    (breaks,), up = chunk_workspace(1, 1)
-    _trials(e, state.dot(e.axis), rng, breaks, up)
-    if up[0]:
-        return TrialResult(Outcome.O1, e.axis, float(breaks[0]))
-    return TrialResult(Outcome.O2, -e.axis, float(breaks[0]))
-
-
-def estimate_probability_mc(
-    e: EpsilonExperiment, state: UnitVector, n: int, seed: int
-) -> tuple[float, float]:
-    """Outcome-1 frequency over n seeded trials, with its standard error.
-    The trials run through run_trial's kernel MC_CHUNK at a time, in one
-    pair of buffers reused by every chunk; split across CPUs (run_chunks)
-    unless epsilon = 0."""
-    if n < 1:
-        raise ValueError("trial count must be at least 1")
-    rng = np.random.default_rng(seed)
-    x = state.dot(e.axis)
+def count_at(e: EpsilonExperiment, x: float, n: int, rng: np.random.Generator) -> int:
+    """Outcome-1 count of n trials at the one projection x, MC_CHUNK at a
+    time in one pair of buffers reused by every chunk; split across CPUs
+    (run_chunks) unless epsilon = 0."""
     (breaks,), up = chunk_workspace(n, 1)
 
     def body(stream, windows) -> int:
         return sum(count_o1(e, x, stream, breaks[lo:hi], up[lo:hi]) for lo, hi in windows)
 
-    hits = run_chunks(rng, n, body, e.epsilon > 0.0)
-    p_hat = hits / n
+    return run_chunks(rng, n, body, e.epsilon > 0.0)
+
+
+def estimate_probability_mc(
+    e: EpsilonExperiment, state: UnitVector, n: int, seed: int
+) -> tuple[float, float]:
+    """Outcome-1 frequency over n seeded trials at the state's projection
+    (count_at), with its standard error."""
+    if n < 1:
+        raise ValueError("trial count must be at least 1")
+    p_hat = count_at(e, state.dot(e.axis), n, np.random.default_rng(seed)) / n
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)

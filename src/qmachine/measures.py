@@ -188,11 +188,6 @@ def outcome_law(e: EpsilonExperiment, a: OutcomeSet, mu: MixedState) -> tuple[fl
     return sum(w * p for w, (p, _) in laws), sum(w * b for w, (_, b) in laws)
 
 
-def outcome_probability_mixed(e: EpsilonExperiment, a: OutcomeSet, mu: MixedState) -> float:
-    """outcome_law's probability alone."""
-    return outcome_law(e, a, mu)[0]
-
-
 @dataclass(frozen=True)
 class SandwichResult:
     lower: float  # mu(eig)
@@ -205,22 +200,25 @@ def sandwich_check(e: EpsilonExperiment, a: OutcomeSet, mu: MixedState) -> Sandw
     """The exact certainty/possibility bounds around the outcome probability."""
     lower = measure_of(mu, eig_set(e, a))
     upper = measure_of(mu, pos_set(e, a))
-    mid = outcome_probability_mixed(e, a, mu)
+    mid = outcome_law(e, a, mu)[0]
     holds = lower <= mid + 1e-9 and mid <= upper + 1e-9
     return SandwichResult(lower, mid, upper, holds)
 
 
 def is_classical(e: EpsilonExperiment, mu: MixedState) -> bool:
-    """True when certainty and possibility regions agree up to mu-measure
-    zero for both outcomes, i.e. outcomes are predetermined almost surely."""
-    for a in (OutcomeSet.O1, OutcomeSet.O2):
-        if abs(measure_of(mu, eig_set(e, a)) - measure_of(mu, pos_set(e, a))) > 1e-9:
-            return False
-    return True
-
-
-def _cap_contains_cap(outer: SectorCap, inner: SectorCap) -> bool:
-    return angle_between(outer.center, inner.center) + inner.half_angle <= outer.half_angle + 1e-12
+    """True when the open band d - epsilon < x < d + epsilon of projections
+    has mu-measure zero, so outcomes are predetermined almost surely: always
+    at epsilon = 0, never under the uniform measure at epsilon > 0, under a
+    cap-uniform one when its cap lies in a certainty cap (by angle, as
+    condition decides it), and under a mixture when every component of
+    positive weight is classical."""
+    if e.epsilon == 0.0:
+        return True
+    if isinstance(mu, Uniform):
+        return False
+    if isinstance(mu, CapUniform):
+        return any(eig_set(e, a).contains_cap(mu.cap) for a in (OutcomeSet.O1, OutcomeSet.O2))
+    return all(w == 0.0 or is_classical(e, m) for w, m in mu.components)
 
 
 def condition(mu: MixedState, f: EpsilonExperiment, a: OutcomeSet) -> MixedState:
@@ -237,9 +235,9 @@ def condition(mu: MixedState, f: EpsilonExperiment, a: OutcomeSet) -> MixedState
     if isinstance(mu, Uniform):
         return CapUniform(region)
     if isinstance(mu, CapUniform):
-        if _cap_contains_cap(region, mu.cap):
+        if region.contains_cap(mu.cap):
             return mu
-        if _cap_contains_cap(mu.cap, region):
+        if mu.cap.contains_cap(region):
             return CapUniform(region)
         # The restriction would be uniform on a lens, which leaves the
         # closed mixed-state family; nothing in the model needs it.
@@ -259,7 +257,7 @@ def sample_projection(
     """Fill `out` with the projections v . axis of len(out) states drawn
     from mu, a conditioned measure: a cap-uniform state or a mixture of
     them, as condition() returns.  `work` is float scratch of shape
-    (3, >= len(out)) and `gap` float32 scratch as long as `out`; rows 0-1
+    (3, >= len(out)) and `gap` float scratch as long as `out`; rows 0-1
     of `work` keep each cap draw's z and phi until the trials are decided.
 
     Cap of half-angle rho, center gamma from the axis:

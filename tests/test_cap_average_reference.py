@@ -19,7 +19,7 @@ import pytest
 from qmachine.conditional import ConditionalQuery, conditional_closed_form, conditional_quad, symmetric_query
 from qmachine.geometry import Z_AXIS, SectorCap, angle_between, unit_vector_at_angle
 from qmachine.machine import EpsilonExperiment, Outcome
-from qmachine.measures import UNIFORM, CapUniform, Mixture, OutcomeSet, condition, outcome_law, outcome_probability_mixed
+from qmachine.measures import UNIFORM, CapUniform, Mixture, OutcomeSet, condition, outcome_law
 
 TOL = 1e-9
 BASES = {
@@ -161,8 +161,8 @@ def test_zero_band_past_the_poles_is_certain():
     # The band check allows d up to 1e-15 beyond the poles at epsilon = 0.
     mu = CapUniform(SectorCap(unit_vector_at_angle(Z_AXIS, 0.7), 1.2))
     axis = unit_vector_at_angle(Z_AXIS, 0.3)
-    assert outcome_probability_mixed(EpsilonExperiment(axis, 0.0, 1.0 + 1e-15), OutcomeSet.O1, mu) == 0.0
-    assert outcome_probability_mixed(EpsilonExperiment(axis, 0.0, -1.0 - 1e-15), OutcomeSet.O1, mu) == 1.0
+    assert outcome_law(EpsilonExperiment(axis, 0.0, 1.0 + 1e-15), OutcomeSet.O1, mu)[0] == 0.0
+    assert outcome_law(EpsilonExperiment(axis, 0.0, -1.0 - 1e-15), OutcomeSet.O1, mu)[0] == 1.0
     for d, exact in ((1.0 + 1e-15, 0.0), (-1.0 - 1e-15, 1.0)):
         value, bound = outcome_law(EpsilonExperiment(axis, 0.0, d), OutcomeSet.O1, mu)
         assert abs(value - exact) <= bound <= 1e-14
@@ -193,7 +193,7 @@ def test_small_conditioning_cap_meets_the_reference(total, c):
 def test_band_below_an_ulp_of_d_is_the_point_value():
     # 0.5 -+ 1e-17 both round to 0.5, so the band as floats is the point d.
     cap = SectorCap(unit_vector_at_angle(Z_AXIS, 1.0), 0.7)
-    point = outcome_probability_mixed(EpsilonExperiment(Z_AXIS, 0.0, 0.5), OutcomeSet.O1, CapUniform(cap))
+    point = outcome_law(EpsilonExperiment(Z_AXIS, 0.0, 0.5), OutcomeSet.O1, CapUniform(cap))[0]
     assert 0.1 < point < 0.9
     for epsilon in (1e-17, 5e-17):
         e = EpsilonExperiment(Z_AXIS, epsilon, 0.5)

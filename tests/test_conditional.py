@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -220,6 +221,16 @@ def test_monte_carlo_agrees_with_quadrature_on_a_mixture_base(epsilon, d, c, alp
 def test_monte_carlo_validates_trials():
     with pytest.raises(ValueError):
         conditional_mc(symmetric_query(0.5, 1.0), 0, seed=1)
+
+
+@pytest.mark.parametrize("seed, recorded", [(np.int64(3), 3), (3, 3), ([np.int64(3), 4], [3, 4]), ((3, 4), [3, 4])])
+def test_monte_carlo_records_an_integral_seed_as_int(seed, recorded):
+    # default_rng takes numpy integers as it takes ints; the diagnostics
+    # record plain ints (json.dumps rejects a numpy integer).
+    q = symmetric_query(0.5, 1.0)
+    r = conditional_mc(q, 100, seed)
+    assert json.dumps(r.diagnostics["seed"]) == json.dumps(recorded)
+    assert r.value == conditional_mc(q, 100, recorded).value
 
 
 def test_closed_form_quantum_branch():

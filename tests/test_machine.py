@@ -8,11 +8,10 @@ from scipy import stats
 from qmachine.geometry import Z_AXIS, unit_vector_at_angle
 from qmachine.machine import (
     EpsilonExperiment,
-    Outcome,
+    count_o1,
     estimate_probability_mc,
     outcome_probabilities,
     p1_given_projection,
-    run_trial,
 )
 
 
@@ -82,42 +81,50 @@ def test_outcome_distribution_sums_to_one(e, x):
     assert dist.p1 + dist.p2 == 1.0
 
 
-def test_run_trial_certain_region():
+def trials(e, x, n, seed):
+    """count_o1 over n slots at projection(s) x: the count, the break
+    points and the outcome-1 flags."""
+    breaks, up = np.empty(n), np.empty(n, dtype=bool)
+    hits = count_o1(e, x, np.random.default_rng(seed), breaks, up)
+    return hits, breaks, up
+
+
+def test_count_o1_certain_region():
     e = experiment(0.4, 0.1)
-    rng = np.random.default_rng(0)
-    state = state_at(math.acos(0.9))  # above the band
-    for _ in range(100):
-        result = run_trial(e, state, rng)
-        assert result.outcome is Outcome.O1
-        assert result.post_state == e.axis
+    for x in (e.band_high, 0.9):  # at and above the band's top
+        hits, _, up = trials(e, x, 100, 0)
+        assert hits == 100 and up.all()
 
 
-def test_run_trial_collapse_and_hidden_variable():
+def test_count_o1_decides_by_the_hidden_break_point():
     e = experiment(0.8, 0.0)
-    rng = np.random.default_rng(1)
-    state = state_at(1.0)
-    x = state.dot(e.axis)
-    for _ in range(500):
-        r = run_trial(e, state, rng)
-        assert e.band_low <= r.break_point <= e.band_high
-        # The trial is deterministic given the hidden break point.
-        assert (r.outcome is Outcome.O1) == (r.break_point < x)
-        assert r.post_state == (e.axis if r.outcome is Outcome.O1 else -e.axis)
+    x = state_at(1.0).dot(e.axis)
+    hits, breaks, up = trials(e, x, 500, 1)
+    assert ((e.band_low <= breaks) & (breaks < e.band_high)).all()
+    # The trial is deterministic given the hidden break point: the particle
+    # goes to the axis point (outcome 1) when the band breaks below x.
+    assert (up == (breaks < x)).all() and hits == np.count_nonzero(up)
 
 
-def test_run_trial_deterministic_given_seed():
+def test_count_o1_zero_band_ties_go_to_a_coin():
+    e = experiment(0.0, 0.25)
+    x = np.tile([0.2, 0.25, 0.3], 1000)
+    hits, breaks, up = trials(e, x, len(x), 4)
+    assert (breaks == e.d).all()
+    assert not up[0::3].any() and up[2::3].all()
+    assert 400 < np.count_nonzero(up[1::3]) < 600 and hits == np.count_nonzero(up)
+
+
+def test_count_o1_deterministic_given_seed():
     e = experiment(0.6, -0.2)
-    state = state_at(2.0)
-    a = [run_trial(e, state, np.random.default_rng(11)) for _ in range(10)]
-    b = [run_trial(e, state, np.random.default_rng(11)) for _ in range(10)]
-    assert a == b
+    x = state_at(2.0).dot(e.axis)
+    (hits_a, breaks_a, up_a), (hits_b, breaks_b, up_b) = trials(e, x, 10, 11), trials(e, x, 10, 11)
+    assert hits_a == hits_b and (breaks_a == breaks_b).all() and (up_a == up_b).all()
 
 
 def test_break_points_are_uniform_on_the_band():
     e = experiment(0.7, 0.1)
-    rng = np.random.default_rng(2)
-    state = state_at(1.2)
-    breaks = np.array([run_trial(e, state, rng).break_point for _ in range(20_000)])
+    _, breaks, _ = trials(e, state_at(1.2).dot(e.axis), 20_000, 2)
     counts, _ = np.histogram(breaks, bins=20, range=(e.band_low, e.band_high))
     assert stats.chisquare(counts).pvalue > 0.01
 

@@ -27,7 +27,7 @@ from qmachine.measures import (
     eig_set,
     is_classical,
     measure_of,
-    outcome_probability_mixed,
+    outcome_law,
     pos_set,
     sandwich_check,
 )
@@ -148,10 +148,10 @@ def test_uniform_outcome_probability_is_epsilon_independent():
         d_max = 1 - epsilon
         for d in (-d_max, 0.0, d_max / 2):
             e = experiment(epsilon, d)
-            assert outcome_probability_mixed(e, OutcomeSet.O1, Uniform()) == pytest.approx(
+            assert outcome_law(e, OutcomeSet.O1, Uniform())[0] == pytest.approx(
                 (1 - d) / 2, abs=1e-12
             )
-            assert outcome_probability_mixed(e, OutcomeSet.O2, Uniform()) == pytest.approx(
+            assert outcome_law(e, OutcomeSet.O2, Uniform())[0] == pytest.approx(
                 (1 + d) / 2, abs=1e-12
             )
 
@@ -159,8 +159,8 @@ def test_uniform_outcome_probability_is_epsilon_independent():
 def test_cap_uniform_outcome_probability_complement():
     e = experiment(0.6, 0.1, axis=unit_vector_at_angle(Z_AXIS, 1.1))
     mu = CapUniform(SectorCap(Z_AXIS, 0.8))
-    p1 = outcome_probability_mixed(e, OutcomeSet.O1, mu)
-    p2 = outcome_probability_mixed(e, OutcomeSet.O2, mu)
+    p1 = outcome_law(e, OutcomeSet.O1, mu)[0]
+    p2 = outcome_law(e, OutcomeSet.O2, mu)[0]
     assert p1 + p2 == pytest.approx(1.0, abs=1e-8)
 
 
@@ -218,6 +218,41 @@ def test_is_classical():
     assert is_classical(experiment(0.0, 0.2), Uniform())
     assert not is_classical(experiment(1.0), Uniform())
     assert not is_classical(experiment(0.5), Uniform())
+    # The open band has uniform measure epsilon > 0, however small.
+    for epsilon in (1e-12, 1e-10, 1e-9):
+        assert not is_classical(experiment(epsilon, 0.1), Uniform())
+
+
+def some_measures():
+    cap = CapUniform(SectorCap(unit_vector_at_angle(Z_AXIS, 0.6), 1.3))
+    return [Uniform(), cap, Mixture(((0.3, cap), (0.7, Uniform())))]
+
+
+@pytest.mark.parametrize("mu", some_measures(), ids=["uniform", "cap", "mixture"])
+def test_a_zero_band_is_classical_under_every_measure(mu):
+    for d in (-0.4, 0.0, 0.7):
+        assert is_classical(experiment(0.0, d), mu)
+
+
+@pytest.mark.parametrize("a", [OutcomeSet.O1, OutcomeSet.O2])
+def test_a_cap_is_classical_up_to_a_certainty_cap_and_no_further(a):
+    e = experiment(0.3, 0.1, axis=unit_vector_at_angle(Z_AXIS, 0.8))
+    region = eig_set(e, a)
+    assert is_classical(e, CapUniform(region))
+    assert condition(CapUniform(region), e, a) == CapUniform(region)
+    for widening in (1e-11, 5e-13):
+        wider = CapUniform(SectorCap(region.center, region.half_angle + widening))
+        assert not is_classical(e, wider)
+        # Conditioning restricts the wider cap to the certainty cap.
+        assert condition(wider, e, a) == CapUniform(region)
+
+
+def test_a_mixture_is_classical_when_every_weighted_component_is():
+    e = experiment(0.3, 0.1)
+    inside = [CapUniform(eig_set(e, a)) for a in (OutcomeSet.O1, OutcomeSet.O2)]
+    assert is_classical(e, Mixture(((0.4, inside[0]), (0.6, inside[1]))))
+    assert is_classical(e, Mixture(((1.0, inside[0]), (0.0, Uniform()))))
+    assert not is_classical(e, Mixture(((0.9, inside[0]), (0.1, Uniform()))))
 
 
 def test_condition_uniform_gives_cap_uniform():
@@ -272,7 +307,7 @@ def test_bayes_formula_for_classical_experiments():
         e = experiment(0.0, d_e, axis=unit_vector_at_angle(Z_AXIS, rng.uniform(0.0, math.pi)))
         f = experiment(0.0, d_f)
         mu_f = condition(Uniform(), f, OutcomeSet.O1)
-        lhs = outcome_probability_mixed(e, OutcomeSet.O1, mu_f) * measure_of(
+        lhs = outcome_law(e, OutcomeSet.O1, mu_f)[0] * measure_of(
             Uniform(), eig_set(f, OutcomeSet.O1)
         )
         rhs = cap_intersection_fraction(eig_set(e, OutcomeSet.O1), eig_set(f, OutcomeSet.O1))

@@ -57,6 +57,17 @@ def test_large_census_is_pinned():
     assert census_counts(N) == LARGE_CENSUS_COUNTS
 
 
+@pytest.mark.parametrize("parts", [1, 2], ids=["serial", "split"])
+@pytest.mark.parametrize("n", [MC_CHUNK - 1, N])
+@pytest.mark.parametrize("alpha", [0.7, 2.0])
+def test_a_pinned_conditional_is_the_estimate_at_the_pinned_state(monkeypatch, parts, n, alpha):
+    # At epsilon = 1 the zero-radius conditioning cap pins every state to Z,
+    # so both calls count the same trials at one projection.
+    monkeypatch.setattr(machine, "_CPUS", parts)
+    q = symmetric_query(1.0, alpha)
+    assert conditional_mc(q, n, SEED).value == estimate_probability_mc(q.target, Z_AXIS, n, SEED)[0]
+
+
 class Windows(machine._Window):
     """machine._Window that records the columns of every part it serves."""
 
