@@ -51,7 +51,10 @@ item and warm-up:
   CLI_RUNS single subprocess runs with no warm-up; s per run, and the
   rows per second its median gives.
 
-Then the Python, numpy and qmachine versions and a machine note.
+Then the Python, numpy and qmachine versions and a machine note: the
+platform, the CPU model, os.cpu_count() as `cpus` and, as `split_cpus`,
+the CPUs this process may run on, over which the MC kernels split a
+call of 2^21 trials or more (machine._CPUS).
 Standard library and numpy only.
 
     PYTHONPATH=src python scripts/bench.py --out BENCH_<n>.json
@@ -376,6 +379,7 @@ def main() -> None:
             "platform": platform.platform(),
             "cpu": _cpu_model(),
             "cpus": os.cpu_count(),
+            "split_cpus": qmachine.machine._CPUS,
         },
     }
     text = json.dumps(result, indent=2)

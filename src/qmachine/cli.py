@@ -49,6 +49,7 @@ from .embedding import (
     check_kolmogorov,
     model_class,
     parse_event,
+    to_fraction,
 )
 from .errors import DomainError
 from .geometry import Z_AXIS, UnitVector, unit_vector_at_angle
@@ -182,13 +183,24 @@ def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
+def _rational(value, name: str) -> Fraction:
+    """An exact rational from a flag or a triad file; anything else, such
+    as 1/0, Infinity, true or a list, is a usage error that names the value."""
+    if not isinstance(value, bool):
+        try:
+            return to_fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{name} must be an exact rational, got {value!r}")
+
+
 def _load_triad(path: str) -> TriadData:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh, parse_float=Fraction, parse_int=Fraction)
-    marginals = {str(k): Fraction(v) for k, v in raw["marg"].items()}
+    marginals = {str(k): _rational(v, f"marginal {k}") for k, v in raw["marg"].items()}
     conds = tuple(
-        CondProb(parse_event(str(c["event"])), parse_event(str(c["given"])), Fraction(c["p"]))
-        for c in raw["cond"]
+        CondProb(parse_event(str(c["event"])), parse_event(str(c["given"])), _rational(c["p"], f"p of conditional {i}"))
+        for i, c in enumerate(raw["cond"], 1)
     )
     return TriadData(marginals, conds)
 
@@ -230,12 +242,12 @@ def _cmd_kolmogorov(args) -> dict:
 
 
 def _cmd_hilbert(args) -> dict:
-    return _hilbert_payload(check_hilbert2d(Fraction(args.gamma2)))
+    return _hilbert_payload(check_hilbert2d(_rational(args.gamma2, "--gamma2")))
 
 
 def _cmd_classify(args) -> dict:
     kolmogorov = check_kolmogorov(_load_triad(args.triad))
-    return _classification_payload(kolmogorov, check_hilbert2d(Fraction(args.gamma2)))
+    return _classification_payload(kolmogorov, check_hilbert2d(_rational(args.gamma2, "--gamma2")))
 
 
 def _load_survey(path: str) -> tuple[list[QuestionStats], list[float]]:

@@ -2,8 +2,20 @@
 
 check_kolmogorov asks whether one joint probability space over three
 events can reproduce the given marginals and Bayes-rule conditionals; the
-unknowns are the eight atom probabilities of the U/V/W sign table, and
-feasibility is decided by exact Fourier-Motzkin elimination over
+unknowns are the eight atom probabilities of the U/V/W sign table.
+
+A triad with three conditionals whose seven equality masks have rank 7
+(every survey triad: total mass, the marginals, P(V|W), P(U|W) and
+P(not U|V)) leaves a line of joints with one free atom, not-U & V & W,
+and its verdict is read off that line: each atom is an integer affine
+function of the right-hand sides, each x_i >= 0 bounds the free atom
+from one side, and the witness is the line's point at the midpoint of
+the tightest bounds.  Fourier-Motzkin on such a system substitutes an
+equality at every step and so prints the same bounds, certificate and
+witness; the comment above _line_plan says why, and names the one
+infeasible case left to the elimination.
+
+Every other triad is decided by exact Fourier-Motzkin elimination over
 rationals.  Each equality constraint is substituted when its atom is
 eliminated, so the row count stays linear, and back-substitution reads
 that atom from the equality alone; inequalities are paired only for
@@ -105,6 +117,13 @@ class TriadData:
         self.conditionals = tuple(
             c if isinstance(c.p, Fraction) else replace(c, p=to_fraction(c.p)) for c in self.conditionals
         )
+        for name in self.marginals:
+            if name not in VARIABLES:
+                raise ValueError(f"marginal for unknown variable {name!r}; expected one of {VARIABLES}")
+        for c in self.conditionals:
+            for name, _ in (c.event, c.given):
+                if name not in VARIABLES:
+                    raise ValueError(f"conditional on unknown variable {name!r}; expected one of {VARIABLES}")
         for name in VARIABLES:
             if name not in self.marginals:
                 raise ValueError(f"missing marginal for {name}")
@@ -136,21 +155,26 @@ class LinearConstraint:
     label: str
 
 
+def _equality_masks(t: TriadData) -> tuple[tuple[int, ...], ...]:
+    """The atom mask of each equality constraint, in order: total mass, the
+    marginals of U, V and W, then each conditional's event & given."""
+    return (_mask(), *[_mask((name, True)) for name in VARIABLES], *[_mask(c.event, c.given) for c in t.conditionals])
+
+
 def _equalities(t: TriadData) -> list[tuple[tuple[int, ...], int, int]]:
     """Each equality constraint as (atom mask, rhs numerator, rhs
     denominator) in lowest terms: total mass, the marginals, then each
     conditional P(event | given) = p turned into the intersection mass
     p P(given), formed from numerators and denominators with one gcd."""
     marginals = t.marginals
-    eqs = [(_mask(), 1, 1)]
-    eqs += [(_mask((name, True)), marginals[name].numerator, marginals[name].denominator) for name in VARIABLES]
+    rhs = [(1, 1)] + [(marginals[name].numerator, marginals[name].denominator) for name in VARIABLES]
     for c in t.conditionals:
         m = marginals[c.given[0]]
         num = c.p.numerator * (m.numerator if c.given[1] else m.denominator - m.numerator)
         den = c.p.denominator * m.denominator
         g = math.gcd(num, den)
-        eqs.append((_mask(c.event, c.given), num // g, den // g))
-    return eqs
+        rhs.append((num // g, den // g))
+    return [(mask, num, den) for mask, (num, den) in zip(_equality_masks(t), rhs)]
 
 
 def joint_constraints(t: TriadData) -> list[LinearConstraint]:
@@ -329,26 +353,140 @@ class KolmogorovVerdict:
 
 # The atom the flagship contradiction lives on: not-U & V & W.
 _PAPER_TARGET = 0b011
+_LINE_EQUALITIES = N_ATOMS - 1
 
 
 def check_kolmogorov(t: TriadData) -> KolmogorovVerdict:
     """Exact feasibility of a joint distribution reproducing the triad.
 
-    Eliminates atoms so that the not-U & V & W atom survives last, matching
-    the order of the flagship derivation; its implied bound pair is the
-    certificate when contradictory, else a derived row 0 <= r with r < 0.
+    The not-U & V & W atom is the one kept to the end, matching the order
+    of the flagship derivation; its implied bound pair is the certificate
+    when contradictory, else a derived row 0 <= r with r < 0.  A triad
+    whose seven equalities leave a line with that atom as its parameter is
+    read off the line (_line_verdict says when); every other triad runs
+    Fourier-Motzkin.  Either way a feasible verdict's witness is checked
+    against the system's rows.
     """
     rows = _system_rows(t)
+    masks = _equality_masks(t)
+    plan = _line_plan(masks) if len(masks) == _LINE_EQUALITIES else None
+    verdict = _line_verdict(plan, rows) if plan is not None else None
+    if verdict is None:
+        verdict = _elimination_verdict(rows)
+    if verdict.feasible:
+        _check_witness(t, rows, verdict.witness)
+    return verdict
+
+
+def _crossed(lower: Ratio, upper: Ratio) -> bool:
+    return lower[0] * upper[1] > upper[0] * lower[1]
+
+
+def _target_certificate(lower: Ratio, upper: Ratio) -> KolmogorovVerdict:
+    return KolmogorovVerdict(False, certificate=Certificate(Fraction(*lower), Fraction(*upper), atom_label(_PAPER_TARGET)))
+
+
+def _elimination_verdict(rows: list[Row]) -> KolmogorovVerdict:
+    """The verdict by Fourier-Motzkin: eliminate every atom but the paper
+    target, then back-substitute from the midpoint of its bounds."""
     lower, upper, violated, stack = _project_to_atom(rows, _PAPER_TARGET)
-    if lower is not None and upper is not None and lower[0] * upper[1] > upper[0] * lower[1]:
-        return KolmogorovVerdict(False, certificate=Certificate(Fraction(*lower), Fraction(*upper), atom_label(_PAPER_TARGET)))
+    if lower is not None and upper is not None and _crossed(lower, upper):
+        return _target_certificate(lower, upper)
     if violated is not None:
         return KolmogorovVerdict(False, certificate=Certificate(Fraction(0), violated, "0"))
     if lower is None or upper is None:  # total mass bounds every atom
         raise RuntimeError(f"the elimination left {atom_label(_PAPER_TARGET)} unbounded")
-    witness = _back_substitute(stack, _PAPER_TARGET, _midpoint(lower, upper))
-    _check_witness(t, rows, witness)
-    return KolmogorovVerdict(True, witness=witness)
+    return KolmogorovVerdict(True, witness=_back_substitute(stack, _PAPER_TARGET, _midpoint(lower, upper)))
+
+
+# ---------------------------------------------------------------------------
+# The one-free-atom line.  Seven independent equalities whose 7 x 7 matrix
+# on the atoms other than the paper target is invertible leave a line of
+# joints with the target x_t as its parameter: over one integer D > 0,
+# D x_i = sum_k P_ik b_k + q_i x_t for the rhs b_k.  A triad's masks each
+# involve at most two variables, so the U xor V xor W parity of the atoms
+# is orthogonal to all of them: when they have rank 7 it spans the line,
+# and every atom moves along it (no q_i is 0).
+#
+# Fourier-Motzkin on such a system then substitutes an equality at every
+# step (an equality left unused would pin x_t), so the rows left on x_t
+# are exactly the eight x_i >= 0 carried along the line, and its bounds,
+# certificate and witness are the ones read off the line.  One exception:
+# when x_i = -lambda x_j all along the line, their two rows can become
+# each other's negation, and elimination may substitute that pair in
+# place of an equality.  On a feasible system that pair holds, so the
+# projection and the witness are still the line's; on an infeasible one
+# the certificate can differ, so that case goes to elimination.
+
+Line = tuple[int, tuple[tuple[tuple[int, ...], int], ...]]  # (D, ((P_i, q_i) per atom))
+
+
+@functools.cache
+def _line_plan(masks: tuple[tuple[int, ...], ...]) -> Optional[Line]:
+    """(D, ((P_i, q_i) for each atom i)) for seven equality masks, or None
+    when their matrix off the target is singular (rank below 7, or the
+    target pinned) or some atom does not move along the line.  One exact
+    Gauss-Jordan over [A | I | target column], once per tuple of masks."""
+    others = [i for i in range(N_ATOMS) if i != _PAPER_TARGET]
+    n = len(masks)
+    aug = [
+        [Fraction(m[i]) for i in others] + [Fraction(int(j == k)) for j in range(n)] + [Fraction(m[_PAPER_TARGET])]
+        for k, m in enumerate(masks)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    # Row k now reads x_others[k] = sum_j aug[k][n + j] b_j - aug[k][2 n] x_t.
+    if any(row[2 * n] == 0 for row in aug):
+        return None
+    den = math.lcm(*[v.denominator for row in aug for v in row[n:]])
+    atoms: list[tuple[tuple[int, ...], int]] = [((0,) * n, den)] * N_ATOMS  # the target: D x_t = D x_t
+    for k, row in enumerate(aug):
+        atoms[others[k]] = tuple([int(v * den) for v in row[n : 2 * n]]), int(-row[2 * n] * den)
+    return den, tuple(atoms)
+
+
+def _line_verdict(plan: Line, rows: list[Row]) -> Optional[KolmogorovVerdict]:
+    """The verdict read off the line, or None for an infeasible system on
+    which two atoms moving in opposite directions vanish at one point.
+
+    Over L, the lcm of the rhs denominators, D L x_i = a_i + c_i x_t with
+    integers a_i and c_i = q_i L; x_i >= 0 is the lower bound -a_i / c_i
+    on x_t when c_i > 0 and the upper bound a_i / -c_i when c_i < 0 (the
+    target's own row gives the lower bound 0).  Total mass keeps the
+    line's direction summing to 0, so both sides are bounded."""
+    den, atoms = plan
+    equalities = rows[: 2 * _LINE_EQUALITIES : 2]
+    scale = math.lcm(*[d for _, d in equalities])
+    rhs = [nums[RHS] * (scale // d) for nums, d in equalities]
+    line = [(sum(map(operator.mul, p, rhs)), q * scale) for p, q in atoms]
+    lower: Optional[Ratio] = None
+    upper: Optional[Ratio] = None
+    for a, c in line:
+        if c > 0:
+            if lower is None or -a * lower[1] > lower[0] * c:
+                lower = (-a, c)
+        elif upper is None or a * upper[1] < upper[0] * -c:
+            upper = (a, -c)
+    if _crossed(lower, upper):
+        moving = [ac for i, ac in enumerate(line) if i != _PAPER_TARGET]
+        if any(a * d == b * c for a, c in moving if c > 0 for b, d in moving if d < 0):
+            return None
+        return _target_certificate(lower, upper)
+    return KolmogorovVerdict(True, witness=_line_point(den * scale, line, _midpoint(lower, upper)))
+
+
+def _line_point(den: int, line: list[tuple[int, int]], value: Ratio) -> tuple[Fraction, ...]:
+    """The joint on the line at x_t = value, each atom (a_i + c_i x_t) / den."""
+    num, value_den = value
+    return tuple([Fraction(a * value_den + c * num, den * value_den) for a, c in line])
 
 
 def _check_witness(t: TriadData, rows: list[Row], witness: tuple[Fraction, ...]) -> None:

@@ -1,5 +1,6 @@
 """scripts/bench.py, shrunk to tiny sizes, writes BENCH_14.json's key tree
-with a finite positive figure for every timing."""
+plus the machine's `split_cpus` (BENCH_24.json's tree), with a finite
+positive figure for every timing."""
 
 import importlib.util
 import json
@@ -48,8 +49,10 @@ def test_bench_writes_bench_14_key_tree(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["bench.py", "--out", str(out)])
     bench.main()
     result = json.loads(out.read_text())
-    reference = json.loads((ROOT / "BENCH_14.json").read_text())
-    assert _key_tree(result) == _key_tree(reference)
+    reference = _key_tree(json.loads((ROOT / "BENCH_14.json").read_text()))
+    reference["machine"]["split_cpus"] = None
+    assert _key_tree(result) == reference == _key_tree(json.loads((ROOT / "BENCH_24.json").read_text()))
+    assert result["machine"]["split_cpus"] == bench.qmachine.machine._CPUS
     timings = list(_timings(result))
     assert len(timings) == 67
     bad = [(key, v) for key, v in timings if not (math.isfinite(v) and v > 0.0)]

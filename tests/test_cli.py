@@ -347,6 +347,38 @@ def test_check_rejects_a_flag_its_kind_does_not_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["hilbert", "classify"])
+@pytest.mark.parametrize("gamma2", ["1/0", "abc"])
+def test_check_gamma2_that_is_no_rational_exits_2(tmp_path, capsys, kind, gamma2):
+    triad = ("--triad", triad_file(tmp_path)) if kind == "classify" else ()
+    code, out, err = run_cli(capsys, "check", kind, *triad, "--gamma2", gamma2)
+    assert code == 2 and out == ""
+    assert err == f"error: --gamma2 must be an exact rational, got '{gamma2}'\n"
+
+
+@pytest.mark.parametrize(
+    "marg, cond, message",
+    [
+        ({"U": "1/0"}, None, "marginal U must be an exact rational, got '1/0'"),
+        ({"W": "Infinity"}, None, "marginal W must be an exact rational, got inf"),
+        ({}, "1/0", "p of conditional 2 must be an exact rational, got '1/0'"),
+        ({}, [0.5], "p of conditional 2 must be an exact rational, got [Fraction(1, 2)]"),
+        ({"V": True}, None, "marginal V must be an exact rational, got True"),
+        ({"X": "1/3"}, None, "marginal for unknown variable 'X'"),
+    ],
+    ids=["zero-denominator-marginal", "infinite-marginal", "zero-denominator-p", "list-p", "boolean-marginal", "unknown-marginal"],
+)
+def test_check_triad_that_is_no_rational_triad_exits_2(tmp_path, capsys, marg, cond, message):
+    conds = [{"event": "V", "given": "W", "p": 0.5}, {"event": "U", "given": "W", "p": 0.5 if cond is None else cond}]
+    text = json.dumps({"marg": {"U": 0.5, "V": 0.5, "W": 0.5, **marg}, "cond": conds})
+    path = tmp_path / "triad.json"
+    path.write_text(text.replace('"Infinity"', "Infinity"))  # the JSON constant, which parses to a float
+    for kind, gamma2 in (("kolmogorov", ()), ("classify", ("--gamma2", "0.5"))):
+        code, out, err = run_cli(capsys, "check", kind, "--triad", str(path), *gamma2)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+
+
 def survey_file(tmp_path, pre=0.15, angles=(0, 60, 120)):
     path = tmp_path / "survey.json"
     path.write_text(

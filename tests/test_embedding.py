@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from test_checker_golden import golden_triads
+from test_checker_golden import degenerate_triad, golden_triads
 
 from qmachine import embedding
 from qmachine.embedding import (
@@ -13,6 +14,11 @@ from qmachine.embedding import (
     CondProb,
     ModelClass,
     TriadData,
+    _elimination_verdict,
+    _equality_masks,
+    _line_plan,
+    _line_verdict,
+    _mask,
     _project_to_atom,
     _system_rows,
     atom_label,
@@ -91,6 +97,16 @@ def test_triad_conditionals_pass_through_to_fraction():
     assert triad(1).conditionals[0].p == Fraction(1)
 
 
+def test_triad_rejects_unknown_variable_names():
+    halves = {"U": HALF, "V": HALF, "W": HALF}
+    with pytest.raises(ValueError, match="marginal for unknown variable 'X'"):
+        TriadData({**halves, "X": "1/3"}, ())
+    for event, given in ((("X", True), ("W", True)), (("V", True), ("Y", False))):
+        name = event[0] if event[0] != "V" else given[0]
+        with pytest.raises(ValueError, match=f"conditional on unknown variable '{name}'"):
+            TriadData(halves, (CondProb(event, given, HALF),))
+
+
 def test_parse_event():
     assert parse_event("U") == ("U", True)
     assert parse_event("not V") == ("V", False)
@@ -147,10 +163,15 @@ def test_independence_triad_is_feasible_with_valid_witness():
 )
 def test_wrong_witness_raises(monkeypatch, wrong, broken):
     # The witness check must hold under python -O, so it raises instead of
-    # asserting; a wrong witness is never returned as feasible.
-    monkeypatch.setattr(embedding, "_back_substitute", lambda stack, target, value: wrong)
-    with pytest.raises(RuntimeError, match=broken):
-        check_kolmogorov(independence_triad())
+    # asserting; a wrong witness is never returned as feasible.  Each path
+    # gets the wrong witness in turn: the independence triad is a line, and
+    # without its last conditional it goes to elimination.
+    two_conditionals = TriadData(independence_triad().marginals, independence_triad().conditionals[:2])
+    for witness_of, t in (("_line_point", independence_triad()), ("_back_substitute", two_conditionals)):
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding, witness_of, lambda *args: wrong)
+            with pytest.raises(RuntimeError, match=broken):
+                check_kolmogorov(t)
 
 
 # The U xor V xor W parity of each atom: orthogonal to every event mask on
@@ -292,16 +313,125 @@ def test_system_rows_match_joint_constraints():
 
 
 def test_a_check_builds_the_system_once(monkeypatch):
-    # Elimination and the witness check read one set of rows; the labelled
-    # constraints are built only to name the one a broken witness violates.
+    # The line, elimination and the witness check read one set of rows; the
+    # labelled constraints are built only to name the one a broken witness
+    # violates.
     calls = []
-    for name in ("_system_rows", "joint_constraints"):
+    for name in ("_system_rows", "joint_constraints", "_project_to_atom"):
         build = getattr(embedding, name)
-        monkeypatch.setattr(embedding, name, lambda t, build=build, name=name: calls.append(name) or build(t))
-    for t, feasible in ((independence_triad(), True), (half_family_triad(Fraction(3, 5)), True), (paper_triad(), False)):
-        calls.clear()
-        assert check_kolmogorov(t).feasible is feasible
-        assert calls == ["_system_rows"]
+        monkeypatch.setattr(embedding, name, lambda *args, build=build, name=name: calls.append(name) or build(*args))
+    line = [(independence_triad(), True), (half_family_triad(Fraction(3, 5)), True), (paper_triad(), False)]
+    golden = golden_triads()
+    elimination = [(golden[1], True), (golden[0], False), (golden[5], False)]  # golden[5]: a constant-row certificate
+    crossing = [(SHARED_ZERO_TRIAD, False)]  # read off the line, then certified by elimination
+    for cases, path in ((line, []), (elimination, ["_project_to_atom"]), (crossing, ["_project_to_atom"])):
+        for t, feasible in cases:
+            calls.clear()
+            assert check_kolmogorov(t).feasible is feasible
+            assert calls == ["_system_rows"] + path
+
+
+STANDARD_PAIRS = ((("V", True), ("W", True)), (("U", True), ("W", True)), (("U", False), ("V", True)))
+EVENTS = [(name, positive) for name in ("U", "V", "W") for positive in (True, False)]
+
+# Three conditionals with rank-7 masks whose line has U & not V & W and
+# U & not V & not W vanish together, moving in opposite directions
+# (P(not V | U) = 0), as do the two not U & not W atoms (P(W | not U) = 1).
+# The system is infeasible; the line's own bounds are 7/20 > 11/240, while
+# elimination takes two of those rows for an equality and certifies
+# 7/20 > 17/80.
+SHARED_ZERO_TRIAD = TriadData(
+    {"U": HALF, "V": Fraction(17, 20), "W": Fraction(2, 3)},
+    (
+        CondProb(("W", True), ("V", True), Fraction(1, 4)),
+        CondProb(("W", True), ("U", False), Fraction(1)),
+        CondProb(("V", False), ("U", True), Fraction(0)),
+    ),
+)
+
+
+def standard_triad(marginals, ps):
+    return TriadData(dict(zip("UVW", marginals)), tuple(CondProb(e, g, p) for (e, g), p in zip(STANDARD_PAIRS, ps)))
+
+
+def test_line_matches_elimination():
+    # The line's verdict, witness and certificate are elimination's, byte for
+    # byte: on random joints and the half family (feasible and not), on
+    # degenerate standard triads (marginals and p in {0, 1/2, 1} and a few
+    # thirds and quarters), and on random three-conditional shapes with
+    # degenerate values, where atoms vanish together and some crossings go
+    # to elimination.
+    rnd = random.Random(24)
+    triads = [triad_from_atoms(atoms_from_random_joint(rnd)) for _ in range(60)]
+    triads += [half_family_triad(Fraction(rnd.randint(1, 999), 1000)) for _ in range(60)]
+    triads += [half_family_triad(Fraction(2, 3)), half_family_triad(Fraction(1)), half_family_triad(Fraction(0))]
+    values = (Fraction(0), HALF, Fraction(1))
+    triads += [standard_triad(v[:3], v[3:]) for v in itertools.product(values, repeat=6)]
+    odd = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(2, 3), Fraction(1))
+    triads += [standard_triad([rnd.choice(odd) for _ in "UVW"], [rnd.choice(odd) for _ in "abc"]) for _ in range(200)]
+    for _ in range(600):
+        pairs = [(rnd.choice(EVENTS), rnd.choice(EVENTS)) for _ in range(3)]
+        triads.append(
+            TriadData({n: rnd.choice(odd[1:4]) for n in "UVW"}, tuple(CondProb(e, g, rnd.choice(odd)) for e, g in pairs))
+        )
+    triads.append(SHARED_ZERO_TRIAD)
+    read = {"line": 0, "crossing": 0}
+    for t in triads:
+        rows = _system_rows(t)
+        plan = _line_plan(_equality_masks(t))
+        if plan is None:
+            continue
+        verdict = _line_verdict(plan, rows)
+        elimination = _elimination_verdict(rows)
+        read["line" if verdict is not None else "crossing"] += 1
+        if verdict is None:
+            assert not elimination.feasible
+        else:
+            assert repr(verdict) == repr(elimination)
+        assert repr(check_kolmogorov(t)) == repr(elimination)
+    assert read["line"] > 400 and read["crossing"] > 400
+
+
+def test_a_shared_zero_crossing_is_certified_by_elimination():
+    rows = _system_rows(SHARED_ZERO_TRIAD)
+    assert _line_verdict(_line_plan(_equality_masks(SHARED_ZERO_TRIAD)), rows) is None
+    cert = check_kolmogorov(SHARED_ZERO_TRIAD).certificate
+    assert (cert.lower, cert.upper, cert.expression) == (Fraction(7, 20), Fraction(17, 80), "not U & V & W")
+
+
+def test_which_shapes_are_a_line(monkeypatch):
+    halves = {"U": HALF, "V": HALF, "W": HALF}
+
+    def masks(*pairs):
+        return _equality_masks(TriadData(halves, tuple(CondProb(e, g, HALF) for e, g in pairs)))
+
+    # The paper's shape: every atom moves along the parity direction, the
+    # target with coefficient 1 and the rest with +-1, over D = 1.
+    den, atoms = _line_plan(masks(*STANDARD_PAIRS))
+    assert den == 1 and [q for _, q in atoms] == [PARITY[i] * PARITY[_PAPER_TARGET] for i in range(8)]
+    # Any three conditionals on three distinct pairs of variables have rank 7.
+    assert _line_plan(masks((("U", False), ("W", True)), (("V", True), ("U", True)), (("W", False), ("V", False))))
+    # Rank below 7: two conditionals on one intersection, or a conditional
+    # on one variable (its mask is a marginal's or all 0).
+    assert _line_plan(masks(STANDARD_PAIRS[0], (("W", True), ("V", True)), STANDARD_PAIRS[2])) is None
+    assert _line_plan(masks(STANDARD_PAIRS[0], (("V", True), ("V", True)), STANDARD_PAIRS[2])) is None
+    assert _line_plan(masks(STANDARD_PAIRS[0], (("V", False), ("V", True)), STANDARD_PAIRS[2])) is None
+    # No triad mask pins the target or stops an atom, but the plan checks
+    # both: a mask of the target alone pins it, and one of atom 0 alone
+    # (beside total mass, the marginals, V & W and U & W) leaves every
+    # atom with W false fixed.
+    six = masks(*STANDARD_PAIRS)[:6]
+    assert _line_plan(six + (_mask(("U", False), ("V", True), ("W", True)),)) is None
+    assert _line_plan(six + (_mask(("U", False), ("V", False), ("W", False)),)) is None
+    # The checker reads the line for 5 of the 201 golden triads, each with
+    # three conditionals; the rest go to elimination alone.
+    read = []
+    line_verdict = embedding._line_verdict
+    monkeypatch.setattr(embedding, "_line_verdict", lambda plan, rows: read.append(plan) or line_verdict(plan, rows))
+    golden = golden_triads() + [degenerate_triad()]
+    for t in golden:
+        check_kolmogorov(t)
+    assert len(read) == 5 and sum(len(t.conditionals) == 3 for t in golden) > 5
 
 
 def _grid_oracle_finds_feasible(t, steps=200):
