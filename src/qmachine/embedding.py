@@ -10,10 +10,10 @@ P(not U|V)) leaves a line of joints with one free atom, not-U & V & W,
 and its verdict is read off that line: each atom is an integer affine
 function of the right-hand sides, each x_i >= 0 bounds the free atom
 from one side, and the witness is the line's point at the midpoint of
-the tightest bounds.  Fourier-Motzkin on such a system substitutes an
-equality at every step and so prints the same bounds, certificate and
-witness; the comment above _line_plan says why, and names the one
-infeasible case left to the elimination.
+the tightest bounds; it reads the seven equalities alone.  Fourier-Motzkin
+on such a system substitutes an equality at every step and so prints the
+same bounds, certificate and witness; the comment above _line_plan says
+why, and names the one infeasible case left to the elimination.
 
 Every other triad is decided by exact Fourier-Motzkin elimination over
 rationals.  Each equality constraint is substituted when its atom is
@@ -21,12 +21,13 @@ eliminated, so the row count stays linear, and back-substitution reads
 that atom from the equality alone; inequalities are paired only for
 atoms no remaining equality involves.  Rows are canonical integer rows
 (numerators over one common denominator, reduced by their gcd), built
-once from the triad's numerators and denominators, each event an 8-atom
-mask: elimination, back-substitution and the witness check (each
-equality once, then each atom's sign) all run on them in Python ints,
-and only the bounds and witness reported are Fractions.  An infeasible
-verdict's certificate is a crossed pair of implied bounds on one atom,
-or a derived row 0 <= r with r < 0.
+from the triad's numerators and denominators, each event an 8-atom mask,
+only when the elimination runs.  Either path's witness comes out as
+integer numerators over one denominator and is checked on integers
+against each equality, then each atom's sign; only the bounds and
+witness reported are Fractions.  An infeasible verdict's certificate is
+a crossed pair of implied bounds on one atom, or a derived row
+0 <= r with r < 0.
 
 check_hilbert2d asks whether the symmetric transition-probability table
 (all cyclically adjacent pairs gamma^2, all skew pairs delta^2) can be
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -59,9 +61,10 @@ Event = tuple[str, bool]
 
 
 def to_fraction(value: RationalLike) -> Fraction:
-    """Exact conversion; floats are rejected so no silent rounding sneaks in."""
-    if isinstance(value, float):
-        raise TypeError("pass probabilities as str/Fraction/int so they stay exact")
+    """Exact conversion; floats are rejected so no silent rounding sneaks
+    in, and bools so that True is not read as the probability 1."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"pass probabilities as str/Fraction/int, not the {type(value).__name__} {value!r}")
     return Fraction(value)
 
 
@@ -106,7 +109,7 @@ class TriadData:
 
     All probabilities are exact rationals: marginals and each CondProb's p
     pass through to_fraction, so an int or a str such as '1/2' is taken
-    and a float is refused.
+    and a float or a bool is refused.
     """
 
     marginals: Mapping[str, Fraction]
@@ -155,13 +158,16 @@ class LinearConstraint:
     label: str
 
 
+Equality = tuple[tuple[int, ...], int, int]  # (atom mask, rhs numerator, rhs denominator)
+
+
 def _equality_masks(t: TriadData) -> tuple[tuple[int, ...], ...]:
     """The atom mask of each equality constraint, in order: total mass, the
     marginals of U, V and W, then each conditional's event & given."""
     return (_mask(), *[_mask((name, True)) for name in VARIABLES], *[_mask(c.event, c.given) for c in t.conditionals])
 
 
-def _equalities(t: TriadData) -> list[tuple[tuple[int, ...], int, int]]:
+def _equalities(t: TriadData) -> list[Equality]:
     """Each equality constraint as (atom mask, rhs numerator, rhs
     denominator) in lowest terms: total mass, the marginals, then each
     conditional P(event | given) = p turned into the intersection mass
@@ -197,15 +203,17 @@ def joint_constraints(t: TriadData) -> list[LinearConstraint]:
 # one common denominator den > 0, reduced so that gcd(*nums, den) == 1.
 # That form is unique, so two rows are equal exactly when their rational
 # coefficients and rhs are, and the elimination runs on Python ints.  The
-# rows are built once from the triad: an equality mask . x = a/b is the
-# row (b mask, a) over b, already reduced since gcd(a, b) == 1, and its
-# negation; the witness check reads the same rows.
+# rows are built from the triad's equalities only when the elimination
+# runs: an equality mask . x = a/b is the row (b mask, a) over b, already
+# reduced since gcd(a, b) == 1, and its negation.  The line and the
+# witness check read the (mask, a, b) equalities themselves.
 # Tuples are built from lists: tuple(generator) allocates ten slots and
 # shrinks, and the shrunk tuples pile up in size freelists nothing reuses.
 
 Row = tuple[tuple[int, ...], int]
 RHS = N_ATOMS
 Ratio = tuple[int, int]  # a bound as (numerator, positive denominator)
+Witness = tuple[list[int], int]  # the atoms as integer numerators over one denominator > 0
 
 # The eight rows -x_i <= 0.
 _NONNEGATIVE: list[Row] = [(tuple([-1 if j == i else 0 for j in range(N_ATOMS + 1)]), 1) for i in range(N_ATOMS)]
@@ -216,11 +224,11 @@ def _negated(row: Row) -> Row:
     return tuple([-n for n in nums]), den
 
 
-def _system_rows(t: TriadData) -> list[Row]:
+def _system_rows(equalities: list[Equality]) -> list[Row]:
     """The system as rows: each equality of joint_constraints, in order, as
     itself and its negation, then the eight rows -x_i <= 0."""
     rows: list[Row] = []
-    for mask, num, den in _equalities(t):
+    for mask, num, den in equalities:
         row = (tuple([den * m for m in mask] + [num]), den)
         rows += [row, _negated(row)]
     return rows + _NONNEGATIVE
@@ -314,10 +322,10 @@ def _project_to_atom(rows: list[Row], target: int):
     return lower, upper, violated, stack
 
 
-def _back_substitute(stack, target: int, target_value: Ratio) -> tuple[Fraction, ...]:
+def _back_substitute(stack, target: int, target_value: Ratio) -> Witness:
     """Set each eliminated atom, last first, to the midpoint of its bounds
     given the atoms already set, keeping the atoms as integers known / den
-    over one common denominator; only the witness returned is Fractions."""
+    over one common denominator."""
     known = [0] * N_ATOMS
     known[target], den = target_value
     for var, rows in reversed(stack):
@@ -331,7 +339,7 @@ def _back_substitute(stack, target: int, target_value: Ratio) -> tuple[Fraction,
         if scale != 1:
             known, den = [k * scale for k in known], den * scale
         known[var] = num * (den // value_den)
-    return tuple([Fraction(k, den) for k in known])
+    return known, den
 
 
 @dataclass(frozen=True)
@@ -353,7 +361,6 @@ class KolmogorovVerdict:
 
 # The atom the flagship contradiction lives on: not-U & V & W.
 _PAPER_TARGET = 0b011
-_LINE_EQUALITIES = N_ATOMS - 1
 
 
 def check_kolmogorov(t: TriadData) -> KolmogorovVerdict:
@@ -363,40 +370,44 @@ def check_kolmogorov(t: TriadData) -> KolmogorovVerdict:
     of the flagship derivation; its implied bound pair is the certificate
     when contradictory, else a derived row 0 <= r with r < 0.  A triad
     whose seven equalities leave a line with that atom as its parameter is
-    read off the line (_line_verdict says when); every other triad runs
-    Fourier-Motzkin.  Either way a feasible verdict's witness is checked
-    against the system's rows.
+    read off the line from those equalities alone (_line_verdict says
+    when); every other triad builds the system's rows and runs
+    Fourier-Motzkin.  Either way a witness, integer numerators over one
+    denominator, is checked against the equalities on integers, and only
+    then made Fractions.
     """
-    rows = _system_rows(t)
-    masks = _equality_masks(t)
-    plan = _line_plan(masks) if len(masks) == _LINE_EQUALITIES else None
-    verdict = _line_verdict(plan, rows) if plan is not None else None
-    if verdict is None:
-        verdict = _elimination_verdict(rows)
-    if verdict.feasible:
-        _check_witness(t, rows, verdict.witness)
-    return verdict
+    equalities = _equalities(t)
+    plan = _line_plan(tuple([m for m, _, _ in equalities])) if len(equalities) == N_ATOMS - 1 else None
+    found = _line_verdict(plan, equalities) if plan is not None else None
+    if found is None:
+        found = _elimination_verdict(_system_rows(equalities))
+    if isinstance(found, Certificate):
+        return KolmogorovVerdict(False, certificate=found)
+    known, den = found
+    _check_witness(t, equalities, known, den)
+    return KolmogorovVerdict(True, witness=tuple([Fraction(k, den) for k in known]))
 
 
 def _crossed(lower: Ratio, upper: Ratio) -> bool:
     return lower[0] * upper[1] > upper[0] * lower[1]
 
 
-def _target_certificate(lower: Ratio, upper: Ratio) -> KolmogorovVerdict:
-    return KolmogorovVerdict(False, certificate=Certificate(Fraction(*lower), Fraction(*upper), atom_label(_PAPER_TARGET)))
+def _target_certificate(lower: Ratio, upper: Ratio) -> Certificate:
+    return Certificate(Fraction(*lower), Fraction(*upper), atom_label(_PAPER_TARGET))
 
 
-def _elimination_verdict(rows: list[Row]) -> KolmogorovVerdict:
-    """The verdict by Fourier-Motzkin: eliminate every atom but the paper
-    target, then back-substitute from the midpoint of its bounds."""
+def _elimination_verdict(rows: list[Row]) -> Union[Certificate, Witness]:
+    """The certificate or the witness by Fourier-Motzkin: eliminate every
+    atom but the paper target, then back-substitute from the midpoint of
+    its bounds."""
     lower, upper, violated, stack = _project_to_atom(rows, _PAPER_TARGET)
     if lower is not None and upper is not None and _crossed(lower, upper):
         return _target_certificate(lower, upper)
     if violated is not None:
-        return KolmogorovVerdict(False, certificate=Certificate(Fraction(0), violated, "0"))
+        return Certificate(Fraction(0), violated, "0")
     if lower is None or upper is None:  # total mass bounds every atom
         raise RuntimeError(f"the elimination left {atom_label(_PAPER_TARGET)} unbounded")
-    return KolmogorovVerdict(True, witness=_back_substitute(stack, _PAPER_TARGET, _midpoint(lower, upper)))
+    return _back_substitute(stack, _PAPER_TARGET, _midpoint(lower, upper))
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +464,10 @@ def _line_plan(masks: tuple[tuple[int, ...], ...]) -> Optional[Line]:
     return den, tuple(atoms)
 
 
-def _line_verdict(plan: Line, rows: list[Row]) -> Optional[KolmogorovVerdict]:
-    """The verdict read off the line, or None for an infeasible system on
-    which two atoms moving in opposite directions vanish at one point.
+def _line_verdict(plan: Line, equalities: list[Equality]) -> Union[Certificate, Witness, None]:
+    """The certificate or the witness read off the line, or None for an
+    infeasible system on which two atoms moving in opposite directions
+    vanish at one point.
 
     Over L, the lcm of the rhs denominators, D L x_i = a_i + c_i x_t with
     integers a_i and c_i = q_i L; x_i >= 0 is the lower bound -a_i / c_i
@@ -463,9 +475,8 @@ def _line_verdict(plan: Line, rows: list[Row]) -> Optional[KolmogorovVerdict]:
     target's own row gives the lower bound 0).  Total mass keeps the
     line's direction summing to 0, so both sides are bounded."""
     den, atoms = plan
-    equalities = rows[: 2 * _LINE_EQUALITIES : 2]
-    scale = math.lcm(*[d for _, d in equalities])
-    rhs = [nums[RHS] * (scale // d) for nums, d in equalities]
+    scale = math.lcm(*[d for _, _, d in equalities])
+    rhs = [num * (scale // d) for _, num, d in equalities]
     line = [(sum(map(operator.mul, p, rhs)), q * scale) for p, q in atoms]
     lower: Optional[Ratio] = None
     upper: Optional[Ratio] = None
@@ -480,26 +491,24 @@ def _line_verdict(plan: Line, rows: list[Row]) -> Optional[KolmogorovVerdict]:
         if any(a * d == b * c for a, c in moving if c > 0 for b, d in moving if d < 0):
             return None
         return _target_certificate(lower, upper)
-    return KolmogorovVerdict(True, witness=_line_point(den * scale, line, _midpoint(lower, upper)))
+    return _line_point(den * scale, line, _midpoint(lower, upper))
 
 
-def _line_point(den: int, line: list[tuple[int, int]], value: Ratio) -> tuple[Fraction, ...]:
+def _line_point(den: int, line: list[tuple[int, int]], value: Ratio) -> Witness:
     """The joint on the line at x_t = value, each atom (a_i + c_i x_t) / den."""
     num, value_den = value
-    return tuple([Fraction(a * value_den + c * num, den * value_den) for a, c in line])
+    return [a * value_den + c * num for a, c in line], den * value_den
 
 
-def _check_witness(t: TriadData, rows: list[Row], witness: tuple[Fraction, ...]) -> None:
-    """Raise unless the witness satisfies the system exactly: each equality,
-    read from the first of its two rows, holds with ==, and each atom is
-    >= 0.  Over one common denominator den the witness is an integer
-    vector, and nums . x = rhs holds iff nums . (den x) == rhs * den."""
-    den = math.lcm(*[x.denominator for x in witness])
-    scaled = [x.numerator * (den // x.denominator) for x in witness]
-    for i, (nums, _) in enumerate(rows[:-N_ATOMS:2]):  # equality rows come first, two per constraint
-        if sum(map(operator.mul, nums, scaled)) != nums[RHS] * den:
+def _check_witness(t: TriadData, equalities: list[Equality], known: list[int], den: int) -> None:
+    """Raise unless the witness x = known / den satisfies the system
+    exactly: each equality mask . x = num / den_e holds, that is
+    den_e (mask . known) == num den, and each atom is >= 0 (with total
+    mass, known >= 0 also makes den > 0)."""
+    for i, (mask, num, den_e) in enumerate(equalities):
+        if den_e * sum(itertools.compress(known, mask)) != num * den:
             raise RuntimeError(f"the witness breaks {joint_constraints(t)[i].label}")
-    for i, x in enumerate(scaled):
+    for i, x in enumerate(known):
         if x < 0:
             raise RuntimeError(f"the witness breaks {atom_label(i)} >= 0")
 

@@ -11,10 +11,12 @@ from test_checker_golden import degenerate_triad, golden_triads
 from qmachine import embedding
 from qmachine.embedding import (
     _PAPER_TARGET,
+    Certificate,
     CondProb,
     ModelClass,
     TriadData,
     _elimination_verdict,
+    _equalities,
     _equality_masks,
     _line_plan,
     _line_verdict,
@@ -76,6 +78,20 @@ def test_to_fraction_rejects_floats():
     with pytest.raises(TypeError):
         to_fraction(0.78)
     assert to_fraction("0.78") == Fraction(39, 50)
+
+
+def test_to_fraction_rejects_bools():
+    # True would read as the probability 1 and False as 0.
+    for value in (True, False):
+        with pytest.raises(TypeError, match=f"not the bool {value}"):
+            to_fraction(value)
+        with pytest.raises(TypeError, match=f"not the bool {value}"):
+            TriadData({"U": value, "V": "1/2", "W": "1/2"}, ())
+        with pytest.raises(TypeError, match=f"not the bool {value}"):
+            TriadData({"U": HALF, "V": HALF, "W": HALF}, (CondProb(("V", True), ("W", True), value),))
+        with pytest.raises(TypeError, match=f"not the bool {value}"):
+            check_hilbert2d(value)
+    assert to_fraction(1) == 1 and check_hilbert2d(0).feasible
 
 
 def test_triad_conditionals_pass_through_to_fraction():
@@ -164,12 +180,13 @@ def test_independence_triad_is_feasible_with_valid_witness():
 def test_wrong_witness_raises(monkeypatch, wrong, broken):
     # The witness check must hold under python -O, so it raises instead of
     # asserting; a wrong witness is never returned as feasible.  Each path
-    # gets the wrong witness in turn: the independence triad is a line, and
-    # without its last conditional it goes to elimination.
+    # gets the wrong witness, as integers over one denominator, in turn: the
+    # independence triad is a line, and without its last conditional it
+    # goes to elimination.
     two_conditionals = TriadData(independence_triad().marginals, independence_triad().conditionals[:2])
     for witness_of, t in (("_line_point", independence_triad()), ("_back_substitute", two_conditionals)):
         with monkeypatch.context() as patch:
-            patch.setattr(embedding, witness_of, lambda *args: wrong)
+            patch.setattr(embedding, witness_of, lambda *args: canonical_row(wrong))
             with pytest.raises(RuntimeError, match=broken):
                 check_kolmogorov(t)
 
@@ -183,9 +200,9 @@ def test_check_witness_names_the_broken_constraint():
     rnd = random.Random(41)
     for _ in range(20):
         t = triad_from_atoms(atoms_from_random_joint(rnd))
-        rows = _system_rows(t)
+        equalities = _equalities(t)
         witness = check_kolmogorov(t).witness
-        embedding._check_witness(t, rows, witness)
+        embedding._check_witness(t, equalities, *canonical_row(witness))
         # Mass moved between two atoms keeps the total but breaks the first
         # constraint, in joint_constraints order, that tells them apart.
         src, dst = rnd.sample(range(8), 2)
@@ -194,14 +211,14 @@ def test_check_witness_names_the_broken_constraint():
         broken = [c.label for c in joint_constraints(t) if sum(a * x for a, x in zip(c.coeffs, moved)) != c.rhs]
         assert broken and broken[0] != "total mass"
         with pytest.raises(RuntimeError, match=re.escape(f"the witness breaks {broken[0]}")):
-            embedding._check_witness(t, rows, tuple(moved))
+            embedding._check_witness(t, equalities, *canonical_row(moved))
         # The parity vector pushes an atom below 0 and keeps every equality.
         low = min((i for i in range(8) if PARITY[i] < 0), key=lambda i: witness[i])
         step = witness[low] + Fraction(1, 1000)
         negative = tuple(x + step * s for x, s in zip(witness, PARITY))
         first = next(i for i, x in enumerate(negative) if x < 0)
         with pytest.raises(RuntimeError, match=re.escape(f"the witness breaks {atom_label(first)} >= 0")):
-            embedding._check_witness(t, rows, negative)
+            embedding._check_witness(t, equalities, *canonical_row(negative))
 
 
 def test_random_joint_round_trips_feasible():
@@ -266,7 +283,7 @@ def test_elimination_rows_are_canonical():
     for _ in range(60):
         marg = {n: Fraction(rnd.randint(1, 99), 100) for n in "UVW"}
         conds = [(rnd.choice(names), rnd.choice(names), Fraction(rnd.randint(0, 100), 100)) for _ in range(rnd.randint(0, 5))]
-        _, _, _, stack = _project_to_atom(_system_rows(triad(marg, conds)), _PAPER_TARGET)
+        _, _, _, stack = _project_to_atom(_system_rows(_equalities(triad(marg, conds))), _PAPER_TARGET)
         for _, rows in stack:
             for nums, den in rows:
                 assert den > 0 and math.gcd(*nums, den) == 1
@@ -309,13 +326,13 @@ def test_system_rows_match_joint_constraints():
             expected += [canonical_row(values), canonical_row([-v for v in values])]
         for i in range(8):
             expected.append(canonical_row([Fraction(-1 if j == i else 0) for j in range(9)]))
-        assert _system_rows(t) == expected
+        assert _system_rows(_equalities(t)) == expected
 
 
 def test_a_check_builds_the_system_once(monkeypatch):
-    # The line, elimination and the witness check read one set of rows; the
-    # labelled constraints are built only to name the one a broken witness
-    # violates.
+    # The line and the witness check read the equalities alone; the system's
+    # rows are built once, and only when the elimination runs.  The labelled
+    # constraints are built only to name the one a broken witness violates.
     calls = []
     for name in ("_system_rows", "joint_constraints", "_project_to_atom"):
         build = getattr(embedding, name)
@@ -324,11 +341,12 @@ def test_a_check_builds_the_system_once(monkeypatch):
     golden = golden_triads()
     elimination = [(golden[1], True), (golden[0], False), (golden[5], False)]  # golden[5]: a constant-row certificate
     crossing = [(SHARED_ZERO_TRIAD, False)]  # read off the line, then certified by elimination
-    for cases, path in ((line, []), (elimination, ["_project_to_atom"]), (crossing, ["_project_to_atom"])):
+    eliminate = ["_system_rows", "_project_to_atom"]
+    for cases, path in ((line, []), (elimination, eliminate), (crossing, eliminate)):
         for t, feasible in cases:
             calls.clear()
             assert check_kolmogorov(t).feasible is feasible
-            assert calls == ["_system_rows"] + path
+            assert calls == path
 
 
 STANDARD_PAIRS = ((("V", True), ("W", True)), (("U", True), ("W", True)), (("U", False), ("V", True)))
@@ -354,6 +372,11 @@ def standard_triad(marginals, ps):
     return TriadData(dict(zip("UVW", marginals)), tuple(CondProb(e, g, p) for (e, g), p in zip(STANDARD_PAIRS, ps)))
 
 
+def exact(found):
+    """The repr of a certificate, or of the Fractions a witness (known, den) stands for."""
+    return repr(found if isinstance(found, Certificate) else [Fraction(k, found[1]) for k in found[0]])
+
+
 def test_line_matches_elimination():
     # The line's verdict, witness and certificate are elimination's, byte for
     # byte: on random joints and the half family (feasible and not), on
@@ -377,24 +400,24 @@ def test_line_matches_elimination():
     triads.append(SHARED_ZERO_TRIAD)
     read = {"line": 0, "crossing": 0}
     for t in triads:
-        rows = _system_rows(t)
+        equalities = _equalities(t)
         plan = _line_plan(_equality_masks(t))
         if plan is None:
             continue
-        verdict = _line_verdict(plan, rows)
-        elimination = _elimination_verdict(rows)
-        read["line" if verdict is not None else "crossing"] += 1
-        if verdict is None:
-            assert not elimination.feasible
+        found = _line_verdict(plan, equalities)
+        elimination = _elimination_verdict(_system_rows(equalities))
+        read["line" if found is not None else "crossing"] += 1
+        if found is None:
+            assert isinstance(elimination, Certificate)
         else:
-            assert repr(verdict) == repr(elimination)
-        assert repr(check_kolmogorov(t)) == repr(elimination)
+            assert exact(found) == exact(elimination)
+        verdict = check_kolmogorov(t)
+        assert repr(verdict.certificate or list(verdict.witness)) == exact(elimination)
     assert read["line"] > 400 and read["crossing"] > 400
 
 
 def test_a_shared_zero_crossing_is_certified_by_elimination():
-    rows = _system_rows(SHARED_ZERO_TRIAD)
-    assert _line_verdict(_line_plan(_equality_masks(SHARED_ZERO_TRIAD)), rows) is None
+    assert _line_verdict(_line_plan(_equality_masks(SHARED_ZERO_TRIAD)), _equalities(SHARED_ZERO_TRIAD)) is None
     cert = check_kolmogorov(SHARED_ZERO_TRIAD).certificate
     assert (cert.lower, cert.upper, cert.expression) == (Fraction(7, 20), Fraction(17, 80), "not U & V & W")
 
@@ -427,7 +450,7 @@ def test_which_shapes_are_a_line(monkeypatch):
     # three conditionals; the rest go to elimination alone.
     read = []
     line_verdict = embedding._line_verdict
-    monkeypatch.setattr(embedding, "_line_verdict", lambda plan, rows: read.append(plan) or line_verdict(plan, rows))
+    monkeypatch.setattr(embedding, "_line_verdict", lambda plan, eqs: read.append(plan) or line_verdict(plan, eqs))
     golden = golden_triads() + [degenerate_triad()]
     for t in golden:
         check_kolmogorov(t)
