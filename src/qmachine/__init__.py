@@ -10,7 +10,7 @@ mixed-state measures, conditional probabilities by three routes, exact
 embeddability verdicts, and the opinion-poll mapping.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .conditional import (
     ConditionalQuery,

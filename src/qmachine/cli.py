@@ -362,7 +362,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        missing = "missing key " if isinstance(exc, KeyError) else ""  # str(KeyError) is the key's repr alone
+        print(f"error: {missing}{exc}", file=sys.stderr)
         return USAGE_ERROR
     if payload is not None:  # sweep --out - has already written its CSV
         print(json.dumps(_sanitize(payload)))

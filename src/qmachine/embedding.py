@@ -2,32 +2,27 @@
 
 check_kolmogorov asks whether one joint probability space over three
 events can reproduce the given marginals and Bayes-rule conditionals; the
-unknowns are the eight atom probabilities of the U/V/W sign table.
+unknowns are the eight atom probabilities of the U/V/W sign table.  It
+runs one procedure on every triad:
 
-A triad with three conditionals whose seven equality masks have rank 7
-(every survey triad: total mass, the marginals, P(V|W), P(U|W) and
-P(not U|V)) leaves a line of joints with one free atom, not-U & V & W,
-and its verdict is read off that line: each atom is an integer affine
-function of the right-hand sides, each x_i >= 0 bounds the free atom
-from one side, and the witness is the line's point at the midpoint of
-the tightest bounds; it reads the seven equalities alone.  Fourier-Motzkin
-on such a system substitutes an equality at every step and so prints the
-same bounds, certificate and witness; the comment above _line_plan says
-why, and names the one infeasible case left to the elimination.
+* a plan, made once per tuple of equality masks: one exact Gauss-Jordan
+  over [A | I] writes each atom as an integer affine function of the
+  right-hand sides and of the free atoms (those whose columns take no
+  pivot; the not-U & V & W target is always one), and leaves the null
+  combinations of the masks;
+* a null combination y with y . b != 0 is an equality contradiction, and
+  certifies infeasibility as a constant row;
+* otherwise each x_i >= 0 is one integer row over the free atoms, and
+  Fourier-Motzkin pairs those rows to eliminate every free atom but the
+  target.  Crossed bounds on the target, or a negative constant row, are
+  the certificate; else the witness is back-substituted from midpoints.
 
-Every other triad is decided by exact Fourier-Motzkin elimination over
-rationals.  Each equality constraint is substituted when its atom is
-eliminated, so the row count stays linear, and back-substitution reads
-that atom from the equality alone; inequalities are paired only for
-atoms no remaining equality involves.  Rows are canonical integer rows
-(numerators over one common denominator, reduced by their gcd), built
-from the triad's numerators and denominators, each event an 8-atom mask,
-only when the elimination runs.  Either path's witness comes out as
-integer numerators over one denominator and is checked on integers
-against each equality, then each atom's sign; only the bounds and
-witness reported are Fractions.  An infeasible verdict's certificate is
-a crossed pair of implied bounds on one atom, or a derived row
-0 <= r with r < 0.
+A triad with one free atom (every survey triad) is read off its line with
+no elimination at all.  The witness comes out as integer numerators over
+one denominator and is checked on integers against each equality, then
+each atom's sign; only the bounds and witness reported are Fractions.  An
+infeasible verdict's certificate is a crossed pair of implied bounds on
+the target, or a derived row 0 <= r with r < 0.
 
 check_hilbert2d asks whether the symmetric transition-probability table
 (all cyclically adjacent pairs gamma^2, all skew pairs delta^2) can be
@@ -161,26 +156,27 @@ class LinearConstraint:
 Equality = tuple[tuple[int, ...], int, int]  # (atom mask, rhs numerator, rhs denominator)
 
 
-def _equality_masks(t: TriadData) -> tuple[tuple[int, ...], ...]:
-    """The atom mask of each equality constraint, in order: total mass, the
-    marginals of U, V and W, then each conditional's event & given."""
-    return (_mask(), *[_mask((name, True)) for name in VARIABLES], *[_mask(c.event, c.given) for c in t.conditionals])
+# The masks of total mass and of the marginals of U, V and W.
+_BASE_MASKS = (_mask(), *[_mask((name, True)) for name in VARIABLES])
 
 
 def _equalities(t: TriadData) -> list[Equality]:
     """Each equality constraint as (atom mask, rhs numerator, rhs
     denominator) in lowest terms: total mass, the marginals, then each
     conditional P(event | given) = p turned into the intersection mass
-    p P(given), formed from numerators and denominators with one gcd."""
+    p P(given) on event & given, formed from numerators and denominators
+    with one gcd."""
     marginals = t.marginals
-    rhs = [(1, 1)] + [(marginals[name].numerator, marginals[name].denominator) for name in VARIABLES]
+    equalities = [(_BASE_MASKS[0], 1, 1)]
+    for name, mask in zip(VARIABLES, _BASE_MASKS[1:]):
+        equalities.append((mask, *marginals[name].as_integer_ratio()))
     for c in t.conditionals:
-        m = marginals[c.given[0]]
-        num = c.p.numerator * (m.numerator if c.given[1] else m.denominator - m.numerator)
-        den = c.p.denominator * m.denominator
+        m_num, m_den = marginals[c.given[0]].as_integer_ratio()
+        p_num, p_den = c.p.as_integer_ratio()
+        num, den = p_num * (m_num if c.given[1] else m_den - m_num), p_den * m_den
         g = math.gcd(num, den)
-        rhs.append((num // g, den // g))
-    return [(mask, num, den) for mask, (num, den) in zip(_equality_masks(t), rhs)]
+        equalities.append((_mask(c.event, c.given), num // g, den // g))
+    return equalities
 
 
 def joint_constraints(t: TriadData) -> list[LinearConstraint]:
@@ -198,104 +194,77 @@ def joint_constraints(t: TriadData) -> list[LinearConstraint]:
 
 
 # ---------------------------------------------------------------------------
-# Exact Fourier-Motzkin elimination.  Rows encode  coeffs . x <= rhs  as
-# (nums, den): the eight coefficient numerators and the rhs numerator over
-# one common denominator den > 0, reduced so that gcd(*nums, den) == 1.
-# That form is unique, so two rows are equal exactly when their rational
-# coefficients and rhs are, and the elimination runs on Python ints.  The
-# rows are built from the triad's equalities only when the elimination
-# runs: an equality mask . x = a/b is the row (b mask, a) over b, already
-# reduced since gcd(a, b) == 1, and its negation.  The line and the
-# witness check read the (mask, a, b) equalities themselves.
+# The plan.  One exact Gauss-Jordan over [A | I], A the equality masks with
+# the atom columns in index order and the paper target last, writes each
+# atom as D x_i = P_i . b + Q_i . x_free over one integer D > 0, for the
+# right-hand sides b and the atoms whose columns took no pivot, and leaves
+# the null combinations y of the masks (y A = 0), which a consistent b
+# must meet with y . b = 0.  Every mask involves at most two variables, so
+# the U xor V xor W parity of the atoms is orthogonal to each of them: its
+# target entry is nonzero, so the target column is a combination of the
+# others and the target is always free, the last free atom.  A triad's
+# masks recur, so the plan is made once per tuple of masks.
 # Tuples are built from lists: tuple(generator) allocates ten slots and
 # shrinks, and the shrunk tuples pile up in size freelists nothing reuses.
 
-Row = tuple[tuple[int, ...], int]
-RHS = N_ATOMS
+Plan = tuple[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], tuple[tuple[int, ...], ...]]
+Row = tuple[int, ...]  # (*Q, a): Q . z + a >= 0 over z = L x_free, L the lcm of the rhs denominators
 Ratio = tuple[int, int]  # a bound as (numerator, positive denominator)
 Witness = tuple[list[int], int]  # the atoms as integer numerators over one denominator > 0
 
-# The eight rows -x_i <= 0.
-_NONNEGATIVE: list[Row] = [(tuple([-1 if j == i else 0 for j in range(N_ATOMS + 1)]), 1) for i in range(N_ATOMS)]
 
-
-def _negated(row: Row) -> Row:
-    nums, den = row
-    return tuple([-n for n in nums]), den
-
-
-def _system_rows(equalities: list[Equality]) -> list[Row]:
-    """The system as rows: each equality of joint_constraints, in order, as
-    itself and its negation, then the eight rows -x_i <= 0."""
-    rows: list[Row] = []
-    for mask, num, den in equalities:
-        row = (tuple([den * m for m in mask] + [num]), den)
-        rows += [row, _negated(row)]
-    return rows + _NONNEGATIVE
-
-
-def _combination(r: Row, s: int, q: Row, t: int) -> Row:
-    """The canonical row with numerators s r + t q over r's and q's
-    denominators multiplied."""
-    nums = [s * a + t * b for a, b in zip(r[0], q[0])]
-    den = r[1] * q[1]
-    g = math.gcd(*nums, den)
-    return (tuple(nums), den) if g == 1 else (tuple([n // g for n in nums]), den // g)
-
-
-def _eliminate(rows: list[Row], var: int) -> tuple[list[Row], list[Row]]:
-    """Project the system onto the remaining variables; returns (projected
-    rows, the rows kept to bound `var` in back-substitution).
-
-    When an equality (a row `up` with coefficient c > 0 on `var` whose
-    exact negation `down` is also present) involves `var`, it is
-    substituted: every other row r that involves `var` becomes
-    c r - r[var] up, which is r paired with `down` for an upper r and with
-    `up` for a lower one.  That is the same exact projection as pairing all
-    uppers with all lowers, and it keeps the row count linear.  The pair
-    alone is kept: on any point of the projection it fixes `var` at the
-    one value the other rows allow.  Substitution maps equality pairs to
-    equality pairs, so later steps find theirs again.
-    """
-    uppers, lowers, rest = [], [], []
-    for row in rows:
-        coeff = row[0][var]
-        if coeff > 0:
-            uppers.append(row)
-        elif coeff < 0:
-            lowers.append(row)
-        else:
-            rest.append(row)
-    lower_set = set(lowers)
-    for up in uppers:
-        down = _negated(up)
-        if down in lower_set:
-            break
-    else:
-        return rest + [_combination(u, -lo[0][var], lo, u[0][var]) for u in uppers for lo in lowers], uppers + lowers
-    c = up[0][var]
-    combined = [_combination(r, c, up, -r[0][var]) for r in uppers + lowers if r != up and r != down]
-    return rest + combined, [up, down]
+@functools.cache
+def _plan(masks: tuple[tuple[int, ...], ...]) -> Plan:
+    """(D, ((P_i, Q_i) for each atom i), the null combinations y as
+    primitive integer rows) for a tuple of equality masks, at any rank.
+    The elimination runs on integer rows, each reduced by its gcd: row k is
+    combined with pivot row r as r[col] k - k[col] r."""
+    n = len(masks)
+    cols = [i for i in range(N_ATOMS) if i != _PAPER_TARGET] + [_PAPER_TARGET]
+    aug = [[m[i] for i in cols] + [int(j == k) for j in range(n)] for k, m in enumerate(masks)]
+    pivots: list[int] = []
+    for col in range(N_ATOMS):
+        r = len(pivots)
+        pivot = next((k for k in range(r, n) if aug[k][col]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        for k in range(n):
+            if k != r and aug[k][col]:
+                combined = [aug[r][col] * a - aug[k][col] * b for a, b in zip(aug[k], aug[r])]
+                g = math.gcd(*combined)
+                aug[k] = [v // g for v in combined]
+        pivots.append(col)
+    # Row r now reads aug[r][p] x_cols[p] = sum_j aug[r][8 + j] b_j - sum_f aug[r][f] x_cols[f], p = pivots[r].
+    free = [col for col in range(N_ATOMS) if col not in pivots]
+    den = math.lcm(*[aug[r][col] for r, col in enumerate(pivots)])
+    atoms: list = [None] * N_ATOMS
+    for r, col in enumerate(pivots):
+        s = den // aug[r][col]
+        atoms[cols[col]] = tuple([v * s for v in aug[r][N_ATOMS:]]), tuple([-aug[r][f] * s for f in free])
+    for col in free:
+        atoms[cols[col]] = (), tuple([den if f == col else 0 for f in free])  # P_i = 0
+    return den, tuple(atoms), tuple([tuple(row[N_ATOMS:]) for row in aug[len(pivots) :]])
 
 
 def _bounds(rows: list[Row], var: int, known: list[int], den: int) -> tuple[Optional[Ratio], Optional[Ratio]]:
-    """(max lower bound, min upper bound) on `var` from the rows that
-    involve it, every other atom a row involves taken at known[i] / den, or
-    None where no row bounds that side.  Each row's bound (rhs - rest) /
-    coeff is an integer ratio, and the tightest on each side is picked by
+    """(max lower bound, min upper bound) on free atom `var` from the rows
+    that involve it, every other free atom a row involves taken at
+    known[j] / den, or None where no row bounds that side.  Each row's
+    bound is an integer ratio, and the tightest on each side is picked by
     cross-multiplying."""
     lower: Optional[Ratio] = None
     upper: Optional[Ratio] = None
-    for nums, _ in rows:
-        c = nums[var]
+    for row in rows:
+        c = row[var]
         if c == 0:
             continue
-        num = nums[RHS] * den - sum(map(operator.mul, nums, known))  # known[var] is 0
+        num = sum(map(operator.mul, row, known), row[-1] * den) if known else row[-1]  # known[var] is 0
         if c > 0:
-            if upper is None or num * upper[1] < upper[0] * c * den:
-                upper = (num, c * den)
-        elif lower is None or num * lower[1] < lower[0] * c * den:  # -num / (-c den) > lower
-            lower = (-num, -c * den)
+            if lower is None or -num * lower[1] > lower[0] * c * den:
+                lower = (-num, c * den)
+        elif upper is None or num * upper[1] < upper[0] * -c * den:
+            upper = (num, -c * den)
     return lower, upper
 
 
@@ -306,40 +275,42 @@ def _midpoint(lower: Ratio, upper: Ratio) -> Ratio:
     return num // g, den // g
 
 
-def _project_to_atom(rows: list[Row], target: int):
-    """Eliminate every atom but `target`: returns the target's (lower,
-    upper) bounds as integer ratios or None, the first violated constant
-    row's rhs as a Fraction or None, and the (var, kept rows) stack."""
-    stack = []
-    for var in range(N_ATOMS):
-        if var == target:
-            continue
-        rows, kept = _eliminate(rows, var)
-        stack.append((var, kept))
-    # Every row left involves the target alone or no atom at all.
-    lower, upper = _bounds(rows, target, [0] * N_ATOMS, 1)
-    violated = next((Fraction(nums[RHS], den) for nums, den in rows if nums[target] == 0 and nums[RHS] < 0), None)
-    return lower, upper, violated, stack
+def _eliminate(rows: list[Row], var: int) -> tuple[list[Row], list[Row]]:
+    """Fourier-Motzkin on free atom `var`: (every row without it plus each
+    lower row paired with each upper row, reduced by its gcd; the rows that
+    bound `var`, kept for back-substitution)."""
+    lowers = [row for row in rows if row[var] > 0]
+    uppers = [row for row in rows if row[var] < 0]
+    projected = [row for row in rows if row[var] == 0]
+    for lo in lowers:
+        for up in uppers:
+            s, t = -up[var], lo[var]
+            combined = [s * a + t * b for a, b in zip(lo, up)]
+            g = math.gcd(*combined)  # 0 when the pair cancels to 0 >= 0
+            projected.append(tuple(combined) if g < 2 else tuple([v // g for v in combined]))
+    return projected, lowers + uppers
 
 
-def _back_substitute(stack, target: int, target_value: Ratio) -> Witness:
-    """Set each eliminated atom, last first, to the midpoint of its bounds
-    given the atoms already set, keeping the atoms as integers known / den
-    over one common denominator."""
-    known = [0] * N_ATOMS
-    known[target], den = target_value
-    for var, rows in reversed(stack):
-        # Both bounds exist: the system holds total mass and every x_i >= 0,
-        # so each projection is bounded, and on a feasible system the atom's
-        # fiber over the atoms already set is a nonempty bounded interval,
-        # which the rows kept for it bound from above and from below (a
-        # substituted equality pins both ends to the one value it allows).
-        num, value_den = _midpoint(*_bounds(rows, var, known, den))
-        scale = value_den // math.gcd(den, value_den)
+def _back_substitute(rows: list[Row], den: int, stack: list[list[Row]], value: Ratio) -> Witness:
+    """The joint with the target at `value` and each eliminated free atom,
+    last first, at the midpoint of its bounds given the free atoms already
+    set, kept as integers over one common denominator; then each atom's
+    row (Q . z + a, over den) read at that point."""
+    known = [0] * (len(stack) + 1)
+    known[-1], value_den = value
+    for var in reversed(range(len(stack))):
+        # Both bounds exist: on a feasible system the atom's fiber over the
+        # free atoms already set is a nonempty interval, bounded since total
+        # mass and every x_i >= 0 bound every atom.
+        num, var_den = _midpoint(*_bounds(stack[var], var, known, value_den))
+        scale = var_den // math.gcd(value_den, var_den)
         if scale != 1:
-            known, den = [k * scale for k in known], den * scale
-        known[var] = num * (den // value_den)
-    return known, den
+            known, value_den = [k * scale for k in known], value_den * scale
+        known[var] = num * (value_den // var_den)
+    values = [row[-1] * value_den for row in rows]
+    for j, y in enumerate(known):
+        values = [v + row[j] * y for v, row in zip(values, rows)]
+    return values, den * value_den
 
 
 @dataclass(frozen=True)
@@ -366,138 +337,44 @@ _PAPER_TARGET = 0b011
 def check_kolmogorov(t: TriadData) -> KolmogorovVerdict:
     """Exact feasibility of a joint distribution reproducing the triad.
 
-    The not-U & V & W atom is the one kept to the end, matching the order
-    of the flagship derivation; its implied bound pair is the certificate
-    when contradictory, else a derived row 0 <= r with r < 0.  A triad
-    whose seven equalities leave a line with that atom as its parameter is
-    read off the line from those equalities alone (_line_verdict says
-    when); every other triad builds the system's rows and runs
-    Fourier-Motzkin.  Either way a witness, integer numerators over one
-    denominator, is checked against the equalities on integers, and only
-    then made Fractions.
+    A null combination y of the masks (an integer row of the plan) with
+    y . b != 0 breaks 0 = y . b: the certificate is 0 <= -|y . b|.
+    Otherwise, with L the lcm of the rhs denominators, each atom gives the
+    row D L x_i = P_i . (L b) + Q_i . z >= 0 over z = L x_free, and
+    Fourier-Motzkin pairs those rows to eliminate every free atom but the
+    not-U & V & W target, matching the order of the flagship derivation:
+    the target's crossed bounds are the certificate, else a derived
+    constant row r < 0 gives 0 <= r / (D L).  Otherwise the witness is
+    back-substituted from the midpoint of the target's bounds, checked
+    against the equalities on integers, and only then made Fractions.
     """
     equalities = _equalities(t)
-    plan = _line_plan(tuple([m for m, _, _ in equalities])) if len(equalities) == N_ATOMS - 1 else None
-    found = _line_verdict(plan, equalities) if plan is not None else None
-    if found is None:
-        found = _elimination_verdict(_system_rows(equalities))
-    if isinstance(found, Certificate):
-        return KolmogorovVerdict(False, certificate=found)
-    known, den = found
-    _check_witness(t, equalities, known, den)
-    return KolmogorovVerdict(True, witness=tuple([Fraction(k, den) for k in known]))
-
-
-def _crossed(lower: Ratio, upper: Ratio) -> bool:
-    return lower[0] * upper[1] > upper[0] * lower[1]
-
-
-def _target_certificate(lower: Ratio, upper: Ratio) -> Certificate:
-    return Certificate(Fraction(*lower), Fraction(*upper), atom_label(_PAPER_TARGET))
-
-
-def _elimination_verdict(rows: list[Row]) -> Union[Certificate, Witness]:
-    """The certificate or the witness by Fourier-Motzkin: eliminate every
-    atom but the paper target, then back-substitute from the midpoint of
-    its bounds."""
-    lower, upper, violated, stack = _project_to_atom(rows, _PAPER_TARGET)
-    if lower is not None and upper is not None and _crossed(lower, upper):
-        return _target_certificate(lower, upper)
-    if violated is not None:
-        return Certificate(Fraction(0), violated, "0")
-    if lower is None or upper is None:  # total mass bounds every atom
-        raise RuntimeError(f"the elimination left {atom_label(_PAPER_TARGET)} unbounded")
-    return _back_substitute(stack, _PAPER_TARGET, _midpoint(lower, upper))
-
-
-# ---------------------------------------------------------------------------
-# The one-free-atom line.  Seven independent equalities whose 7 x 7 matrix
-# on the atoms other than the paper target is invertible leave a line of
-# joints with the target x_t as its parameter: over one integer D > 0,
-# D x_i = sum_k P_ik b_k + q_i x_t for the rhs b_k.  A triad's masks each
-# involve at most two variables, so the U xor V xor W parity of the atoms
-# is orthogonal to all of them: when they have rank 7 it spans the line,
-# and every atom moves along it (no q_i is 0).
-#
-# Fourier-Motzkin on such a system then substitutes an equality at every
-# step (an equality left unused would pin x_t), so the rows left on x_t
-# are exactly the eight x_i >= 0 carried along the line, and its bounds,
-# certificate and witness are the ones read off the line.  One exception:
-# when x_i = -lambda x_j all along the line, their two rows can become
-# each other's negation, and elimination may substitute that pair in
-# place of an equality.  On a feasible system that pair holds, so the
-# projection and the witness are still the line's; on an infeasible one
-# the certificate can differ, so that case goes to elimination.
-
-Line = tuple[int, tuple[tuple[tuple[int, ...], int], ...]]  # (D, ((P_i, q_i) per atom))
-
-
-@functools.cache
-def _line_plan(masks: tuple[tuple[int, ...], ...]) -> Optional[Line]:
-    """(D, ((P_i, q_i) for each atom i)) for seven equality masks, or None
-    when their matrix off the target is singular (rank below 7, or the
-    target pinned) or some atom does not move along the line.  One exact
-    Gauss-Jordan over [A | I | target column], once per tuple of masks."""
-    others = [i for i in range(N_ATOMS) if i != _PAPER_TARGET]
-    n = len(masks)
-    aug = [
-        [Fraction(m[i]) for i in others] + [Fraction(int(j == k)) for j in range(n)] + [Fraction(m[_PAPER_TARGET])]
-        for k, m in enumerate(masks)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        aug[col] = [v / aug[col][col] for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    # Row k now reads x_others[k] = sum_j aug[k][n + j] b_j - aug[k][2 n] x_t.
-    if any(row[2 * n] == 0 for row in aug):
-        return None
-    den = math.lcm(*[v.denominator for row in aug for v in row[n:]])
-    atoms: list[tuple[tuple[int, ...], int]] = [((0,) * n, den)] * N_ATOMS  # the target: D x_t = D x_t
-    for k, row in enumerate(aug):
-        atoms[others[k]] = tuple([int(v * den) for v in row[n : 2 * n]]), int(-row[2 * n] * den)
-    return den, tuple(atoms)
-
-
-def _line_verdict(plan: Line, equalities: list[Equality]) -> Union[Certificate, Witness, None]:
-    """The certificate or the witness read off the line, or None for an
-    infeasible system on which two atoms moving in opposite directions
-    vanish at one point.
-
-    Over L, the lcm of the rhs denominators, D L x_i = a_i + c_i x_t with
-    integers a_i and c_i = q_i L; x_i >= 0 is the lower bound -a_i / c_i
-    on x_t when c_i > 0 and the upper bound a_i / -c_i when c_i < 0 (the
-    target's own row gives the lower bound 0).  Total mass keeps the
-    line's direction summing to 0, so both sides are bounded."""
-    den, atoms = plan
+    den, atoms, null = _plan(tuple([m for m, _, _ in equalities]))
     scale = math.lcm(*[d for _, _, d in equalities])
     rhs = [num * (scale // d) for _, num, d in equalities]
-    line = [(sum(map(operator.mul, p, rhs)), q * scale) for p, q in atoms]
-    lower: Optional[Ratio] = None
-    upper: Optional[Ratio] = None
-    for a, c in line:
-        if c > 0:
-            if lower is None or -a * lower[1] > lower[0] * c:
-                lower = (-a, c)
-        elif upper is None or a * upper[1] < upper[0] * -c:
-            upper = (a, -c)
-    if _crossed(lower, upper):
-        moving = [ac for i, ac in enumerate(line) if i != _PAPER_TARGET]
-        if any(a * d == b * c for a, c in moving if c > 0 for b, d in moving if d < 0):
-            return None
-        return _target_certificate(lower, upper)
-    return _line_point(den * scale, line, _midpoint(lower, upper))
-
-
-def _line_point(den: int, line: list[tuple[int, int]], value: Ratio) -> Witness:
-    """The joint on the line at x_t = value, each atom (a_i + c_i x_t) / den."""
-    num, value_den = value
-    return [a * value_den + c * num for a, c in line], den * value_den
+    for y in null:
+        if c := sum(map(operator.mul, y, rhs)):
+            return KolmogorovVerdict(False, certificate=Certificate(Fraction(0), Fraction(-abs(c), scale), "0"))
+    atom_rows = [Q + (sum(map(operator.mul, P, rhs)),) for P, Q in atoms]
+    rows, stack = atom_rows, []
+    for var in range(len(atom_rows[0]) - 2):  # every free atom but the target, the last
+        rows, kept = _eliminate(rows, var)
+        stack.append(kept)
+    # Every row left involves the target alone or no free atom at all.  Both
+    # bounds exist: the target's own row bounds it below, and the sum of the
+    # other seven (total mass) bounds it above, and every nonnegative
+    # combination of rows that cancels the eliminated atoms is a nonnegative
+    # combination of the rows left.
+    lower, upper = _bounds(rows, len(stack), [], 1)
+    if lower[0] * upper[1] > upper[0] * lower[1]:
+        lower, upper = Fraction(lower[0], lower[1] * scale), Fraction(upper[0], upper[1] * scale)
+        return KolmogorovVerdict(False, certificate=Certificate(lower, upper, atom_label(_PAPER_TARGET)))
+    for row in rows:
+        if row[-1] < 0 and not row[-2]:
+            return KolmogorovVerdict(False, certificate=Certificate(Fraction(0), Fraction(row[-1], den * scale), "0"))
+    known, den = _back_substitute(atom_rows, den * scale, stack, _midpoint(lower, upper))
+    _check_witness(t, equalities, known, den)
+    return KolmogorovVerdict(True, witness=tuple([Fraction(k, den) for k in known]))
 
 
 def _check_witness(t: TriadData, equalities: list[Equality], known: list[int], den: int) -> None:

@@ -1,5 +1,5 @@
-"""check_kolmogorov output pinned as qmachine 0.3.0 printed it, with the
-constant-contradiction certificates as 0.4.0 prints them.
+"""check_kolmogorov output pinned: verdicts and witnesses as qmachine 0.3.0
+printed them, certificates as 0.10.0 prints them.
 
 Verdict, witness and certificate (lower, upper, expression) are recorded
 for the flagship, the degenerate triad of the inconsistent-input test and
@@ -29,24 +29,33 @@ EVENTS = tuple((name, positive) for name in VARIABLES for positive in (True, Fal
 DENOMINATORS = (2, 4, 10, 25, 100, 997)
 CONSTANT_ROW = "0"  # the expression of a certificate that is a constant row
 
-# Recorded with qmachine 0.4.0: (feasible, constant-row, all) verdict
+# Recorded with qmachine 0.10.0: (feasible, constant-row, all) verdict
 # counts, a few verdicts by index, and the sha256 of all reprs joined by
-# newlines.  Verdicts and witnesses are those 0.3.0 printed; 0.4.0 changed
-# only the 97 certificates 0.3.0 took from a rerun on another atom (52) or
-# a placeholder (45), where the paper target's bounds do not cross.
-RECORDED_COUNTS = (60, 97, 200)
-RECORDED_SHA256 = "bd5ec7db46d6385f8190f1966ff75a2179920d596244b98a6b3274e0eaf35239"
+# newlines.  Verdicts and witnesses are those 0.3.0 printed, and the sha256
+# of the feasible verdicts' reprs alone was recorded with 0.9.0.  0.4.0
+# changed the 97 certificates 0.3.0 took from a rerun on another atom (52)
+# or a placeholder (45).  0.10.0 changed 80 certificates of the 140, 33
+# on the paper target and 47 constant rows of another value, to constant
+# rows: an equality contradiction (a null combination y of the masks with
+# y . b != 0, 114 triads here) is certified as 0 <= -|y . b| before any
+# bound is read, and a derived constant row r < 0 as 0 <= r / (D L).
+RECORDED_COUNTS = (60, 130, 200)
+RECORDED_SHA256 = "39cfe8d9c222d2762d35a039836b80fcd066ae92caaf4a4f6adaf0e5a55640c2"
+RECORDED_FEASIBLE_SHA256 = "0de81edefc8839e8a921bc73c2af306e3df8c298cdfcf2903efb095f9cd62825"
 _F = Fraction
 RECORDED_EXAMPLES = {
-    # Paper-target certificate.
-    0: KolmogorovVerdict(False, certificate=Certificate(_F(0), _F(-9, 25), "not U & V & W")),
+    # Equality contradictions.  0.9.0 certified 0 and 2 on the paper target,
+    # and 6 as the constant row 0 <= -7/20.
+    0: KolmogorovVerdict(False, certificate=Certificate(_F(0), _F(-276, 997), CONSTANT_ROW)),
+    2: KolmogorovVerdict(False, certificate=Certificate(_F(0), _F(-9001, 39880), CONSTANT_ROW)),
+    5: KolmogorovVerdict(False, certificate=Certificate(_F(0), _F(-17577, 99700), CONSTANT_ROW)),
+    6: KolmogorovVerdict(False, certificate=Certificate(_F(0), _F(-1, 2), CONSTANT_ROW)),
     # No conditionals: the witness comes from pairing inequalities alone.
     1: KolmogorovVerdict(True, witness=(_F(1, 50), _F(1, 50), _F(4, 25), _F(1, 5), _F(1, 50), _F(1, 50), _F(1, 5), _F(9, 25))),
-    2: KolmogorovVerdict(False, certificate=Certificate(_F(502, 4985), _F(0), "not U & V & W")),
-    # Constant rows: 0.3.0 printed a placeholder for 5 and a certificate on
-    # the not U & not V & not W atom for 6.
-    5: KolmogorovVerdict(False, certificate=Certificate(_F(0), _F(-17577, 99700), CONSTANT_ROW)),
-    6: KolmogorovVerdict(False, certificate=Certificate(_F(0), _F(-7, 20), CONSTANT_ROW)),
+    # Paper-target certificates: 11 read off a line, 45 after eliminating a
+    # second free atom.
+    11: KolmogorovVerdict(False, certificate=Certificate(_F(1984787, 2492500), _F(27823, 49850), "not U & V & W")),
+    45: KolmogorovVerdict(False, certificate=Certificate(_F(0), _F(-13, 625), "not U & V & W")),
     19: KolmogorovVerdict(
         True,
         witness=(_F(81, 2500), _F(81, 2500), _F(36, 625), _F(36, 625), _F(1213, 5000), _F(2213, 5000), _F(337, 5000), _F(337, 5000)),
@@ -94,8 +103,10 @@ def test_flagship_certificate_is_pinned():
 
 
 def test_degenerate_triad_certificate_is_pinned():
+    # P(V | V) = 39/100 asks for 39/10000 of mass on V, whose marginal is
+    # 1/100.  0.9.0 certified 0 <= -177/500 on the paper target instead.
     assert check_kolmogorov(degenerate_triad()) == KolmogorovVerdict(
-        False, certificate=Certificate(Fraction(0), Fraction(-177, 500), "not U & V & W")
+        False, certificate=Certificate(Fraction(0), Fraction(-61, 10000), CONSTANT_ROW)
     )
 
 
@@ -106,5 +117,10 @@ def test_random_rational_triads_match_recorded_output():
     assert (len(feasible), len(constant), len(verdicts)) == RECORDED_COUNTS
     for index, expected in RECORDED_EXAMPLES.items():
         assert verdicts[index] == expected, index
-    digest = hashlib.sha256("\n".join(repr(v) for v in verdicts).encode()).hexdigest()
-    assert digest == RECORDED_SHA256
+    assert all(v.certificate.lower > v.certificate.upper for v in verdicts if not v.feasible)
+    assert _digest(feasible) == RECORDED_FEASIBLE_SHA256
+    assert _digest(verdicts) == RECORDED_SHA256
+
+
+def _digest(verdicts) -> str:
+    return hashlib.sha256("\n".join(repr(v) for v in verdicts).encode()).hexdigest()

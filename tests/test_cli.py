@@ -457,5 +457,14 @@ def test_survey_nan_angle_exits_2(tmp_path, capsys):
 def test_survey_missing_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad2.json"
     path.write_text(json.dumps({"questions": [{"label": "a"}], "angles_deg": [0]}))
-    code, _, _ = run_cli(capsys, "survey", "--input", str(path), "--census-trials", "10")
-    assert code == 2
+    code, out, err = run_cli(capsys, "survey", "--input", str(path), "--census-trials", "10")
+    assert code == 2 and out == ""
+    assert err == "error: missing key 'yes'\n"
+
+
+def test_check_triad_missing_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "triad.json"
+    path.write_text(json.dumps({"marg": {"U": 0.5, "V": 0.5, "W": 0.5}}))
+    code, out, err = run_cli(capsys, "check", "kolmogorov", "--triad", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: missing key 'cond'\n"

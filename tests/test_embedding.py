@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import re
@@ -6,23 +5,19 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import linprog
+from test_checker_families import _triad_families
 from test_checker_golden import degenerate_triad, golden_triads
 
 from qmachine import embedding
 from qmachine.embedding import (
     _PAPER_TARGET,
-    Certificate,
     CondProb,
     ModelClass,
     TriadData,
-    _elimination_verdict,
     _equalities,
-    _equality_masks,
-    _line_plan,
-    _line_verdict,
     _mask,
-    _project_to_atom,
-    _system_rows,
+    _plan,
     atom_label,
     check_hilbert2d,
     check_kolmogorov,
@@ -32,6 +27,7 @@ from qmachine.embedding import (
     parse_event,
     to_fraction,
 )
+from qmachine.survey import QuestionStats, build_survey_model, classify_survey
 
 HALF = Fraction(1, 2)
 
@@ -179,14 +175,16 @@ def test_independence_triad_is_feasible_with_valid_witness():
 )
 def test_wrong_witness_raises(monkeypatch, wrong, broken):
     # The witness check must hold under python -O, so it raises instead of
-    # asserting; a wrong witness is never returned as feasible.  Each path
-    # gets the wrong witness, as integers over one denominator, in turn: the
-    # independence triad is a line, and without its last conditional it
-    # goes to elimination.
+    # asserting; a wrong witness is never returned as feasible.
+    # _back_substitute, the one function that makes witnesses, hands over
+    # the wrong witness, as integers over one denominator, on a triad with
+    # one free atom (the independence triad, a line) and on one with two
+    # (without its last conditional), which Fourier-Motzkin eliminates first.
     two_conditionals = TriadData(independence_triad().marginals, independence_triad().conditionals[:2])
-    for witness_of, t in (("_line_point", independence_triad()), ("_back_substitute", two_conditionals)):
+    for t, free in ((independence_triad(), 1), (two_conditionals, 2)):
+        assert free_atoms(t) == free
         with monkeypatch.context() as patch:
-            patch.setattr(embedding, witness_of, lambda *args: canonical_row(wrong))
+            patch.setattr(embedding, "_back_substitute", lambda *args: canonical_row(wrong))
             with pytest.raises(RuntimeError, match=broken):
                 check_kolmogorov(t)
 
@@ -274,25 +272,6 @@ def test_inconsistent_inputs_are_infeasible_with_certificate(marg, conds):
     assert verdict.certificate.lower > verdict.certificate.upper
 
 
-def test_elimination_rows_are_canonical():
-    # Equal rational rows must be equal tuples, or equality pairs go unfound
-    # and certificates change: every row the elimination keeps is reduced
-    # over a positive denominator.
-    rnd = random.Random(11)
-    names = ["U", "V", "W", "not U", "not V", "not W"]
-    for _ in range(60):
-        marg = {n: Fraction(rnd.randint(1, 99), 100) for n in "UVW"}
-        conds = [(rnd.choice(names), rnd.choice(names), Fraction(rnd.randint(0, 100), 100)) for _ in range(rnd.randint(0, 5))]
-        _, _, _, stack = _project_to_atom(_system_rows(_equalities(triad(marg, conds))), _PAPER_TARGET)
-        for _, rows in stack:
-            for nums, den in rows:
-                assert den > 0 and math.gcd(*nums, den) == 1
-            # A step that substituted an equality keeps exactly that row and
-            # its negation; a paired step keeps no row with its negation.
-            negations = [(tuple(-n for n in nums), den) for nums, den in rows]
-            assert not set(negations) & set(rows) or (len(rows) == 2 and negations[0] == rows[1])
-
-
 def canonical_row(values):
     """A row of Fractions as integer numerators over their lcm denominator."""
     den = math.lcm(*[v.denominator for v in values])
@@ -310,43 +289,44 @@ def half_family_triad(g):
     )
 
 
-def test_system_rows_match_joint_constraints():
-    # The rows the checker builds straight from the triad are the canonical
-    # rows of joint_constraints, in its order: each equality, then its
-    # negation, then the eight rows -x_i <= 0.
+def masks_of(t):
+    return tuple(mask for mask, _, _ in _equalities(t))
+
+
+def free_atoms(t):
+    """How many atoms the plan of t's equality masks leaves free."""
+    _, atoms, _ = _plan(masks_of(t))
+    return len(atoms[0][1])
+
+
+def test_equalities_are_the_conditional_masses_in_lowest_terms():
+    # Each conditional P(event | given) = p is the mass p P(given) on
+    # event & given, as a reduced numerator over a positive denominator.
     rnd = random.Random(31)
-    triads = golden_triads()[:60]
+    triads = golden_triads()[:60] + [degenerate_triad(), paper_triad()]
     triads += [triad_from_atoms(atoms_from_random_joint(rnd)) for _ in range(30)]
-    triads += [half_family_triad(Fraction(rnd.randint(1, 9999), 10_000)) for _ in range(30)]
-    triads += [half_family_triad(Fraction(2, 3)), paper_triad()]
     for t in triads:
-        expected = []
-        for con in joint_constraints(t):
-            values = (*con.coeffs, con.rhs)
-            expected += [canonical_row(values), canonical_row([-v for v in values])]
-        for i in range(8):
-            expected.append(canonical_row([Fraction(-1 if j == i else 0) for j in range(9)]))
-        assert _system_rows(_equalities(t)) == expected
+        expected = [(_mask(), Fraction(1))] + [(_mask((n, True)), t.marginals[n]) for n in "UVW"]
+        for c in t.conditionals:
+            given = t.marginals[c.given[0]] if c.given[1] else 1 - t.marginals[c.given[0]]
+            expected.append((_mask(c.event, c.given), c.p * given))
+        found = _equalities(t)
+        assert [(mask, Fraction(num, den)) for mask, num, den in found] == expected
+        assert all(den > 0 and math.gcd(num, den) == 1 for _, num, den in found)
 
 
 def test_a_check_builds_the_system_once(monkeypatch):
-    # The line and the witness check read the equalities alone; the system's
-    # rows are built once, and only when the elimination runs.  The labelled
+    # The plan is made once per tuple of equality masks, and the labelled
     # constraints are built only to name the one a broken witness violates.
-    calls = []
-    for name in ("_system_rows", "joint_constraints", "_project_to_atom"):
-        build = getattr(embedding, name)
-        monkeypatch.setattr(embedding, name, lambda *args, build=build, name=name: calls.append(name) or build(*args))
-    line = [(independence_triad(), True), (half_family_triad(Fraction(3, 5)), True), (paper_triad(), False)]
+    monkeypatch.setattr(embedding, "joint_constraints", lambda *args: pytest.fail("joint_constraints was built"))
     golden = golden_triads()
-    elimination = [(golden[1], True), (golden[0], False), (golden[5], False)]  # golden[5]: a constant-row certificate
-    crossing = [(SHARED_ZERO_TRIAD, False)]  # read off the line, then certified by elimination
-    eliminate = ["_system_rows", "_project_to_atom"]
-    for cases, path in ((line, []), (elimination, eliminate), (crossing, eliminate)):
-        for t, feasible in cases:
-            calls.clear()
-            assert check_kolmogorov(t).feasible is feasible
-            assert calls == path
+    cases = [(independence_triad(), True), (half_family_triad(Fraction(3, 5)), True), (paper_triad(), False)]
+    cases += [(golden[1], True), (golden[0], False), (golden[5], False), (SHARED_ZERO_TRIAD, False)]
+    for t, feasible in cases:
+        check_kolmogorov(t)
+        misses = _plan.cache_info().misses
+        assert check_kolmogorov(t).feasible is feasible
+        assert _plan.cache_info().misses == misses
 
 
 STANDARD_PAIRS = ((("V", True), ("W", True)), (("U", True), ("W", True)), (("U", False), ("V", True)))
@@ -355,9 +335,7 @@ EVENTS = [(name, positive) for name in ("U", "V", "W") for positive in (True, Fa
 # Three conditionals with rank-7 masks whose line has U & not V & W and
 # U & not V & not W vanish together, moving in opposite directions
 # (P(not V | U) = 0), as do the two not U & not W atoms (P(W | not U) = 1).
-# The system is infeasible; the line's own bounds are 7/20 > 11/240, while
-# elimination takes two of those rows for an equality and certifies
-# 7/20 > 17/80.
+# The system is infeasible, and the line's own bounds cross: 7/20 > 11/240.
 SHARED_ZERO_TRIAD = TriadData(
     {"U": HALF, "V": Fraction(17, 20), "W": Fraction(2, 3)},
     (
@@ -368,93 +346,52 @@ SHARED_ZERO_TRIAD = TriadData(
 )
 
 
-def standard_triad(marginals, ps):
-    return TriadData(dict(zip("UVW", marginals)), tuple(CondProb(e, g, p) for (e, g), p in zip(STANDARD_PAIRS, ps)))
-
-
-def exact(found):
-    """The repr of a certificate, or of the Fractions a witness (known, den) stands for."""
-    return repr(found if isinstance(found, Certificate) else [Fraction(k, found[1]) for k in found[0]])
-
-
-def test_line_matches_elimination():
-    # The line's verdict, witness and certificate are elimination's, byte for
-    # byte: on random joints and the half family (feasible and not), on
-    # degenerate standard triads (marginals and p in {0, 1/2, 1} and a few
-    # thirds and quarters), and on random three-conditional shapes with
-    # degenerate values, where atoms vanish together and some crossings go
-    # to elimination.
-    rnd = random.Random(24)
-    triads = [triad_from_atoms(atoms_from_random_joint(rnd)) for _ in range(60)]
-    triads += [half_family_triad(Fraction(rnd.randint(1, 999), 1000)) for _ in range(60)]
-    triads += [half_family_triad(Fraction(2, 3)), half_family_triad(Fraction(1)), half_family_triad(Fraction(0))]
-    values = (Fraction(0), HALF, Fraction(1))
-    triads += [standard_triad(v[:3], v[3:]) for v in itertools.product(values, repeat=6)]
-    odd = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(2, 3), Fraction(1))
-    triads += [standard_triad([rnd.choice(odd) for _ in "UVW"], [rnd.choice(odd) for _ in "abc"]) for _ in range(200)]
-    for _ in range(600):
-        pairs = [(rnd.choice(EVENTS), rnd.choice(EVENTS)) for _ in range(3)]
-        triads.append(
-            TriadData({n: rnd.choice(odd[1:4]) for n in "UVW"}, tuple(CondProb(e, g, rnd.choice(odd)) for e, g in pairs))
-        )
-    triads.append(SHARED_ZERO_TRIAD)
-    read = {"line": 0, "crossing": 0}
-    for t in triads:
-        equalities = _equalities(t)
-        plan = _line_plan(_equality_masks(t))
-        if plan is None:
-            continue
-        found = _line_verdict(plan, equalities)
-        elimination = _elimination_verdict(_system_rows(equalities))
-        read["line" if found is not None else "crossing"] += 1
-        if found is None:
-            assert isinstance(elimination, Certificate)
-        else:
-            assert exact(found) == exact(elimination)
-        verdict = check_kolmogorov(t)
-        assert repr(verdict.certificate or list(verdict.witness)) == exact(elimination)
-    assert read["line"] > 400 and read["crossing"] > 400
-
-
-def test_a_shared_zero_crossing_is_certified_by_elimination():
-    assert _line_verdict(_line_plan(_equality_masks(SHARED_ZERO_TRIAD)), _equalities(SHARED_ZERO_TRIAD)) is None
+def test_a_shared_zero_crossing_is_certified():
+    assert free_atoms(SHARED_ZERO_TRIAD) == 1
     cert = check_kolmogorov(SHARED_ZERO_TRIAD).certificate
-    assert (cert.lower, cert.upper, cert.expression) == (Fraction(7, 20), Fraction(17, 80), "not U & V & W")
+    assert cert.lower > cert.upper
+    assert (cert.lower, cert.upper, cert.expression) == (Fraction(7, 20), Fraction(11, 240), "not U & V & W")
 
 
-def test_which_shapes_are_a_line(monkeypatch):
+def test_which_shapes_are_a_line():
     halves = {"U": HALF, "V": HALF, "W": HALF}
 
     def masks(*pairs):
-        return _equality_masks(TriadData(halves, tuple(CondProb(e, g, HALF) for e, g in pairs)))
+        return masks_of(TriadData(halves, tuple(CondProb(e, g, HALF) for e, g in pairs)))
 
-    # The paper's shape: every atom moves along the parity direction, the
-    # target with coefficient 1 and the rest with +-1, over D = 1.
-    den, atoms = _line_plan(masks(*STANDARD_PAIRS))
-    assert den == 1 and [q for _, q in atoms] == [PARITY[i] * PARITY[_PAPER_TARGET] for i in range(8)]
+    # The paper's shape: one free atom, the target, and every atom moves
+    # along the parity direction, the target with coefficient 1 and the
+    # rest with +-1, over D = 1.
+    den, atoms, null = _plan(masks(*STANDARD_PAIRS))
+    assert den == 1 and null == () and [q for _, q in atoms] == [(PARITY[i] * PARITY[_PAPER_TARGET],) for i in range(8)]
     # Any three conditionals on three distinct pairs of variables have rank 7.
-    assert _line_plan(masks((("U", False), ("W", True)), (("V", True), ("U", True)), (("W", False), ("V", False))))
+    assert len(_plan(masks((("U", False), ("W", True)), (("V", True), ("U", True)), (("W", False), ("V", False))))[1][0][1]) == 1
     # Rank below 7: two conditionals on one intersection, or a conditional
-    # on one variable (its mask is a marginal's or all 0).
-    assert _line_plan(masks(STANDARD_PAIRS[0], (("W", True), ("V", True)), STANDARD_PAIRS[2])) is None
-    assert _line_plan(masks(STANDARD_PAIRS[0], (("V", True), ("V", True)), STANDARD_PAIRS[2])) is None
-    assert _line_plan(masks(STANDARD_PAIRS[0], (("V", False), ("V", True)), STANDARD_PAIRS[2])) is None
-    # No triad mask pins the target or stops an atom, but the plan checks
-    # both: a mask of the target alone pins it, and one of atom 0 alone
-    # (beside total mass, the marginals, V & W and U & W) leaves every
-    # atom with W false fixed.
-    six = masks(*STANDARD_PAIRS)[:6]
-    assert _line_plan(six + (_mask(("U", False), ("V", True), ("W", True)),)) is None
-    assert _line_plan(six + (_mask(("U", False), ("V", False), ("W", False)),)) is None
-    # The checker reads the line for 5 of the 201 golden triads, each with
-    # three conditionals; the rest go to elimination alone.
-    read = []
-    line_verdict = embedding._line_verdict
-    monkeypatch.setattr(embedding, "_line_verdict", lambda plan, eqs: read.append(plan) or line_verdict(plan, eqs))
-    golden = golden_triads() + [degenerate_triad()]
-    for t in golden:
-        check_kolmogorov(t)
-    assert len(read) == 5 and sum(len(t.conditionals) == 3 for t in golden) > 5
+    # on one variable (its mask is a marginal's or all 0), leaves two free
+    # atoms and one null combination of the masks.
+    for second in ((("W", True), ("V", True)), (("V", True), ("V", True)), (("V", False), ("V", True))):
+        _, atoms, null = _plan(masks(STANDARD_PAIRS[0], second, STANDARD_PAIRS[2]))
+        assert len(atoms[0][1]) == 2 and len(null) == 1
+    # Every mask involves at most two variables, so the target is always
+    # free, the last free atom: over the golden triads, at every rank.
+    counts = {}
+    for t in golden_triads():
+        den, atoms, null = _plan(masks_of(t))
+        k = len(atoms[0][1])
+        assert atoms[_PAPER_TARGET] == ((), (0,) * (k - 1) + (den,))
+        assert len(null) == len(t.conditionals) + 4 - (8 - k)
+        counts[k] = counts.get(k, 0) + 1
+    assert counts == {1: 23, 2: 56, 3: 66, 4: 55}
+    # Survey triads and the bench's feasible-heavy families are all lines.
+    rnd = random.Random(5)
+    for family in ("random_joint", "half_family"):
+        assert {free_atoms(_triad_families()[family](rnd)) for _ in range(50)} == {1}
+    assert masks_of(classify_survey(_flagship_survey()).triad) == masks(*STANDARD_PAIRS)
+
+
+def _flagship_survey():
+    stats = [QuestionStats(label, 0.5, 0.15, 0.15) for label in ("w", "v", "u")]
+    return build_survey_model(stats, [math.radians(a) for a in (0, 60, 120)], force_epsilon=math.sqrt(0.5))
 
 
 def _grid_oracle_finds_feasible(t, steps=200):
@@ -531,6 +468,51 @@ def test_checker_agrees_with_grid_oracle():
         if oracle_feasible:
             assert verdict.feasible
     assert 10 < n_feasible < 90  # the case mix actually exercises both verdicts
+
+
+def degenerate_value_triad(rnd):
+    """Marginals in {1/4, 1/3, 1/2, 2/3} and 0-5 random conditionals with p
+    in {0, 1/4, 1/3, 1/2, 2/3, 1}: atoms vanish together and bounds touch."""
+    odd = (Fraction(0), Fraction(1, 4), Fraction(1, 3), HALF, Fraction(2, 3), Fraction(1))
+    conds = tuple(CondProb(rnd.choice(EVENTS), rnd.choice(EVENTS), rnd.choice(odd)) for _ in range(rnd.randint(0, 5)))
+    return TriadData({n: rnd.choice(odd[1:5]) for n in "UVW"}, conds)
+
+
+def test_feasible_flag_agrees_with_linprog():
+    # An oracle independent of the plan at every rank (the grid oracle skips
+    # underdetermined systems): maximise s subject to the equalities and
+    # x_i >= s with HiGHS.  A joint exists iff s* >= 0, and an infeasible LP
+    # means the equalities alone contradict each other.  Cases with |s*|
+    # within the LP's tolerance are skipped, and most cases are not.
+    rnd = random.Random(27)
+    triads = golden_triads() + [degenerate_value_triad(rnd) for _ in range(1000)]
+    agreed = skipped = 0
+    free = set()
+    for t in triads:
+        verdict = check_kolmogorov(t)
+        if not verdict.feasible:
+            assert verdict.certificate.lower > verdict.certificate.upper
+        cons = joint_constraints(t)
+        result = linprog(
+            c=[0] * 8 + [-1],
+            A_ub=[[-int(j == i) for j in range(8)] + [1] for i in range(8)],
+            b_ub=[0] * 8,
+            A_eq=[[float(a) for a in con.coeffs] + [0] for con in cons],
+            b_eq=[float(con.rhs) for con in cons],
+            bounds=[(None, None)] * 9,
+            method="highs",
+        )
+        if result.status == 2:
+            assert not verdict.feasible
+        else:
+            assert result.status == 0
+            if abs(result.fun) <= 1e-9:
+                skipped += 1
+                continue
+            assert verdict.feasible == (-result.fun > 0)
+        agreed += 1
+        free.add(free_atoms(t))
+    assert agreed > 10 * skipped and free == {1, 2, 3, 4}
 
 
 def test_hilbert_flagship_value():
