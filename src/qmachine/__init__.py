@@ -10,7 +10,7 @@ mixed-state measures, conditional probabilities by three routes, exact
 embeddability verdicts, and the opinion-poll mapping.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .conditional import (
     ConditionalQuery,
@@ -55,11 +55,9 @@ from .machine import (
     p1_given_projection,
 )
 from .measures import (
-    EMPTY,
     CapUniform,
     MixedState,
     Mixture,
-    OutcomeSet,
     SandwichResult,
     Uniform,
     condition,

@@ -186,12 +186,10 @@ def _fraction_str(f: Fraction) -> str:
 def _rational(value, name: str) -> Fraction:
     """An exact rational from a flag or a triad file; anything else, such
     as 1/0, Infinity, true or a list, is a usage error that names the value."""
-    if not isinstance(value, bool):
-        try:
-            return to_fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"{name} must be an exact rational, got {value!r}")
+    try:
+        return to_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be an exact rational, got {value!r}") from None
 
 
 def _load_triad(path: str) -> TriadData:
@@ -250,20 +248,25 @@ def _cmd_classify(args) -> dict:
     return _classification_payload(kolmogorov, check_hilbert2d(_rational(args.gamma2, "--gamma2")))
 
 
+def _number(value, name: str) -> float:
+    """A number from a survey file; a boolean is a usage error that names
+    the value, not the number 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _load_survey(path: str) -> tuple[list[QuestionStats], list[float]]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    stats = [
-        QuestionStats(
-            label=str(q["label"]),
-            yes_fraction=float(q["yes"]),
-            predetermined_yes=float(q["pre_yes"]),
-            predetermined_no=float(q["pre_no"]),
-        )
-        for q in raw["questions"]
-    ]
-    angles = [math.radians(float(a)) for a in raw["angles_deg"]]
-    return stats, angles
+
+    def question(q: dict) -> QuestionStats:
+        label = str(q["label"])
+        yes, pre_yes, pre_no = (_number(q[key], f"{key} of question {label!r}") for key in ("yes", "pre_yes", "pre_no"))
+        return QuestionStats(label=label, yes_fraction=yes, predetermined_yes=pre_yes, predetermined_no=pre_no)
+
+    stats = [question(q) for q in raw["questions"]]
+    return stats, [math.radians(_number(a, f"angle {i}")) for i, a in enumerate(raw["angles_deg"], 1)]
 
 
 def _cmd_survey(args) -> dict:

@@ -31,7 +31,6 @@ from .machine import EpsilonExperiment, Outcome, chunk_workspace, count_at, coun
 from .measures import (  # sample_state_array: perfbench/tracing.py wraps it here by name
     CapUniform,
     MixedState,
-    OutcomeSet,
     Uniform,
     condition,
     eig_set,
@@ -102,7 +101,7 @@ def symmetric_query(
 
 
 def _conditioning_cap(q: ConditionalQuery) -> SectorCap:
-    return eig_set(q.cond, OutcomeSet.of(q.condition_outcome))
+    return eig_set(q.cond, q.condition_outcome)
 
 
 def _oriented_target(q: ConditionalQuery) -> EpsilonExperiment:
@@ -159,8 +158,8 @@ def conditional_quad(q: ConditionalQuery, tol: Optional[float] = None) -> Condit
         x = center.dot(target.axis)
         value = p1_given_projection(target, x)
         return ConditionalResult(value, Method.QUADRATURE, _pinned_bound(target, center, x), Validity.VALID)
-    mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))
-    value, bound = outcome_law(target, OutcomeSet.O1, mu)
+    mu = condition(q.base, q.cond, q.condition_outcome)
+    value, bound = outcome_law(target, Outcome.O1, mu)
     return ConditionalResult(value, Method.QUADRATURE, bound, Validity.VALID)
 
 
@@ -180,7 +179,7 @@ def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> Conditio
     if cap.half_angle <= 0.0:
         hits = count_at(q.target, _pinned_state(q.base, cap).dot(q.target.axis), trials, rng)
     else:
-        mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))
+        mu = condition(q.base, q.cond, q.condition_outcome)
         axis = q.target.axis
         # One workspace serves every chunk: row 0 takes the projections, rows
         # 1-3 are the sampler's (z and phi kept for settling, and scratch),

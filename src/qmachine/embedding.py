@@ -203,7 +203,9 @@ def joint_constraints(t: TriadData) -> list[LinearConstraint]:
 # the U xor V xor W parity of the atoms is orthogonal to each of them: its
 # target entry is nonzero, so the target column is a combination of the
 # others and the target is always free, the last free atom.  A triad's
-# masks recur, so the plan is made once per tuple of masks.
+# masks recur, so the plan is kept per tuple of masks, for the last
+# _PLAN_CACHE_SIZE tuples: every survey and bench shape stays warm, and a
+# process that checks arbitrary triads stays bounded (a plan is about 2 KB).
 # Tuples are built from lists: tuple(generator) allocates ten slots and
 # shrinks, and the shrunk tuples pile up in size freelists nothing reuses.
 
@@ -211,9 +213,10 @@ Plan = tuple[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], tuple[tup
 Row = tuple[int, ...]  # (*Q, a): Q . z + a >= 0 over z = L x_free, L the lcm of the rhs denominators
 Ratio = tuple[int, int]  # a bound as (numerator, positive denominator)
 Witness = tuple[list[int], int]  # the atoms as integer numerators over one denominator > 0
+_PLAN_CACHE_SIZE = 4096
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(masks: tuple[tuple[int, ...], ...]) -> Plan:
     """(D, ((P_i, Q_i) for each atom i), the null combinations y as
     primitive integer rows) for a tuple of equality masks, at any rank.

@@ -7,15 +7,14 @@ a closed form: for a cap, the band average, over where the band breaks,
 of the cap's exact overlap with the axis cap above that point, which the
 lens's area and first moment (geometry.cap_lens) give without quadrature.
 
-Certainty regions: eig(A) collects the states for which the experiment's
-outcome is certainly in A, pos(A) those for which it is possible.  Both
-are spherical caps (or the whole sphere / nothing), so measuring them is
-exact cap arithmetic.
+Certainty regions: eig_set(e, a) collects the states for which
+experiment e's outcome is certainly a (a machine.Outcome), pos_set(e, a)
+those for which it is possible.  Both are spherical caps, so measuring
+them is exact cap arithmetic.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -35,27 +34,6 @@ from .geometry import (
 )
 from .machine import EpsilonExperiment, Outcome, near_threshold, ring_into, settle_into
 from .quadrature import adaptive_simpson  # adaptive_simpson: perfbench/tracing.py wraps it here by name
-
-
-class OutcomeSet(enum.Enum):
-    O1 = "o1"
-    O2 = "o2"
-    BOTH = "both"
-    NEITHER = "neither"
-
-    @classmethod
-    def of(cls, outcome: Outcome) -> "OutcomeSet":
-        return cls.O1 if outcome is Outcome.O1 else cls.O2
-
-
-@dataclass(frozen=True)
-class EmptyRegion:
-    pass
-
-
-EMPTY = EmptyRegion()
-
-Region = Union[SectorCap, EmptyRegion]
 
 
 @dataclass(frozen=True)
@@ -95,40 +73,29 @@ class Mixture:
 MixedState = Union[Uniform, CapUniform, Mixture]
 
 
-def eig_set(e: EpsilonExperiment, a: OutcomeSet) -> Region:
-    """States for which the outcome certainly falls in `a`.
-
-    For a single outcome it is the cap beyond the band: closed for
-    epsilon > 0, open for epsilon = 0.
-    """
-    if a is OutcomeSet.BOTH:
-        return SectorCap(e.axis, math.pi, closed=True)
-    if a is OutcomeSet.NEITHER:
-        return EMPTY
+def eig_set(e: EpsilonExperiment, a: Outcome) -> SectorCap:
+    """States for which the outcome is certainly `a`: the cap beyond the
+    band, closed for epsilon > 0 and open for epsilon = 0."""
     up, down = sector_angles(e.epsilon, e.d)
-    center, half_angle = (e.axis, up) if a is OutcomeSet.O1 else (-e.axis, down)
+    center, half_angle = (e.axis, up) if a is Outcome.O1 else (-e.axis, down)
     return SectorCap(center, half_angle, closed=e.epsilon > 0.0)
 
 
-def pos_set(e: EpsilonExperiment, a: OutcomeSet) -> Region:
-    """States for which an outcome in `a` is possible: the complement of the
-    certainty cap of the opposite outcome, so open for epsilon > 0 and
-    closed for epsilon = 0."""
-    if a is OutcomeSet.BOTH or a is OutcomeSet.NEITHER:
-        return eig_set(e, a)
-    c = eig_set(e, OutcomeSet.O2 if a is OutcomeSet.O1 else OutcomeSet.O1)
+def pos_set(e: EpsilonExperiment, a: Outcome) -> SectorCap:
+    """States for which outcome `a` is possible: the complement of the
+    certainty cap of the other outcome, so open for epsilon > 0 and closed
+    for epsilon = 0."""
+    c = eig_set(e, Outcome.O2 if a is Outcome.O1 else Outcome.O1)
     return SectorCap(-c.center, math.pi - c.half_angle, closed=not c.closed)
 
 
-def measure_of(mu: MixedState, region: Region) -> float:
-    """mu(region) for a cap (or empty) region, exact (cap arithmetic)."""
-    if isinstance(region, EmptyRegion):
-        return 0.0
+def measure_of(mu: MixedState, cap: SectorCap) -> float:
+    """mu(cap), exact (cap arithmetic)."""
     if isinstance(mu, Uniform):
-        return region.area_fraction
+        return cap.area_fraction
     if isinstance(mu, CapUniform):
-        return cap_intersection_fraction(mu.cap, region) / mu.cap.area_fraction
-    return sum(w * measure_of(m, region) for w, m in mu.components)
+        return cap_intersection_fraction(mu.cap, cap) / mu.cap.area_fraction
+    return sum(w * measure_of(m, cap) for w, m in mu.components)
 
 
 _SHIFT = 2.0**-49
@@ -170,16 +137,12 @@ def cap_averaged_p1(e: EpsilonExperiment, cap: SectorCap) -> tuple[float, float]
     return min(1.0, max(0.0, (lo - e.band_low + g_lo - g_hi) / width)), (2.0 + 1.0 / math.sin(0.5 * rho)) * _SHIFT / width
 
 
-def outcome_law(e: EpsilonExperiment, a: OutcomeSet, mu: MixedState) -> tuple[float, float]:
-    """Probability of an outcome in `a` when the state is drawn from mu, and a
+def outcome_law(e: EpsilonExperiment, a: Outcome, mu: MixedState) -> tuple[float, float]:
+    """Probability of outcome `a` when the state is drawn from mu, and a
     bound on its error: (1 -+ d) / 2 for the uniform measure, independent of
     epsilon, and the band average (cap_averaged_p1) for a cap-uniform one."""
-    if a is OutcomeSet.BOTH:
-        return 1.0, 0.0
-    if a is OutcomeSet.NEITHER:
-        return 0.0, 0.0
-    if a is OutcomeSet.O2:
-        return outcome_law(e.flipped(), OutcomeSet.O1, mu)
+    if a is Outcome.O2:
+        return outcome_law(e.flipped(), Outcome.O1, mu)
     if isinstance(mu, Uniform):
         return 0.5 * (1.0 - e.d), _SHIFT
     if isinstance(mu, CapUniform):
@@ -196,7 +159,7 @@ class SandwichResult:
     holds: bool
 
 
-def sandwich_check(e: EpsilonExperiment, a: OutcomeSet, mu: MixedState) -> SandwichResult:
+def sandwich_check(e: EpsilonExperiment, a: Outcome, mu: MixedState) -> SandwichResult:
     """The exact certainty/possibility bounds around the outcome probability."""
     lower = measure_of(mu, eig_set(e, a))
     upper = measure_of(mu, pos_set(e, a))
@@ -217,12 +180,12 @@ def is_classical(e: EpsilonExperiment, mu: MixedState) -> bool:
     if isinstance(mu, Uniform):
         return False
     if isinstance(mu, CapUniform):
-        return any(eig_set(e, a).contains_cap(mu.cap) for a in (OutcomeSet.O1, OutcomeSet.O2))
+        return any(eig_set(e, a).contains_cap(mu.cap) for a in Outcome)
     return all(w == 0.0 or is_classical(e, m) for w, m in mu.components)
 
 
-def condition(mu: MixedState, f: EpsilonExperiment, a: OutcomeSet) -> MixedState:
-    """Restrict mu to the states where f's outcome is certainly in `a`, and
+def condition(mu: MixedState, f: EpsilonExperiment, a: Outcome) -> MixedState:
+    """Restrict mu to the states where f's outcome is certainly `a`, and
     renormalize: the preparation that guarantees that outcome.
 
     Raises ConditioningError when the certainty region has mu-measure zero
@@ -230,8 +193,8 @@ def condition(mu: MixedState, f: EpsilonExperiment, a: OutcomeSet) -> MixedState
     point itself makes the outcome certain).
     """
     region = eig_set(f, a)
-    if isinstance(region, EmptyRegion) or measure_of(mu, region) <= 0.0:
-        raise ConditioningError(f"outcome set {a.value} of {f} cannot be prepared with certainty")
+    if measure_of(mu, region) <= 0.0:
+        raise ConditioningError(f"outcome {a.value} of {f} cannot be prepared with certainty")
     if isinstance(mu, Uniform):
         return CapUniform(region)
     if isinstance(mu, CapUniform):

@@ -20,8 +20,8 @@ from qmachine.conditional import (
 )
 from qmachine.embedding import ModelClass, check_hilbert2d, check_kolmogorov, paper_triad
 from qmachine.geometry import Z_AXIS, sample_uniform_sphere, SectorCap, unit_vector_at_angle
-from qmachine.machine import EpsilonExperiment, estimate_probability_mc, outcome_probabilities, p1_given_projection
-from qmachine.measures import CapUniform, Mixture, OutcomeSet, Uniform, outcome_law, sandwich_check
+from qmachine.machine import EpsilonExperiment, Outcome, estimate_probability_mc, outcome_probabilities, p1_given_projection
+from qmachine.measures import CapUniform, Mixture, Uniform, outcome_law, sandwich_check
 from qmachine.spin import spin_operator, spin_state, transition_probability
 from qmachine.survey import QuestionStats, build_survey_model, classify_survey, fit_epsilon_model, region_census
 
@@ -79,10 +79,10 @@ def test_02_band_law_against_monte_carlo():
 
 def test_03_sandwich_theorem():
     with Timer(3, "sandwich-theorem"):
-        r = sandwich_check(EpsilonExperiment(Z_AXIS, 1.0, 0.0), OutcomeSet.O1, Uniform())
+        r = sandwich_check(EpsilonExperiment(Z_AXIS, 1.0, 0.0), Outcome.O1, Uniform())
         assert (r.lower, r.mid, r.upper) == (0.0, 0.5, 1.0) and r.holds
         for d in (-0.6, 0.0, 0.35):
-            r = sandwich_check(EpsilonExperiment(Z_AXIS, 0.0, d), OutcomeSet.O1, Uniform())
+            r = sandwich_check(EpsilonExperiment(Z_AXIS, 0.0, d), Outcome.O1, Uniform())
             assert r.holds
             assert abs(r.lower - (1 - d) / 2) <= 1e-9
             assert abs(r.lower - r.mid) <= 1e-9 and abs(r.mid - r.upper) <= 1e-9
@@ -104,7 +104,7 @@ def test_03_sandwich_theorem():
                         (1 - w, Uniform()),
                     )
                 )
-            a = OutcomeSet.O1 if rng.integers(0, 2) else OutcomeSet.O2
+            a = Outcome.O1 if rng.integers(0, 2) else Outcome.O2
             assert sandwich_check(e, a, mu).holds
 
 
@@ -122,7 +122,7 @@ def test_04_epsilon_independence_of_uniform_probability():
                 cuts = sorted({-1.0, 1.0} | {b for b in (e.band_low, e.band_high) if -1 < b < 1})
                 oracle = 0.5 * sum((b - a) * p1_given_projection(e, 0.5 * (a + b)) for a, b in zip(cuts, cuts[1:]))
                 assert abs(oracle - (1 - d) / 2) <= 1e-8
-                assert abs(outcome_law(e, OutcomeSet.O1, Uniform())[0] - oracle) <= 1e-8
+                assert abs(outcome_law(e, Outcome.O1, Uniform())[0] - oracle) <= 1e-8
         for epsilon, d, seed in ((0.25, 0.3, 41), (0.75, -0.1, 42), (1.0, 0.0, 43)):
             e = EpsilonExperiment(Z_AXIS, epsilon, d)
             rng = np.random.default_rng(seed)

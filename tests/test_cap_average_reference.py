@@ -19,7 +19,7 @@ import pytest
 from qmachine.conditional import ConditionalQuery, conditional_closed_form, conditional_quad, symmetric_query
 from qmachine.geometry import Z_AXIS, SectorCap, angle_between, unit_vector_at_angle
 from qmachine.machine import EpsilonExperiment, Outcome
-from qmachine.measures import UNIFORM, CapUniform, Mixture, OutcomeSet, condition, outcome_law
+from qmachine.measures import UNIFORM, CapUniform, Mixture, condition, outcome_law
 
 TOL = 1e-9
 BASES = {
@@ -110,7 +110,7 @@ def test_conditional_quad_meets_its_tolerance_against_the_reference():
         )
         result = conditional_quad(q)
         target = q.target if target_outcome is Outcome.O1 else q.target.flipped()
-        mu = condition(q.base, q.cond, OutcomeSet.of(condition_outcome))
+        mu = condition(q.base, q.cond, condition_outcome)
         err = float(abs(result.value - reference_p1(target, mu)))
         assert err <= TOL, (epsilon, alpha, d, c, base, target_outcome, condition_outcome, err)
         assert err <= result.error_bound, (epsilon, alpha, d, c, base, err, result.error_bound)
@@ -126,7 +126,7 @@ def test_outcome_probability_of_an_off_axis_cap_matches_the_reference(epsilon, d
         cap = SectorCap(center, rnd.uniform(0.01, math.pi))
         axis = unit_vector_at_angle(Z_AXIS, rnd.uniform(0.0, math.pi), rnd.uniform(0.0, 2 * math.pi))
         e = EpsilonExperiment(axis, epsilon, d)
-        value, bound = outcome_law(e, OutcomeSet.O1, CapUniform(cap))
+        value, bound = outcome_law(e, Outcome.O1, CapUniform(cap))
         err = float(abs(value - reference_cap_p1(e, cap)))
         assert err <= TOL
         assert err <= bound, (err, bound)
@@ -161,10 +161,10 @@ def test_zero_band_past_the_poles_is_certain():
     # The band check allows d up to 1e-15 beyond the poles at epsilon = 0.
     mu = CapUniform(SectorCap(unit_vector_at_angle(Z_AXIS, 0.7), 1.2))
     axis = unit_vector_at_angle(Z_AXIS, 0.3)
-    assert outcome_law(EpsilonExperiment(axis, 0.0, 1.0 + 1e-15), OutcomeSet.O1, mu)[0] == 0.0
-    assert outcome_law(EpsilonExperiment(axis, 0.0, -1.0 - 1e-15), OutcomeSet.O1, mu)[0] == 1.0
+    assert outcome_law(EpsilonExperiment(axis, 0.0, 1.0 + 1e-15), Outcome.O1, mu)[0] == 0.0
+    assert outcome_law(EpsilonExperiment(axis, 0.0, -1.0 - 1e-15), Outcome.O1, mu)[0] == 1.0
     for d, exact in ((1.0 + 1e-15, 0.0), (-1.0 - 1e-15, 1.0)):
-        value, bound = outcome_law(EpsilonExperiment(axis, 0.0, d), OutcomeSet.O1, mu)
+        value, bound = outcome_law(EpsilonExperiment(axis, 0.0, d), Outcome.O1, mu)
         assert abs(value - exact) <= bound <= 1e-14
 
 
@@ -182,7 +182,7 @@ def test_small_conditioning_cap_meets_the_reference(total, c):
                 target=EpsilonExperiment(unit_vector_at_angle(Z_AXIS, alpha), epsilon, d),
                 cond=EpsilonExperiment(Z_AXIS, epsilon, c),
             )
-            mu = condition(q.base, q.cond, OutcomeSet.O1)
+            mu = condition(q.base, q.cond, Outcome.O1)
             assert mu.cap.half_angle < 5e-8
             result = conditional_quad(q)
             err = float(abs(result.value - reference_p1(q.target, mu)))
@@ -193,11 +193,11 @@ def test_small_conditioning_cap_meets_the_reference(total, c):
 def test_band_below_an_ulp_of_d_is_the_point_value():
     # 0.5 -+ 1e-17 both round to 0.5, so the band as floats is the point d.
     cap = SectorCap(unit_vector_at_angle(Z_AXIS, 1.0), 0.7)
-    point = outcome_law(EpsilonExperiment(Z_AXIS, 0.0, 0.5), OutcomeSet.O1, CapUniform(cap))[0]
+    point = outcome_law(EpsilonExperiment(Z_AXIS, 0.0, 0.5), Outcome.O1, CapUniform(cap))[0]
     assert 0.1 < point < 0.9
     for epsilon in (1e-17, 5e-17):
         e = EpsilonExperiment(Z_AXIS, epsilon, 0.5)
-        value, bound = outcome_law(e, OutcomeSet.O1, CapUniform(cap))
+        value, bound = outcome_law(e, Outcome.O1, CapUniform(cap))
         assert value == point
         assert float(abs(value - reference_cap_p1(e, cap))) <= bound
 
@@ -210,7 +210,7 @@ def test_narrow_band_meets_the_reference(epsilon, d):
         for rho in (0.3, 1.0):
             cap = SectorCap(unit_vector_at_angle(Z_AXIS, gamma), rho)
             e = EpsilonExperiment(Z_AXIS, epsilon, d)
-            value, bound = outcome_law(e, OutcomeSet.O1, CapUniform(cap))
+            value, bound = outcome_law(e, Outcome.O1, CapUniform(cap))
             err = float(abs(value - reference_cap_p1(e, cap)))
             assert err <= TOL, (gamma, rho)
             assert err <= bound, (gamma, rho, err, bound)
@@ -229,7 +229,7 @@ def test_band_holding_the_whole_cap_meets_the_reference(epsilon):
             e = EpsilonExperiment(Z_AXIS, epsilon, max(-1.0 + epsilon, min(1.0 - epsilon, d)))
             assert e.band_low <= x_min and x_max <= e.band_high
             cap = SectorCap(unit_vector_at_angle(Z_AXIS, gamma), rho)
-            value, bound = outcome_law(e, OutcomeSet.O1, CapUniform(cap))
+            value, bound = outcome_law(e, Outcome.O1, CapUniform(cap))
             err = float(abs(value - reference_cap_p1(e, cap)))
             assert err <= TOL, (gamma, rho, e.d)
             assert err <= bound, (gamma, rho, e.d, err, bound)
@@ -264,7 +264,7 @@ def test_band_edge_tangent_to_the_cap_meets_the_reference(gamma, rho):
                 e = _band_with_edge(epsilon, edge, side)
                 if e is None:
                     continue
-                value, bound = outcome_law(e, OutcomeSet.O1, CapUniform(cap))
+                value, bound = outcome_law(e, Outcome.O1, CapUniform(cap))
                 err = float(abs(value - reference_cap_p1(e, cap)))
                 assert err <= 1e-12, (tangent, k, epsilon, side, err)
                 assert err <= bound, (tangent, k, epsilon, side, err, bound)

@@ -462,6 +462,27 @@ def test_survey_missing_key_exits_2(tmp_path, capsys):
     assert err == "error: missing key 'yes'\n"
 
 
+@pytest.mark.parametrize(
+    "field, value, name",
+    [
+        ("yes", True, "yes of question 'v'"),
+        ("pre_yes", False, "pre_yes of question 'v'"),
+        ("pre_no", True, "pre_no of question 'v'"),
+        ("angles_deg", True, "angle 2"),
+    ],
+)
+def test_survey_boolean_exits_2(tmp_path, capsys, field, value, name):
+    # A JSON boolean would otherwise read as the number 1 or 0.
+    raw = json.loads(Path(survey_file(tmp_path)).read_text())
+    target, key = (raw["angles_deg"], 1) if field == "angles_deg" else (raw["questions"][1], field)
+    target[key] = value
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "survey", "--input", str(path), "--census-trials", "10")
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be a number, got {value}\n"
+
+
 def test_check_triad_missing_key_exits_2(tmp_path, capsys):
     path = tmp_path / "triad.json"
     path.write_text(json.dumps({"marg": {"U": 0.5, "V": 0.5, "W": 0.5}}))

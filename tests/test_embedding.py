@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -12,6 +13,7 @@ from test_checker_golden import degenerate_triad, golden_triads
 from qmachine import embedding
 from qmachine.embedding import (
     _PAPER_TARGET,
+    _PLAN_CACHE_SIZE,
     CondProb,
     ModelClass,
     TriadData,
@@ -327,6 +329,29 @@ def test_a_check_builds_the_system_once(monkeypatch):
         misses = _plan.cache_info().misses
         assert check_kolmogorov(t).feasible is feasible
         assert _plan.cache_info().misses == misses
+
+
+def test_the_plan_cache_is_bounded():
+    # More distinct mask tuples than the cache holds: it keeps at most
+    # _PLAN_CACHE_SIZE plans, and a shape whose plan was evicted gets the
+    # same verdict when its plan is made again.
+    marginals = {"U": HALF, "V": Fraction(1, 3), "W": Fraction(2, 5)}
+    pairs = [(event, given) for event in EVENTS for given in EVENTS]
+    shapes = {}
+    for three in itertools.product(pairs, repeat=3):
+        t = TriadData(marginals, tuple(CondProb(e, g, Fraction(1, 4)) for e, g in three))
+        shapes.setdefault(masks_of(t), t)
+        if len(shapes) > _PLAN_CACHE_SIZE + 100:
+            break
+    triads = list(shapes.values())
+    _plan.cache_clear()
+    early = [check_kolmogorov(t) for t in triads[:100]]
+    later = [check_kolmogorov(t) for t in triads]
+    assert _plan.cache_info().currsize <= _PLAN_CACHE_SIZE
+    assert later[:100] == early
+    misses = _plan.cache_info().misses
+    assert [check_kolmogorov(t) for t in triads[:100]] == early
+    assert _plan.cache_info().misses > misses
 
 
 STANDARD_PAIRS = ((("V", True), ("W", True)), (("U", True), ("W", True)), (("U", False), ("V", True)))

@@ -21,8 +21,8 @@ from qmachine.geometry import (
     sector_angles,
     unit_vector_at_angle,
 )
-from qmachine.machine import EpsilonExperiment
-from qmachine.measures import OutcomeSet, eig_set
+from qmachine.machine import EpsilonExperiment, Outcome
+from qmachine.measures import eig_set
 
 
 def test_unit_vector_rejects_non_unit():
@@ -239,7 +239,7 @@ def test_band_range_is_one_rule():
     e = EpsilonExperiment(Z_AXIS, epsilon, d)
     up, down = sector_angles(epsilon, d)
     assert (up, down) == (0.0, math.acos(epsilon - d))
-    assert (eig_set(e, OutcomeSet.O1).half_angle, eig_set(e, OutcomeSet.O2).half_angle) == (up, down)
+    assert (eig_set(e, Outcome.O1).half_angle, eig_set(e, Outcome.O2).half_angle) == (up, down)
     for bad in (0.7 + 1e-14, -0.7 - 1e-14):
         with pytest.raises(ValueError):
             sector_angles(epsilon, bad)

@@ -15,12 +15,10 @@ from qmachine.geometry import (
     sample_uniform_sphere,
     unit_vector_at_angle,
 )
-from qmachine.machine import EpsilonExperiment
+from qmachine.machine import EpsilonExperiment, Outcome
 from qmachine.measures import (
-    EMPTY,
     CapUniform,
     Mixture,
-    OutcomeSet,
     Uniform,
     cap_averaged_p1,
     condition,
@@ -40,20 +38,20 @@ def experiment(epsilon, d=0.0, axis=Z_AXIS):
 
 
 def test_eig_set_shapes():
-    cap = eig_set(experiment(1.0), OutcomeSet.O1)
+    cap = eig_set(experiment(1.0), Outcome.O1)
     assert cap.center == Z_AXIS and cap.half_angle == 0.0 and cap.closed
-    cap = eig_set(experiment(0.0), OutcomeSet.O1)
+    cap = eig_set(experiment(0.0), Outcome.O1)
     assert cap.half_angle == pytest.approx(math.pi / 2) and not cap.closed
-    cap = eig_set(experiment(SQ2), OutcomeSet.O1)
+    cap = eig_set(experiment(SQ2), Outcome.O1)
     assert cap.half_angle == pytest.approx(math.pi / 4, abs=1e-12)
-    cap = eig_set(experiment(0.4, 0.1), OutcomeSet.O2)
+    cap = eig_set(experiment(0.4, 0.1), Outcome.O2)
     assert cap.center == -Z_AXIS and cap.half_angle == pytest.approx(math.acos(0.3), abs=1e-12)
 
 
 def test_pos_set_shapes():
-    cap = pos_set(experiment(1.0), OutcomeSet.O1)
+    cap = pos_set(experiment(1.0), Outcome.O1)
     assert cap.half_angle == pytest.approx(math.pi) and not cap.closed
-    cap = pos_set(experiment(0.0, 0.3), OutcomeSet.O1)
+    cap = pos_set(experiment(0.0, 0.3), Outcome.O1)
     assert cap.half_angle == pytest.approx(math.acos(0.3), abs=1e-12) and cap.closed
 
 
@@ -81,20 +79,10 @@ CAP_PINS = [
 def test_certainty_caps_at_the_boundaries(epsilon, d, halves):
     axis = unit_vector_at_angle(Z_AXIS, 1.0)
     e = experiment(epsilon, d, axis)
-    caps = [f(e, a) for f in (eig_set, pos_set) for a in (OutcomeSet.O1, OutcomeSet.O2)]
+    caps = [f(e, a) for f in (eig_set, pos_set) for a in (Outcome.O1, Outcome.O2)]
     assert [c.half_angle for c in caps] == [float.fromhex(h) for h in halves]
     assert [c.center for c in caps] == [axis, -axis, axis, -axis]
     assert [c.closed for c in caps] == [epsilon > 0.0] * 2 + [epsilon == 0.0] * 2
-    for f in (eig_set, pos_set):
-        assert f(e, OutcomeSet.BOTH) == SectorCap(axis, math.pi, closed=True)
-        assert f(e, OutcomeSet.NEITHER) is EMPTY
-
-
-def test_both_and_neither():
-    e = experiment(0.5)
-    assert eig_set(e, OutcomeSet.BOTH).area_fraction == pytest.approx(1.0)
-    assert eig_set(e, OutcomeSet.NEITHER) is EMPTY
-    assert measure_of(Uniform(), EMPTY) == 0.0
 
 
 @st.composite
@@ -108,15 +96,15 @@ def epsilon_d(draw):
 def test_certainty_inside_possibility(params):
     epsilon, d = params
     e = experiment(epsilon, d)
-    for a in (OutcomeSet.O1, OutcomeSet.O2):
+    for a in (Outcome.O1, Outcome.O2):
         assert eig_set(e, a).half_angle <= pos_set(e, a).half_angle + 1e-12
 
 
 def test_uniform_measures_of_certainty_regions():
-    assert measure_of(Uniform(), eig_set(experiment(1.0), OutcomeSet.O1)) == 0.0
-    assert measure_of(Uniform(), pos_set(experiment(1.0), OutcomeSet.O1)) == pytest.approx(1.0)
+    assert measure_of(Uniform(), eig_set(experiment(1.0), Outcome.O1)) == 0.0
+    assert measure_of(Uniform(), pos_set(experiment(1.0), Outcome.O1)) == pytest.approx(1.0)
     for d in (-0.4, 0.0, 0.25):
-        assert measure_of(Uniform(), eig_set(experiment(0.0, d), OutcomeSet.O1)) == pytest.approx(
+        assert measure_of(Uniform(), eig_set(experiment(0.0, d), Outcome.O1)) == pytest.approx(
             (1 - d) / 2, abs=1e-12
         )
 
@@ -148,10 +136,10 @@ def test_uniform_outcome_probability_is_epsilon_independent():
         d_max = 1 - epsilon
         for d in (-d_max, 0.0, d_max / 2):
             e = experiment(epsilon, d)
-            assert outcome_law(e, OutcomeSet.O1, Uniform())[0] == pytest.approx(
+            assert outcome_law(e, Outcome.O1, Uniform())[0] == pytest.approx(
                 (1 - d) / 2, abs=1e-12
             )
-            assert outcome_law(e, OutcomeSet.O2, Uniform())[0] == pytest.approx(
+            assert outcome_law(e, Outcome.O2, Uniform())[0] == pytest.approx(
                 (1 + d) / 2, abs=1e-12
             )
 
@@ -159,34 +147,29 @@ def test_uniform_outcome_probability_is_epsilon_independent():
 def test_cap_uniform_outcome_probability_complement():
     e = experiment(0.6, 0.1, axis=unit_vector_at_angle(Z_AXIS, 1.1))
     mu = CapUniform(SectorCap(Z_AXIS, 0.8))
-    p1 = outcome_law(e, OutcomeSet.O1, mu)[0]
-    p2 = outcome_law(e, OutcomeSet.O2, mu)[0]
+    p1 = outcome_law(e, Outcome.O1, mu)[0]
+    p2 = outcome_law(e, Outcome.O2, mu)[0]
     assert p1 + p2 == pytest.approx(1.0, abs=1e-8)
 
 
 def test_sandwich_quantum_uniform():
-    r = sandwich_check(experiment(1.0), OutcomeSet.O1, Uniform())
+    r = sandwich_check(experiment(1.0), Outcome.O1, Uniform())
     assert (r.lower, r.mid, r.upper) == (0.0, 0.5, 1.0)
     assert r.holds
 
 
 def test_sandwich_classical_collapses():
     for d in (-0.3, 0.0, 0.5):
-        r = sandwich_check(experiment(0.0, d), OutcomeSet.O1, Uniform())
+        r = sandwich_check(experiment(0.0, d), Outcome.O1, Uniform())
         assert r.holds
         assert abs(r.lower - r.mid) <= 1e-9 and abs(r.mid - r.upper) <= 1e-9
         assert r.mid == pytest.approx((1 - d) / 2, abs=1e-9)
 
 
-def test_sandwich_neither_outcome():
-    r = sandwich_check(experiment(0.5), OutcomeSet.NEITHER, Uniform())
-    assert (r.lower, r.mid, r.upper) == (0.0, 0.0, 0.0) and r.holds
-
-
 def test_sandwich_classical_collapses_on_cap_uniform():
     mu = CapUniform(SectorCap(unit_vector_at_angle(Z_AXIS, 0.6), 1.3))
     for d in (-0.2, 0.4):
-        r = sandwich_check(experiment(0.0, d), OutcomeSet.O1, mu)
+        r = sandwich_check(experiment(0.0, d), Outcome.O1, mu)
         assert r.holds
         assert abs(r.lower - r.mid) <= 1e-7 and abs(r.mid - r.upper) <= 1e-7
 
@@ -210,7 +193,7 @@ def test_sandwich_random_instances():
                     (1 - w, Uniform()),
                 )
             )
-        a = OutcomeSet.O1 if rng.integers(0, 2) else OutcomeSet.O2
+        a = Outcome.O1 if rng.integers(0, 2) else Outcome.O2
         assert sandwich_check(e, a, mu).holds
 
 
@@ -234,7 +217,7 @@ def test_a_zero_band_is_classical_under_every_measure(mu):
         assert is_classical(experiment(0.0, d), mu)
 
 
-@pytest.mark.parametrize("a", [OutcomeSet.O1, OutcomeSet.O2])
+@pytest.mark.parametrize("a", [Outcome.O1, Outcome.O2])
 def test_a_cap_is_classical_up_to_a_certainty_cap_and_no_further(a):
     e = experiment(0.3, 0.1, axis=unit_vector_at_angle(Z_AXIS, 0.8))
     region = eig_set(e, a)
@@ -249,7 +232,7 @@ def test_a_cap_is_classical_up_to_a_certainty_cap_and_no_further(a):
 
 def test_a_mixture_is_classical_when_every_weighted_component_is():
     e = experiment(0.3, 0.1)
-    inside = [CapUniform(eig_set(e, a)) for a in (OutcomeSet.O1, OutcomeSet.O2)]
+    inside = [CapUniform(eig_set(e, a)) for a in (Outcome.O1, Outcome.O2)]
     assert is_classical(e, Mixture(((0.4, inside[0]), (0.6, inside[1]))))
     assert is_classical(e, Mixture(((1.0, inside[0]), (0.0, Uniform()))))
     assert not is_classical(e, Mixture(((0.9, inside[0]), (0.1, Uniform()))))
@@ -257,7 +240,7 @@ def test_a_mixture_is_classical_when_every_weighted_component_is():
 
 def test_condition_uniform_gives_cap_uniform():
     f = experiment(SQ2, 0.0, axis=unit_vector_at_angle(Z_AXIS, 0.4))
-    mu = condition(Uniform(), f, OutcomeSet.O1)
+    mu = condition(Uniform(), f, Outcome.O1)
     assert isinstance(mu, CapUniform)
     assert mu.cap.center == f.axis
     assert mu.cap.half_angle == pytest.approx(math.pi / 4, abs=1e-12)
@@ -265,30 +248,28 @@ def test_condition_uniform_gives_cap_uniform():
 
 def test_condition_is_idempotent():
     f = experiment(0.5, 0.1)
-    once = condition(Uniform(), f, OutcomeSet.O1)
-    twice = condition(once, f, OutcomeSet.O1)
+    once = condition(Uniform(), f, Outcome.O1)
+    twice = condition(once, f, Outcome.O1)
     assert once == twice
 
 
 def test_condition_zero_measure_raises():
     with pytest.raises(ConditioningError):
-        condition(Uniform(), experiment(1.0), OutcomeSet.O1)
-    with pytest.raises(ConditioningError):
-        condition(Uniform(), experiment(0.5), OutcomeSet.NEITHER)
+        condition(Uniform(), experiment(1.0), Outcome.O1)
 
 
 def test_condition_partial_overlap_unsupported():
     mu = CapUniform(SectorCap(unit_vector_at_angle(Z_AXIS, 1.5), 0.8))
     f = experiment(0.3, 0.0)  # certainty cap of half-angle ~1.266 around Z
     with pytest.raises(ConditioningError):
-        condition(mu, f, OutcomeSet.O1)
+        condition(mu, f, Outcome.O1)
 
 
 def test_condition_mixture_reweights():
     f = experiment(0.2, 0.0)
     cap_in = SectorCap(Z_AXIS, 0.5)  # inside the certainty cap
     mu = Mixture(((0.5, CapUniform(cap_in)), (0.5, Uniform())))
-    cond = condition(mu, f, OutcomeSet.O1)
+    cond = condition(mu, f, Outcome.O1)
     assert isinstance(cond, Mixture)
     weights = [w for w, _ in cond.components]
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
@@ -306,11 +287,11 @@ def test_bayes_formula_for_classical_experiments():
         d_f = rng.uniform(-0.95, 0.95)
         e = experiment(0.0, d_e, axis=unit_vector_at_angle(Z_AXIS, rng.uniform(0.0, math.pi)))
         f = experiment(0.0, d_f)
-        mu_f = condition(Uniform(), f, OutcomeSet.O1)
-        lhs = outcome_law(e, OutcomeSet.O1, mu_f)[0] * measure_of(
-            Uniform(), eig_set(f, OutcomeSet.O1)
+        mu_f = condition(Uniform(), f, Outcome.O1)
+        lhs = outcome_law(e, Outcome.O1, mu_f)[0] * measure_of(
+            Uniform(), eig_set(f, Outcome.O1)
         )
-        rhs = cap_intersection_fraction(eig_set(e, OutcomeSet.O1), eig_set(f, OutcomeSet.O1))
+        rhs = cap_intersection_fraction(eig_set(e, Outcome.O1), eig_set(f, Outcome.O1))
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
 

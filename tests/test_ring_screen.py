@@ -18,7 +18,7 @@ from qmachine import measures, survey
 from qmachine.conditional import ConditionalQuery, conditional_mc, symmetric_query
 from qmachine.geometry import X_AXIS, Z_AXIS, SectorCap, angle_between, unit_vector_at_angle
 from qmachine.machine import MC_CHUNK, RING_ERR, EpsilonExperiment, Outcome, count_o1, ring_into, settle_into
-from qmachine.measures import UNIFORM, CapUniform, Mixture, OutcomeSet, condition, eig_set, sample_projection
+from qmachine.measures import UNIFORM, CapUniform, Mixture, condition, eig_set, sample_projection
 from qmachine.survey import FitDiagnostics, FittedQuestion, QuestionStats, SurveyModel, build_survey_model, region_census
 
 SQ2 = math.sqrt(2) / 2
@@ -93,7 +93,7 @@ def oracle_conditional_hits(q, trials, seed):
     """conditional_mc's count of the queried outcome with the float64 draw,
     for a conditioning cap of positive radius."""
     rng = np.random.default_rng(seed)
-    mu = condition(q.base, q.cond, OutcomeSet.of(q.condition_outcome))
+    mu = condition(q.base, q.cond, q.condition_outcome)
     e = q.target
     hits = 0
     for start in range(0, trials, MC_CHUNK):
@@ -255,7 +255,7 @@ def test_conditional_mc_settles_a_planted_split(epsilon, refined):
     # the trial's break point, placed by choosing d.
     k, seed, alpha = 1_000, 9, 1.2
     cond = experiment(0.0, epsilon, 0.0)
-    cap = eig_set(cond, OutcomeSet.O1)
+    cap = eig_set(cond, Outcome.O1)
     rng, z, phi, ring, exact_ring = replay_ring(seed, math.cos(cap.half_angle), k)
     r_breaks = rng.random(k)
     gamma = angle_between(cap.center, unit_vector_at_angle(Z_AXIS, alpha))

@@ -1,5 +1,6 @@
 """The two user-facing scripts run end to end and print the paper's
-headline lines.  Each runs as a subprocess on 2,000 trials."""
+headline lines, each as a subprocess on 2,000 trials; the line counter
+counts code lines only."""
 
 import os
 import subprocess
@@ -29,3 +30,21 @@ def test_reproduce_headline_prints_both_certificates_and_the_classification():
 
 def test_census_regions_prints_thirteen_regions():
     assert run_script("census_regions.py")[-1] == "13 nonempty regions; total 1.000000"
+
+
+def test_src_lines_counts_code_only(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        '"""Module docstring,\nover two lines."""\n\n# a comment\nX = 1  # code with a comment\n\n\n'
+        'def f():\n    """Docstring."""\n    return """not a\n    docstring"""\n'
+    )
+    (tmp_path / "b.py").write_text("Y = [\n    2,\n]\n")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "src_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert rows == [["3", "b.py"], ["4", "pkg/a.py"], ["7", "total"]]
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "src_lines.py")], capture_output=True, text=True, timeout=60, check=True)
+    counts = [int(line.split()[0]) for line in done.stdout.splitlines()]
+    assert len(counts) > 2 and counts[-1] == sum(counts[:-1])

@@ -15,8 +15,8 @@ from qmachine.geometry import (
     sample_uniform_sphere_array,
     sector_angles,
 )
-from qmachine.machine import MC_CHUNK, EpsilonExperiment, chunk_sizes
-from qmachine.measures import OutcomeSet, eig_set
+from qmachine.machine import MC_CHUNK, EpsilonExperiment, Outcome, chunk_sizes
+from qmachine.measures import eig_set
 from qmachine.survey import (
     FitDiagnostics,
     FittedQuestion,
@@ -220,7 +220,7 @@ def test_census_pair_overlaps_match_cap_intersections():
     models = [flagship_model(force=SQ2), random_coplanar_model(rng, 0.3), random_coplanar_model(rng, 0.05)]
     for seed, m in enumerate(models):
         census = region_census(m, n, seed)
-        caps = [eig_set(fq.experiment, OutcomeSet.O1) for fq in m.questions]
+        caps = [eig_set(fq.experiment, Outcome.O1) for fq in m.questions]
         for i, j in ((0, 1), (0, 2), (1, 2)):
             share = sum(p for key, p in census.fractions.items() if key[i] == key[j] == "yes")
             expected = cap_intersection_fraction(caps[i], caps[j])
