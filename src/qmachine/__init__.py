@@ -10,7 +10,7 @@ mixed-state measures, conditional probabilities by three routes, exact
 embeddability verdicts, and the opinion-poll mapping.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .conditional import (
     ConditionalQuery,
@@ -49,9 +49,7 @@ from .geometry import (
 from .machine import (
     EpsilonExperiment,
     Outcome,
-    OutcomeDistribution,
     estimate_probability_mc,
-    outcome_probabilities,
     p1_given_projection,
 )
 from .measures import (

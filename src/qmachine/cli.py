@@ -53,7 +53,7 @@ from .embedding import (
 )
 from .errors import DomainError
 from .geometry import Z_AXIS, UnitVector, unit_vector_at_angle
-from .machine import EpsilonExperiment, estimate_probability_mc, outcome_probabilities
+from .machine import EpsilonExperiment, estimate_probability_mc, p1_given_projection
 from .survey import QuestionStats, build_survey_model, classify_survey, predict_conditionals, region_census
 
 USAGE_ERROR = 2
@@ -106,9 +106,8 @@ def _state_with_projection(x: float) -> UnitVector:
 
 def _cmd_prob(args) -> dict:
     x = _state_projection(args)
-    e = EpsilonExperiment(Z_AXIS, args.epsilon, args.d)
-    dist = outcome_probabilities(e, _state_with_projection(x))
-    return {"epsilon": args.epsilon, "d": args.d, "x": x, "p1": dist.p1, "p2": dist.p2}
+    p1 = p1_given_projection(EpsilonExperiment(Z_AXIS, args.epsilon, args.d), x)
+    return {"epsilon": args.epsilon, "d": args.d, "x": x, "p1": p1, "p2": 1.0 - p1}
 
 
 def _cmd_simulate(args) -> dict:
@@ -249,11 +248,12 @@ def _cmd_classify(args) -> dict:
 
 
 def _number(value, name: str) -> float:
-    """A number from a survey file; a boolean is a usage error that names
-    the value, not the number 0 or 1."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    """A finite number from a survey file; anything else (a boolean, a
+    string, null, NaN or an infinity) is a usage error that names the value.
+    The bound test is exact on any JSON integer, so none overflows float."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _load_survey(path: str) -> tuple[list[QuestionStats], list[float]]:
@@ -266,6 +266,8 @@ def _load_survey(path: str) -> tuple[list[QuestionStats], list[float]]:
         return QuestionStats(label=label, yes_fraction=yes, predetermined_yes=pre_yes, predetermined_no=pre_no)
 
     stats = [question(q) for q in raw["questions"]]
+    if not isinstance(raw["angles_deg"], list):
+        raise ValueError(f"angles_deg must be a list, got {raw['angles_deg']!r}")
     return stats, [math.radians(_number(a, f"angle {i}")) for i, a in enumerate(raw["angles_deg"], 1)]
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConditioningError
 from .geometry import Z_AXIS, SectorCap, UnitVector, unit_vector_at_angle
-from .machine import EpsilonExperiment, Outcome, chunk_workspace, count_at, count_o1, p1_given_projection, run_chunks
+from .machine import EpsilonExperiment, Outcome, count_at, count_o1, p1_given_projection, run_chunks
 from .measures import (  # sample_state_array: perfbench/tracing.py wraps it here by name
     CapUniform,
     MixedState,
@@ -165,12 +165,12 @@ def conditional_quad(q: ConditionalQuery, tol: Optional[float] = None) -> Condit
 
 def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> ConditionalResult:
     """Frequency estimate: draw states from the conditioned measure (only
-    their projections on the target axis, MC_CHUNK at a time, into buffers
-    reused by every chunk), run one hidden-measurement trial each.
-    Deterministic given the seed; both target outcomes share one stream, so
-    their counts sum to `trials`.  A zero-radius conditioning cap
-    (epsilon = 1) pins every state (_pinned_state), so its trials run at
-    one projection (count_at).  Split across CPUs (run_chunks) unless
+    their projections on the target axis) and run one hidden-measurement
+    trial each, as one per-chunk step of run_chunks: sample_projection,
+    then count_o1.  Deterministic given the seed; both target outcomes
+    share one stream, so their counts sum to `trials`.  A zero-radius
+    conditioning cap (epsilon = 1) pins every state (_pinned_state), so its
+    trials run at one projection (count_at).  Split across CPUs unless
     epsilon = 0 or the conditioned base is a mixture."""
     if trials < 1:
         raise ValueError("trial count must be at least 1")
@@ -181,22 +181,17 @@ def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> Conditio
     else:
         mu = condition(q.base, q.cond, q.condition_outcome)
         axis = q.target.axis
-        # One workspace serves every chunk: row 0 takes the projections, rows
-        # 1-3 are the sampler's (z and phi kept for settling, and scratch),
-        # row 3 then takes the break points, and row 4 is the screen's gap.
-        rows, up = chunk_workspace(trials, 5)
 
-        def body(stream, windows) -> int:
-            hits = 0
-            for lo, hi in windows:
-                x = rows[0, lo:hi]
-                settle = sample_projection(mu, axis, stream, x, rows[1:4, lo:hi], rows[4, lo:hi])
-                hits += count_o1(q.target, x, stream, rows[3, lo:hi], up[lo:hi], settle)
-            return hits
+        # Row 0 takes the projections, rows 1-3 are the sampler's (z and phi
+        # kept for settling, and scratch), row 3 then takes the break points,
+        # and row 4 is the screen's gap.
+        def step(stream, work, marks) -> int:
+            settle = sample_projection(mu, axis, stream, work[0], work[1:4], work[4])
+            return count_o1(q.target, work[0], stream, work[3], marks[0], settle)
 
         # A mixture draws its multinomial split before its rows, and an
         # epsilon = 0 target its tie coins in a number the data decides.
-        hits = run_chunks(rng, trials, body, isinstance(mu, CapUniform) and q.target.epsilon > 0.0)
+        hits = run_chunks(rng, trials, step, isinstance(mu, CapUniform) and q.target.epsilon > 0.0, 5)
     n_hit = hits if q.target_outcome is Outcome.O1 else trials - hits
     p_hat = n_hit / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)

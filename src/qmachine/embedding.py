@@ -17,8 +17,8 @@ runs one procedure on every triad:
   target.  Crossed bounds on the target, or a negative constant row, are
   the certificate; else the witness is back-substituted from midpoints.
 
-A triad with one free atom (every survey triad) is read off its line with
-no elimination at all.  The witness comes out as integer numerators over
+A triad with one free atom (every survey triad) runs the same procedure
+with zero eliminations: its rows bound the target directly.  The witness comes out as integer numerators over
 one denominator and is checked on integers against each equality, then
 each atom's sign; only the bounds and witness reported are Fractions.  An
 infeasible verdict's certificate is a crossed pair of implied bounds on

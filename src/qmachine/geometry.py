@@ -74,7 +74,6 @@ class UnitVector:
 
 
 X_AXIS = UnitVector(1.0, 0.0, 0.0)
-Y_AXIS = UnitVector(0.0, 1.0, 0.0)
 Z_AXIS = UnitVector(0.0, 0.0, 1.0)
 
 
@@ -123,9 +122,10 @@ class SectorCap:
     """Spherical cap {v : v . center >= cos(half_angle)}.
 
     The open/closed boundary distinction is carried as data because the
-    model's certainty regions differ in it, but numerical membership always
-    uses >=: the boundary circle has measure zero and never contributes to
-    statistics.
+    model's certainty regions differ in it, but no number computed from a
+    cap depends on it: containment (contains_cap), areas and overlaps are
+    the same either way, since the boundary circle has measure zero and
+    never contributes to statistics.
     """
 
     center: UnitVector
@@ -135,9 +135,6 @@ class SectorCap:
     def __post_init__(self) -> None:
         if not 0.0 <= self.half_angle <= math.pi + 1e-12:
             raise ValueError(f"cap half-angle {self.half_angle} outside [0, pi]")
-
-    def contains(self, v: UnitVector) -> bool:
-        return v.dot(self.center) >= math.cos(self.half_angle)
 
     def contains_cap(self, other: "SectorCap") -> bool:
         """Whether `other` lies in this cap, decided by angle with no slack."""

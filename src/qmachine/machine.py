@@ -19,9 +19,11 @@ in the float64 draw's operation order (settle_into), and is decided as
 before, so every outcome count is bitwise the one the float64 draw gives.
 
 count_o1 is the one trial kernel: every Monte Carlo path draws its break
-points and decides its outcomes there.  Monte Carlo streams its trials
-MC_CHUNK at a time through one workspace (chunk_workspace), run_chunks
-walks the chunks, and count_at runs n trials at one fixed projection.
+points and decides its outcomes there.  Each Monte Carlo path is one
+per-chunk step: run_chunks streams the trials MC_CHUNK at a time through
+one workspace it allocates per call, and hands the step each chunk's
+columns of it, so no other module knows the chunk layout.  count_at runs
+n trials at one fixed projection as a one-line step.
 A call of at least _SPLIT_MIN trials splits each chunk's columns over
 the CPUs the process may use, when every draw it makes fills a whole
 chunk row with rng.random (uniform_into).  Part p owns the same columns
@@ -79,19 +81,6 @@ class EpsilonExperiment:
         return EpsilonExperiment(-self.axis, self.epsilon, -self.d)
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    p1: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p1 <= 1.0:
-            raise ValueError(f"p1 {self.p1} outside [0, 1]")
-
-    @property
-    def p2(self) -> float:
-        return 1.0 - self.p1
-
-
 def p1_given_projection(e: EpsilonExperiment, x: float) -> float:
     """Probability of outcome 1 as a function of the projection x = v . u.
 
@@ -111,10 +100,6 @@ def p1_given_projection(e: EpsilonExperiment, x: float) -> float:
     return (x - e.d + e.epsilon) / (2.0 * e.epsilon)
 
 
-def outcome_probabilities(e: EpsilonExperiment, state: UnitVector) -> OutcomeDistribution:
-    return OutcomeDistribution(p1_given_projection(e, state.dot(e.axis)))
-
-
 # Monte Carlo runs its trials MC_CHUNK at a time, so memory is bounded for
 # any trial count.
 MC_CHUNK = 65_536
@@ -123,13 +108,6 @@ MC_CHUNK = 65_536
 def chunk_sizes(n: int) -> list[int]:
     """n trials as MC_CHUNK-sized pieces, the last one shorter."""
     return [min(MC_CHUNK, n - start) for start in range(0, n, MC_CHUNK)]
-
-
-def chunk_workspace(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Buffers for every chunk of an n-trial call: `rows` float rows and
-    one row of outcome flags, each as long as the longest chunk."""
-    m = min(n, MC_CHUNK)
-    return np.empty((rows, m)), np.empty(m, dtype=bool)
 
 
 # Calls of fewer trials run on the caller alone (see the module docstring);
@@ -166,36 +144,39 @@ class _Window:
         return out
 
 
-def run_chunks(rng: np.random.Generator, n: int, body: Callable, split: bool) -> object:
-    """Run body(stream, windows) over an n-trial call; returns the sum of its
-    results.  `windows` yields, chunk by chunk, the (lo, hi) columns of
-    chunk_workspace(n, .) that a part owns, and `stream` stands in for rng
-    over them.  The call is one part, on rng and whole chunks, unless
-    `split` is set and n >= _SPLIT_MIN; `split` promises that the body
-    draws only through stream.random(out=row) over whole rows of its
-    window.  Then part 0 runs on the caller with rng and parts
-    1 .. _CPUS - 1 on threads of their own, each on a generator at rng's
-    start state.  A part's exception is raised here once every part ends."""
-    parts = _CPUS if split and n >= _SPLIT_MIN else 1
-    if parts == 1:
-        return body(rng, ((0, k) for k in chunk_sizes(n)))
+def run_chunks(rng: np.random.Generator, n: int, step: Callable, split: bool, rows: int, flags: int = 1) -> object:
+    """Run an n-trial call chunk by chunk in one workspace: `rows` float rows
+    and `flags` bool rows, each as long as the longest chunk.  Each chunk
+    calls step(stream, work, marks) on the workspace's columns for it, with
+    `stream` standing in for rng; returns the sum of the steps' results.
+    The call is one part, on rng and whole chunks, unless `split` is set and
+    n >= _SPLIT_MIN; `split` promises that the step draws only through
+    stream.random(out=row) over whole rows of its columns.  Then part 0
+    runs on the caller with rng and parts 1 .. _CPUS - 1 on threads of
+    their own, each on a generator at rng's start state and owning the same
+    columns of every chunk (_Window).  A part's exception is raised here
+    once every part ends."""
     m = min(n, MC_CHUNK)
+    work, marks = np.empty((rows, m)), np.empty((flags, m), dtype=bool)
+    parts = _CPUS if split and n >= _SPLIT_MIN else 1
     cuts = [m * p // parts for p in range(parts + 1)]
-    start = rng.bit_generator.state
     results: list = [0] * parts
     errors: dict = {}
 
-    def run(p: int, stream: np.random.Generator) -> None:
-        window = _Window(stream, n, cuts[p], cuts[p + 1])
+    def run(p: int, stream) -> None:
+        windows = ((0, k) for k in chunk_sizes(n))
+        if parts > 1:
+            stream = _Window(stream, n, cuts[p], cuts[p + 1])
+            windows = stream.chunks()
         try:
-            results[p] = body(window, window.chunks())
+            results[p] = sum(step(stream, work[:, lo:hi], marks[:, lo:hi]) for lo, hi in windows)
         except BaseException as exc:  # raised again by the caller
             errors[p] = exc
 
     threads = []
     for p in range(1, parts):
         bits = np.random.PCG64()
-        bits.state = start
+        bits.state = rng.bit_generator.state
         threads.append(threading.Thread(target=run, args=(p, np.random.Generator(bits))))
         threads[-1].start()
     run(0, rng)
@@ -296,15 +277,9 @@ def count_o1(e: EpsilonExperiment, x, rng: np.random.Generator, breaks: np.ndarr
 
 
 def count_at(e: EpsilonExperiment, x: float, n: int, rng: np.random.Generator) -> int:
-    """Outcome-1 count of n trials at the one projection x, MC_CHUNK at a
-    time in one pair of buffers reused by every chunk; split across CPUs
-    (run_chunks) unless epsilon = 0."""
-    (breaks,), up = chunk_workspace(n, 1)
-
-    def body(stream, windows) -> int:
-        return sum(count_o1(e, x, stream, breaks[lo:hi], up[lo:hi]) for lo, hi in windows)
-
-    return run_chunks(rng, n, body, e.epsilon > 0.0)
+    """Outcome-1 count of n trials at the one projection x, split across
+    CPUs (run_chunks) unless epsilon = 0."""
+    return run_chunks(rng, n, lambda stream, work, marks: count_o1(e, x, stream, work[0], marks[0]), e.epsilon > 0.0, 1)
 
 
 def estimate_probability_mc(

@@ -38,7 +38,7 @@ from .geometry import (  # sample_uniform_sphere_array: perfbench/tracing.py wra
     sample_uniform_sphere_array,
     unit_vector_at_angle,
 )
-from .machine import EpsilonExperiment, Outcome, chunk_workspace, near_threshold, ring_into, run_chunks, settle_into
+from .machine import EpsilonExperiment, Outcome, near_threshold, ring_into, run_chunks, settle_into
 
 # Denominator cap when snapping numerically computed conditionals to exact
 # rationals.  Large enough to keep the snap error ~1e-4 at most, small
@@ -188,8 +188,8 @@ class RegionCensus:
 
 
 def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
-    """Tally uniformly drawn respondent states by predetermination region,
-    MC_CHUNK draws at a time into 27 bins, in buffers reused by every chunk.
+    """Tally uniformly drawn respondent states by predetermination region
+    into 27 bins, one per-chunk step of run_chunks per chunk of draws.
 
     build_survey_model puts every axis in the x-z plane, so a respondent
     needs only z ~ U(-1, 1) and x = sqrt(1 - z^2) cos(phi), phi ~ U(0, 2 pi)
@@ -199,8 +199,7 @@ def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
     its status is read, so the tally is bitwise the float64 one.  Each
     question's status is 0 undetermined, 1 certain yes or 2 certain no, and
     the three statuses read as one base-3 number index the tally.  Every
-    draw fills a whole row, so a large census splits across CPUs
-    (run_chunks).
+    draw fills a whole row, so a large census splits across CPUs.
     """
     if len(m.questions) != 3:
         raise ValueError("the census is defined for exactly three questions")
@@ -209,47 +208,41 @@ def region_census(m: SurveyModel, trials: int, seed: int) -> RegionCensus:
     experiments = [fq.experiment for fq in m.questions]
     if any(e.axis.y != 0.0 for e in experiments):
         raise ValueError("the census needs every axis in the x-z plane, where build_survey_model puts them")
-    rng = np.random.default_rng(seed)
-    (z, phi, x, dot, zpart), yes = chunk_workspace(trials, 5)
-    no = np.empty_like(yes)
-    # Statuses add up in uint8, the flags viewed as 0/1 bytes so that no cast
-    # runs; bincount wants intp, copied once per chunk into phi's row, which
-    # is free by then.
-    yes8, no8 = yes.view(np.uint8), no.view(np.uint8)
-    digits, codes = np.empty(len(yes), dtype=np.uint8), phi.view(np.intp)
 
-    def body(stream, windows) -> np.ndarray:
-        tally = np.zeros(27, dtype=np.int64)
-        for lo, hi in windows:
-            zk, fk, xk, dk, pk, ck = z[lo:hi], phi[lo:hi], x[lo:hi], dot[lo:hi], zpart[lo:hi], digits[lo:hi]
-            yk, nk, y8, n8, codek = yes[lo:hi], no[lo:hi], yes8[lo:hi], no8[lo:hi], codes[lo:hi]
-            ring_into(stream, -1.0, zk, fk, xk, dk)
-            ck.fill(0)
-            for e in experiments:
-                np.multiply(xk, e.axis.x, out=dk)
-                np.multiply(zk, e.axis.z, out=pk)
-                dk += pk
-                # The band edges are d -+ epsilon: settle the dots within
-                # RING_ERR of one, where ||dot - d| - epsilon| <= RING_ERR.
-                np.subtract(dk, e.d, out=pk)
-                np.abs(pk, out=pk)
-                idx = near_threshold(pk, e.epsilon, pk, yk)
-                if idx.size:
-                    settle_into(dk, idx, zk, fk, e.axis.z, e.axis.x)
-                # The certainty caps are closed for epsilon > 0 and open on a
-                # zero-width band (epsilon = 0), where the edge itself is a tie.
-                closed = e.band_low < e.band_high
-                (np.greater_equal if closed else np.greater)(dk, e.band_high, out=yk)
-                (np.less_equal if closed else np.less)(dk, e.band_low, out=nk)
-                ck *= 3
-                ck += y8
-                ck += n8
-                ck += n8
-            np.copyto(codek, ck)
-            tally += np.bincount(codek, minlength=27)
-        return tally
+    def step(stream, work, marks) -> np.ndarray:
+        z, phi, x, dot, zpart = work
+        yes, no = marks[:2]
+        # Statuses add up in uint8 in the third flag row, the flags viewed as
+        # 0/1 bytes so that no cast runs; bincount wants intp, copied into
+        # phi's row, which is free by then.
+        yes8, no8, digits = marks.view(np.uint8)
+        ring_into(stream, -1.0, z, phi, x, dot)
+        digits.fill(0)
+        for e in experiments:
+            np.multiply(x, e.axis.x, out=dot)
+            np.multiply(z, e.axis.z, out=zpart)
+            dot += zpart
+            # The band edges are d -+ epsilon: settle the dots within
+            # RING_ERR of one, where ||dot - d| - epsilon| <= RING_ERR.
+            np.subtract(dot, e.d, out=zpart)
+            np.abs(zpart, out=zpart)
+            idx = near_threshold(zpart, e.epsilon, zpart, yes)
+            if idx.size:
+                settle_into(dot, idx, z, phi, e.axis.z, e.axis.x)
+            # The certainty caps are closed for epsilon > 0 and open on a
+            # zero-width band (epsilon = 0), where the edge itself is a tie.
+            closed = e.band_low < e.band_high
+            (np.greater_equal if closed else np.greater)(dot, e.band_high, out=yes)
+            (np.less_equal if closed else np.less)(dot, e.band_low, out=no)
+            digits *= 3
+            digits += yes8
+            digits += no8
+            digits += no8
+        codes = phi.view(np.intp)
+        np.copyto(codes, digits)
+        return np.bincount(codes, minlength=27)
 
-    tally = run_chunks(rng, trials, body, True)
+    tally = run_chunks(np.random.default_rng(seed), trials, step, True, 5, 3)
     names = ("none", "yes", "no")
     fractions = {}
     errors = {}

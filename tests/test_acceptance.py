@@ -20,7 +20,7 @@ from qmachine.conditional import (
 )
 from qmachine.embedding import ModelClass, check_hilbert2d, check_kolmogorov, paper_triad
 from qmachine.geometry import Z_AXIS, sample_uniform_sphere, SectorCap, unit_vector_at_angle
-from qmachine.machine import EpsilonExperiment, Outcome, estimate_probability_mc, outcome_probabilities, p1_given_projection
+from qmachine.machine import EpsilonExperiment, Outcome, estimate_probability_mc, p1_given_projection
 from qmachine.measures import CapUniform, Mixture, Uniform, outcome_law, sandwich_check
 from qmachine.spin import spin_operator, spin_state, transition_probability
 from qmachine.survey import QuestionStats, build_survey_model, classify_survey, fit_epsilon_model, region_census
@@ -53,7 +53,7 @@ def test_01_quantum_machine_law():
         e = EpsilonExperiment(Z_AXIS, 1.0, 0.0)
         for k in range(181):
             theta = math.pi * k / 180
-            p1 = outcome_probabilities(e, unit_vector_at_angle(Z_AXIS, theta)).p1
+            p1 = p1_given_projection(e, unit_vector_at_angle(Z_AXIS, theta).z)
             assert abs(p1 - math.cos(theta / 2) ** 2) <= 1e-12
         for theta, seed in ((math.pi / 3, 101), (math.pi / 2, 102), (2.1, 103)):
             p = math.cos(theta / 2) ** 2
@@ -184,7 +184,7 @@ def test_09_spin_crosscheck():
         for _ in range(500):
             u = sample_uniform_sphere(rng)
             v = sample_uniform_sphere(rng)
-            machine = outcome_probabilities(EpsilonExperiment(u, 1.0, 0.0), v).p1
+            machine = p1_given_projection(EpsilonExperiment(u, 1.0, 0.0), v.dot(u))
             assert abs(transition_probability(u, v) - machine) <= 1e-12
         for _ in range(100):
             u = sample_uniform_sphere(rng)

@@ -451,7 +451,7 @@ def test_survey_malformed_json_exits_2(tmp_path, capsys):
 def test_survey_nan_angle_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "survey", "--input", survey_file(tmp_path, angles=(0, math.nan, 120)), "--census-trials", "10")
     assert code == 2 and out == ""
-    assert "not unit length" in err
+    assert err == "error: angle 2 must be a finite number, got nan\n"
 
 
 def test_survey_missing_key_exits_2(tmp_path, capsys):
@@ -469,10 +469,16 @@ def test_survey_missing_key_exits_2(tmp_path, capsys):
         ("pre_yes", False, "pre_yes of question 'v'"),
         ("pre_no", True, "pre_no of question 'v'"),
         ("angles_deg", True, "angle 2"),
+        ("angles_deg", math.inf, "angle 2"),
+        ("angles_deg", None, "angle 2"),
+        ("angles_deg", "60", "angle 2"),
+        pytest.param("angles_deg", 10**400, "angle 2", id="angles_deg-10**400-angle 2"),
     ],
 )
 def test_survey_boolean_exits_2(tmp_path, capsys, field, value, name):
-    # A JSON boolean would otherwise read as the number 1 or 0.
+    # A JSON boolean would otherwise read as the number 1 or 0.  An infinite
+    # angle (also 1e400) failed as a math domain error, and null or a string
+    # as float()'s conversion error, neither of which named the angle.
     raw = json.loads(Path(survey_file(tmp_path)).read_text())
     target, key = (raw["angles_deg"], 1) if field == "angles_deg" else (raw["questions"][1], field)
     target[key] = value
@@ -480,7 +486,16 @@ def test_survey_boolean_exits_2(tmp_path, capsys, field, value, name):
     path.write_text(json.dumps(raw))
     code, out, err = run_cli(capsys, "survey", "--input", str(path), "--census-trials", "10")
     assert code == 2 and out == ""
-    assert err == f"error: {name} must be a number, got {value}\n"
+    assert err == f"error: {name} must be a finite number, got {value!r}\n"
+
+
+def test_survey_angles_not_a_list_exits_2(tmp_path, capsys):
+    # A string was read angle by angle: "could not convert string to float: 'a'".
+    path = Path(survey_file(tmp_path))
+    path.write_text(path.read_text().replace("[0, 60, 120]", '"abc"'))
+    code, out, err = run_cli(capsys, "survey", "--input", str(path), "--census-trials", "10")
+    assert code == 2 and out == ""
+    assert err == "error: angles_deg must be a list, got 'abc'\n"
 
 
 def test_check_triad_missing_key_exits_2(tmp_path, capsys):

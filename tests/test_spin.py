@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmachine.geometry import UnitVector, Z_AXIS, sample_uniform_sphere, unit_vector_at_angle
-from qmachine.machine import EpsilonExperiment, outcome_probabilities
+from qmachine.machine import EpsilonExperiment, p1_given_projection
 from qmachine.spin import SpinObservable, SpinState, inner, spin_operator, spin_state, transition_probability
 
 
@@ -82,5 +82,5 @@ def test_transition_probability_matches_the_machine():
     for _ in range(50):
         u = sample_uniform_sphere(rng)
         v = sample_uniform_sphere(rng)
-        machine_p1 = outcome_probabilities(EpsilonExperiment(u, 1.0, 0.0), v).p1
+        machine_p1 = p1_given_projection(EpsilonExperiment(u, 1.0, 0.0), v.dot(u))
         assert abs(transition_probability(u, v) - machine_p1) <= 1e-12

@@ -5,6 +5,7 @@ the serial stream draw for draw; the other tests force the split on small
 calls, where the fixed-seed counts, the streaming memory bounds, worker
 failures and thread counts are checked."""
 
+import collections
 import math
 import sys
 import threading
@@ -141,19 +142,30 @@ def test_a_lagging_first_part_keeps_its_columns(split, monkeypatch):
     assert lagged
 
 
+def column(view):
+    """The workspace column a step's view of it starts at."""
+    return (view.ctypes.data - view.base.ctypes.data) // view.itemsize % view.base.shape[1]
+
+
 def draws_by_window(n):
     """Every chunk's draws of an n-trial call through run_chunks, one fill
     per chunk, put back at their trial positions; returns them and the
-    caller's generator afterwards."""
+    caller's generator afterwards.  A part's steps come chunk by chunk on
+    its own columns, so its j-th step fills chunk j at the column its
+    workspace view starts at."""
     rng = np.random.default_rng(SEED)
     got = np.full(n, np.nan)
+    steps = collections.Counter()
 
-    def body(stream, windows):
-        for start, (lo, hi) in zip(range(0, n, MC_CHUNK), windows):
-            stream.random(out=got[start + lo : start + hi])
+    def step(stream, work, marks):
+        lo = column(work)
+        start = MC_CHUNK * steps[lo] + lo
+        got[start : start + work.shape[1]] = stream.random(out=work[0])
+        steps[lo] += 1
         return 0
 
-    run_chunks(rng, n, body, True)
+    run_chunks(rng, n, step, True, 1)
+    assert sorted(steps) == [lo for lo, hi in owned(machine._CPUS)]
     return got, rng
 
 
@@ -187,19 +199,19 @@ def test_a_failing_part_raises_in_the_caller(split):
     before = threading.active_count()
     raised = {}
 
-    def body(stream, windows):
-        for lo, hi in windows:
-            if lo > 0:
-                raised[lo] = ZeroDivisionError(f"part at column {lo}")
-                raise raised[lo]
+    def step(stream, work, marks):
+        lo = column(work)
+        if lo > 0:
+            raised[lo] = ZeroDivisionError(f"part at column {lo}")
+            raise raised[lo]
         return 1
 
     with pytest.raises(ZeroDivisionError) as caught:
-        run_chunks(np.random.default_rng(0), 3 * MC_CHUNK, body, True)
+        run_chunks(np.random.default_rng(0), 3 * MC_CHUNK, step, True, 1)
     # The first failing part's exception, once every part has ended.
     assert caught.value is raised[MC_CHUNK // machine._CPUS]
     assert threading.active_count() == before
-    assert run_chunks(np.random.default_rng(0), 3 * MC_CHUNK, lambda stream, windows: 1, True) == machine._CPUS
+    assert run_chunks(np.random.default_rng(0), 3 * MC_CHUNK, lambda stream, work, marks: 1, True, 1) == 3 * machine._CPUS
     assert threading.active_count() == before
 
 
@@ -207,12 +219,12 @@ def test_a_small_call_is_one_part_on_the_callers_generator(split):
     rng = np.random.default_rng(0)
     seen = []
 
-    def body(stream, windows):
-        seen.append((stream, list(windows)))
+    def step(stream, work, marks):
+        seen.append((stream, column(work), work.shape, column(marks), marks.shape))
         return 0
 
-    run_chunks(rng, 2 * MC_CHUNK - 1, body, True)
-    assert seen == [(rng, [(0, k) for k in chunk_sizes(2 * MC_CHUNK - 1)])] and split == []
+    run_chunks(rng, 2 * MC_CHUNK - 1, step, True, 2, 3)
+    assert seen == [(rng, 0, (2, k), 0, (3, k)) for k in chunk_sizes(2 * MC_CHUNK - 1)] and split == []
 
 
 @pytest.mark.parametrize("name", sorted(test_streaming.CALLS))
