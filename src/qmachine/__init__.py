@@ -6,11 +6,11 @@ probabilities (epsilon = 1) and a deterministic classical experiment
 (epsilon = 0); in between, the conditional statistics fit neither a
 Kolmogorov joint distribution nor 2-D Hilbert transition probabilities,
 and this package computes all of it: exact probabilities, seeded trials,
-mixed-state measures, conditional probabilities by three routes, exact
+conditioned states, conditional probabilities by three routes, exact
 embeddability verdicts, and the opinion-poll mapping.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .conditional import (
     ConditionalQuery,
@@ -52,19 +52,7 @@ from .machine import (
     estimate_probability_mc,
     p1_given_projection,
 )
-from .measures import (
-    CapUniform,
-    MixedState,
-    Mixture,
-    SandwichResult,
-    Uniform,
-    condition,
-    eig_set,
-    is_classical,
-    measure_of,
-    pos_set,
-    sandwich_check,
-)
+from .measures import CapUniform, MixedState, Uniform, condition, eig_set
 from .spin import SpinObservable, SpinState, spin_operator, spin_state, transition_probability
 from .survey import (
     QuestionStats,

@@ -191,15 +191,26 @@ def _rational(value, name: str) -> Fraction:
         raise ValueError(f"{name} must be an exact rational, got {value!r}") from None
 
 
+def _shaped(value, kind: type, path: str):
+    """`value`, read from an input file at `path` (such as "cond[1]"),
+    provided it is a JSON object (kind dict) or list (kind list); anything
+    else is a usage error that names the path and the value."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{path} must be {'an object' if kind is dict else 'a list'}, got {value!r}")
+    return value
+
+
 def _load_triad(path: str) -> TriadData:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh, parse_float=Fraction, parse_int=Fraction)
-    marginals = {str(k): _rational(v, f"marginal {k}") for k, v in raw["marg"].items()}
-    conds = tuple(
-        CondProb(parse_event(str(c["event"])), parse_event(str(c["given"])), _rational(c["p"], f"p of conditional {i}"))
-        for i, c in enumerate(raw["cond"], 1)
-    )
-    return TriadData(marginals, conds)
+        raw = _shaped(json.load(fh, parse_float=Fraction, parse_int=Fraction), dict, "the triad file")
+    marginals = {str(k): _rational(v, f"marginal {k}") for k, v in _shaped(raw["marg"], dict, "marg").items()}
+    conds = []
+    for i, c in enumerate(_shaped(raw["cond"], list, "cond")):
+        c = _shaped(c, dict, f"cond[{i}]")
+        conds.append(
+            CondProb(parse_event(str(c["event"])), parse_event(str(c["given"])), _rational(c["p"], f"p of conditional {i + 1}"))
+        )
+    return TriadData(marginals, tuple(conds))
 
 
 def _kolmogorov_payload(verdict: KolmogorovVerdict) -> dict:
@@ -258,17 +269,17 @@ def _number(value, name: str) -> float:
 
 def _load_survey(path: str) -> tuple[list[QuestionStats], list[float]]:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = _shaped(json.load(fh), dict, "the survey file")
 
-    def question(q: dict) -> QuestionStats:
+    def question(i: int, q) -> QuestionStats:
+        q = _shaped(q, dict, f"questions[{i}]")
         label = str(q["label"])
         yes, pre_yes, pre_no = (_number(q[key], f"{key} of question {label!r}") for key in ("yes", "pre_yes", "pre_no"))
         return QuestionStats(label=label, yes_fraction=yes, predetermined_yes=pre_yes, predetermined_no=pre_no)
 
-    stats = [question(q) for q in raw["questions"]]
-    if not isinstance(raw["angles_deg"], list):
-        raise ValueError(f"angles_deg must be a list, got {raw['angles_deg']!r}")
-    return stats, [math.radians(_number(a, f"angle {i}")) for i, a in enumerate(raw["angles_deg"], 1)]
+    stats = [question(i, q) for i, q in enumerate(_shaped(raw["questions"], list, "questions"))]
+    angles = _shaped(raw["angles_deg"], list, "angles_deg")
+    return stats, [math.radians(_number(a, f"angle {i}")) for i, a in enumerate(angles, 1)]
 
 
 def _cmd_survey(args) -> dict:

@@ -1,13 +1,14 @@
 """Conditional probabilities between two band experiments sharing epsilon.
 
 Three routes compute P(target outcome | conditioned on an outcome of the
-other experiment, starting from a base measure):
+other experiment).  Conditioning prepares the state: it leaves it uniform
+on the certainty cap of the conditioning outcome (measures.condition).
 
-* conditional_quad   -- the definitional integral over the conditioned
-                        measure, exact with a rounding bound (authoritative),
-* conditional_mc     -- seeded projections of conditioned states on the
-                        target axis, streamed in fixed chunks through the
-                        hidden-measurement trial kernel,
+* conditional_quad   -- the definitional integral over that cap, exact
+                        with a rounding bound (authoritative),
+* conditional_mc     -- seeded projections of states drawn from that cap
+                        on the target axis, streamed in fixed chunks
+                        through the hidden-measurement trial kernel,
 * conditional_closed_form -- the printed closed form for the symmetric
                         d = c = 0 case as one expression in complementary
                         arcs at a = min(alpha, pi - alpha), mirrored by
@@ -20,18 +21,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConditioningError
 from .geometry import Z_AXIS, SectorCap, UnitVector, unit_vector_at_angle
 from .machine import EpsilonExperiment, Outcome, count_at, count_o1, p1_given_projection, run_chunks
 from .measures import (  # sample_state_array: perfbench/tracing.py wraps it here by name
-    CapUniform,
-    MixedState,
-    Uniform,
     condition,
     eig_set,
     outcome_law,
@@ -62,14 +59,13 @@ class Validity(enum.Enum):
 
 @dataclass(frozen=True)
 class ConditionalQuery:
-    """Ask for P(target_outcome of `target` | condition_outcome of `cond`)
-    when the state is prepared by conditioning `base`."""
+    """Ask for P(target_outcome of `target` | condition_outcome of `cond`):
+    the state is prepared by conditioning on that outcome of `cond`."""
 
     target: EpsilonExperiment
     cond: EpsilonExperiment
     target_outcome: Outcome = Outcome.O1
     condition_outcome: Outcome = Outcome.O1
-    base: MixedState = field(default_factory=Uniform)
 
     def __post_init__(self) -> None:
         if abs(self.target.epsilon - self.cond.epsilon) > 1e-12:
@@ -91,7 +87,7 @@ def symmetric_query(
     target_outcome: Outcome = Outcome.O1,
     condition_outcome: Outcome = Outcome.O1,
 ) -> ConditionalQuery:
-    """The standard configuration: d = c = 0, axes `alpha` apart, uniform base."""
+    """The standard configuration: d = c = 0, axes `alpha` apart."""
     return ConditionalQuery(
         target=EpsilonExperiment(unit_vector_at_angle(Z_AXIS, alpha), epsilon, 0.0),
         cond=EpsilonExperiment(Z_AXIS, epsilon, 0.0),
@@ -106,25 +102,6 @@ def _conditioning_cap(q: ConditionalQuery) -> SectorCap:
 
 def _oriented_target(q: ConditionalQuery) -> EpsilonExperiment:
     return q.target if q.target_outcome is Outcome.O1 else q.target.flipped()
-
-
-def _pinned_state(base: MixedState, cap: SectorCap) -> UnitVector:
-    """The state a zero-radius conditioning cap pins the preparation to: its
-    center, provided the base holds it.  A uniform base always does, a
-    cap-uniform one when its closed cap contains the center (by angle,
-    SectorCap.contains_cap, which keeps a tiny cap's own center inside it),
-    a mixture when a component of positive weight does; otherwise no state
-    of the base makes the outcome certain, and ConditioningError is
-    raised."""
-
-    def holds(mu: MixedState) -> bool:
-        if isinstance(mu, CapUniform):
-            return mu.cap.contains_cap(cap)
-        return isinstance(mu, Uniform) or any(w > 0.0 and holds(m) for w, m in mu.components)
-
-    if not holds(base):
-        raise ConditioningError("the base holds no state where the zero-radius conditioning cap pins the outcome")
-    return cap.center
 
 
 def _pinned_bound(target: EpsilonExperiment, center: UnitVector, x: float) -> float:
@@ -147,51 +124,47 @@ def conditional_quad(q: ConditionalQuery, tol: Optional[float] = None) -> Condit
     error_bound.  `tol` is ignored, kept for callers that still pass one.
 
     A zero-radius conditioning cap (epsilon = 1) pins the preparation to the
-    cap center (_pinned_state), so the integral degenerates to the kernel
-    value there, with the dot's and the ramp's rounding as error_bound
-    (_pinned_bound).
+    cap center, so the integral degenerates to the kernel value there, with
+    the dot's and the ramp's rounding as error_bound (_pinned_bound).
     """
     cap = _conditioning_cap(q)
     target = _oriented_target(q)
     if cap.half_angle <= 0.0:
-        center = _pinned_state(q.base, cap)
-        x = center.dot(target.axis)
+        x = cap.center.dot(target.axis)
         value = p1_given_projection(target, x)
-        return ConditionalResult(value, Method.QUADRATURE, _pinned_bound(target, center, x), Validity.VALID)
-    mu = condition(q.base, q.cond, q.condition_outcome)
+        return ConditionalResult(value, Method.QUADRATURE, _pinned_bound(target, cap.center, x), Validity.VALID)
+    mu = condition(q.cond, q.condition_outcome)
     value, bound = outcome_law(target, Outcome.O1, mu)
     return ConditionalResult(value, Method.QUADRATURE, bound, Validity.VALID)
 
 
 def conditional_mc(q: ConditionalQuery, trials: int, seed: SeedLike) -> ConditionalResult:
-    """Frequency estimate: draw states from the conditioned measure (only
-    their projections on the target axis) and run one hidden-measurement
-    trial each, as one per-chunk step of run_chunks: sample_projection,
-    then count_o1.  Deterministic given the seed; both target outcomes
-    share one stream, so their counts sum to `trials`.  A zero-radius
-    conditioning cap (epsilon = 1) pins every state (_pinned_state), so its
-    trials run at one projection (count_at).  Split across CPUs unless
-    epsilon = 0 or the conditioned base is a mixture."""
+    """Frequency estimate: draw states from the conditioned cap (only their
+    projections on the target axis) and run one hidden-measurement trial
+    each, as one per-chunk step of run_chunks: sample_projection, then
+    count_o1.  Deterministic given the seed; both target outcomes share one
+    stream, so their counts sum to `trials`.  A zero-radius conditioning
+    cap (epsilon = 1) pins every state to its center, so its trials run at
+    one projection (count_at).  Split across CPUs unless epsilon = 0."""
     if trials < 1:
         raise ValueError("trial count must be at least 1")
     cap = _conditioning_cap(q)
     rng = np.random.default_rng(seed)
     if cap.half_angle <= 0.0:
-        hits = count_at(q.target, _pinned_state(q.base, cap).dot(q.target.axis), trials, rng)
+        hits = count_at(q.target, cap.center.dot(q.target.axis), trials, rng)
     else:
-        mu = condition(q.base, q.cond, q.condition_outcome)
+        mu = condition(q.cond, q.condition_outcome)
         axis = q.target.axis
 
         # Row 0 takes the projections, rows 1-3 are the sampler's (z and phi
         # kept for settling, and scratch), row 3 then takes the break points,
         # and row 4 is the screen's gap.
         def step(stream, work, marks) -> int:
-            settle = sample_projection(mu, axis, stream, work[0], work[1:4], work[4])
+            settle = sample_projection(mu.cap, axis, stream, work[0], work[1:4], work[4])
             return count_o1(q.target, work[0], stream, work[3], marks[0], settle)
 
-        # A mixture draws its multinomial split before its rows, and an
-        # epsilon = 0 target its tie coins in a number the data decides.
-        hits = run_chunks(rng, trials, step, isinstance(mu, CapUniform) and q.target.epsilon > 0.0, 5)
+        # An epsilon = 0 target draws its tie coins in a number the data decides.
+        hits = run_chunks(rng, trials, step, q.target.epsilon > 0.0, 5)
     n_hit = hits if q.target_outcome is Outcome.O1 else trials - hits
     p_hat = n_hit / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)

@@ -123,9 +123,9 @@ class SectorCap:
 
     The open/closed boundary distinction is carried as data because the
     model's certainty regions differ in it, but no number computed from a
-    cap depends on it: containment (contains_cap), areas and overlaps are
-    the same either way, since the boundary circle has measure zero and
-    never contributes to statistics.
+    cap depends on it: areas and overlaps are the same either way, since
+    the boundary circle has measure zero and never contributes to
+    statistics.
     """
 
     center: UnitVector
@@ -135,10 +135,6 @@ class SectorCap:
     def __post_init__(self) -> None:
         if not 0.0 <= self.half_angle <= math.pi + 1e-12:
             raise ValueError(f"cap half-angle {self.half_angle} outside [0, pi]")
-
-    def contains_cap(self, other: "SectorCap") -> bool:
-        """Whether `other` lies in this cap, decided by angle with no slack."""
-        return angle_between(self.center, other.center) + other.half_angle <= self.half_angle
 
     @property
     def area_fraction(self) -> float:

@@ -1,16 +1,17 @@
-"""Mixed states as measures on the sphere, certainty regions, conditioning.
+"""The measures on the sphere the model uses, certainty regions, conditioning.
 
-The mixed-state family is deliberately closed and small: the uniform
-measure, uniform-on-a-cap, and finite mixtures of those.  Every measure
-the model needs lives in this family; outcome probabilities under it take
-a closed form: for a cap, the band average, over where the band breaks,
-of the cap's exact overlap with the axis cap above that point, which the
-lens's area and first moment (geometry.cap_lens) give without quadrature.
+Two measures: the uniform one and uniform-on-a-cap, the state a
+conditioning prepares.  Outcome probabilities under either take a closed
+form: (1 -+ d) / 2 under the uniform measure, whatever epsilon, and for a
+cap the band average, over where the band breaks, of the cap's exact
+overlap with the axis cap above that point, which the lens's area and
+first moment (geometry.cap_lens) give without quadrature.
 
 Certainty regions: eig_set(e, a) collects the states for which
-experiment e's outcome is certainly a (a machine.Outcome), pos_set(e, a)
-those for which it is possible.  Both are spherical caps, so measuring
-them is exact cap arithmetic.
+experiment e's outcome is certainly a (a machine.Outcome), a spherical
+cap; the states for which a is possible are the complement of the other
+outcome's cap.  Conditioning on an outcome (condition) leaves the state
+uniform on its certainty cap.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConditioningError
-from .geometry import (
+from .geometry import (  # cap_intersection_fraction: perfbench/tracing.py wraps it here by name
     SectorCap,
     UnitVector,
     angle_between,
@@ -41,9 +42,6 @@ class Uniform:
     """The uniform probability measure on the whole sphere."""
 
 
-UNIFORM = Uniform()
-
-
 @dataclass(frozen=True)
 class CapUniform:
     """Uniform probability measure restricted to a cap of positive area."""
@@ -55,22 +53,7 @@ class CapUniform:
             raise ValueError("CapUniform needs a cap of positive area")
 
 
-@dataclass(frozen=True)
-class Mixture:
-    """Finite convex combination of mixed states."""
-
-    components: tuple[tuple[float, "MixedState"], ...]
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise ValueError("mixture needs at least one component")
-        if any(w < 0.0 for w, _ in self.components):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(sum(w for w, _ in self.components) - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1")
-
-
-MixedState = Union[Uniform, CapUniform, Mixture]
+MixedState = Union[Uniform, CapUniform]
 
 
 def eig_set(e: EpsilonExperiment, a: Outcome) -> SectorCap:
@@ -79,23 +62,6 @@ def eig_set(e: EpsilonExperiment, a: Outcome) -> SectorCap:
     up, down = sector_angles(e.epsilon, e.d)
     center, half_angle = (e.axis, up) if a is Outcome.O1 else (-e.axis, down)
     return SectorCap(center, half_angle, closed=e.epsilon > 0.0)
-
-
-def pos_set(e: EpsilonExperiment, a: Outcome) -> SectorCap:
-    """States for which outcome `a` is possible: the complement of the
-    certainty cap of the other outcome, so open for epsilon > 0 and closed
-    for epsilon = 0."""
-    c = eig_set(e, Outcome.O2 if a is Outcome.O1 else Outcome.O1)
-    return SectorCap(-c.center, math.pi - c.half_angle, closed=not c.closed)
-
-
-def measure_of(mu: MixedState, cap: SectorCap) -> float:
-    """mu(cap), exact (cap arithmetic)."""
-    if isinstance(mu, Uniform):
-        return cap.area_fraction
-    if isinstance(mu, CapUniform):
-        return cap_intersection_fraction(mu.cap, cap) / mu.cap.area_fraction
-    return sum(w * measure_of(m, cap) for w, m in mu.components)
 
 
 _SHIFT = 2.0**-49
@@ -145,141 +111,57 @@ def outcome_law(e: EpsilonExperiment, a: Outcome, mu: MixedState) -> tuple[float
         return outcome_law(e.flipped(), Outcome.O1, mu)
     if isinstance(mu, Uniform):
         return 0.5 * (1.0 - e.d), _SHIFT
-    if isinstance(mu, CapUniform):
-        return cap_averaged_p1(e, mu.cap)
-    laws = [(w, outcome_law(e, a, m)) for w, m in mu.components]
-    return sum(w * p for w, (p, _) in laws), sum(w * b for w, (_, b) in laws)
+    return cap_averaged_p1(e, mu.cap)
 
 
-@dataclass(frozen=True)
-class SandwichResult:
-    lower: float  # mu(eig)
-    mid: float    # P(a, mu)
-    upper: float  # mu(pos)
-    holds: bool
+def condition(f: EpsilonExperiment, a: Outcome) -> CapUniform:
+    """The preparation that guarantees f's outcome `a`: the uniform measure
+    restricted to the outcome's certainty cap (eig_set) and renormalized.
 
-
-def sandwich_check(e: EpsilonExperiment, a: Outcome, mu: MixedState) -> SandwichResult:
-    """The exact certainty/possibility bounds around the outcome probability."""
-    lower = measure_of(mu, eig_set(e, a))
-    upper = measure_of(mu, pos_set(e, a))
-    mid = outcome_law(e, a, mu)[0]
-    holds = lower <= mid + 1e-9 and mid <= upper + 1e-9
-    return SandwichResult(lower, mid, upper, holds)
-
-
-def is_classical(e: EpsilonExperiment, mu: MixedState) -> bool:
-    """True when the open band d - epsilon < x < d + epsilon of projections
-    has mu-measure zero, so outcomes are predetermined almost surely: always
-    at epsilon = 0, never under the uniform measure at epsilon > 0, under a
-    cap-uniform one when its cap lies in a certainty cap (by angle, as
-    condition decides it), and under a mixture when every component of
-    positive weight is classical."""
-    if e.epsilon == 0.0:
-        return True
-    if isinstance(mu, Uniform):
-        return False
-    if isinstance(mu, CapUniform):
-        return any(eig_set(e, a).contains_cap(mu.cap) for a in Outcome)
-    return all(w == 0.0 or is_classical(e, m) for w, m in mu.components)
-
-
-def condition(mu: MixedState, f: EpsilonExperiment, a: Outcome) -> MixedState:
-    """Restrict mu to the states where f's outcome is certainly `a`, and
-    renormalize: the preparation that guarantees that outcome.
-
-    Raises ConditioningError when the certainty region has mu-measure zero
-    (e.g. epsilon = 1 under the uniform measure: no state short of the axis
-    point itself makes the outcome certain).
+    Raises ConditioningError when that cap has zero area (e.g. epsilon = 1:
+    no state short of the axis point itself makes the outcome certain).
     """
     region = eig_set(f, a)
-    if measure_of(mu, region) <= 0.0:
+    if region.area_fraction <= 0.0:
         raise ConditioningError(f"outcome {a.value} of {f} cannot be prepared with certainty")
-    if isinstance(mu, Uniform):
-        return CapUniform(region)
-    if isinstance(mu, CapUniform):
-        if region.contains_cap(mu.cap):
-            return mu
-        if mu.cap.contains_cap(region):
-            return CapUniform(region)
-        # The restriction would be uniform on a lens, which leaves the
-        # closed mixed-state family; nothing in the model needs it.
-        raise ConditioningError("restriction of a cap-uniform state to a partially overlapping cap is not representable")
-    parts = []
-    for w, m in mu.components:
-        mass = w * measure_of(m, region)
-        if mass > 0.0:
-            parts.append((mass, condition(m, f, a)))
-    total = sum(w for w, _ in parts)
-    return Mixture(tuple((w / total, m) for w, m in parts))
+    return CapUniform(region)
 
 
 def sample_projection(
-    mu: MixedState, axis: UnitVector, rng: np.random.Generator, out: np.ndarray, work: np.ndarray, gap: np.ndarray
+    cap: SectorCap, axis: UnitVector, rng: np.random.Generator, out: np.ndarray, work: np.ndarray, gap: np.ndarray
 ) -> Callable[..., None]:
     """Fill `out` with the projections v . axis of len(out) states drawn
-    from mu, a conditioned measure: a cap-uniform state or a mixture of
-    them, as condition() returns.  `work` is float scratch of shape
-    (3, >= len(out)) and `gap` float scratch as long as `out`; rows 0-1
-    of `work` keep each cap draw's z and phi until the trials are decided.
+    uniformly from `cap`, the conditioned state.  `work` is float scratch of
+    shape (3, >= len(out)) and `gap` float scratch as long as `out`; rows
+    0-1 of `work` keep the draws' z and phi until the trials are decided.
 
     Cap of half-angle rho, center gamma from the axis:
     x = z cos gamma + sqrt(1 - z^2) cos(phi) sin gamma with
     z ~ U(cos rho, 1), phi ~ U(0, 2 pi), screened (see ring_into).
-    Mixture: a multinomial split, each component filling the next slice of
-    `out` in component order (callers count outcomes, which ignores order).
 
     Returns `settle(threshold, flags)`, which overwrites the values within
     RING_ERR of `threshold` (an array like `out`, or a float) with their
     float64 projections, in the operation order the fixed-seed counts were
     recorded with; `flags` is bool scratch as long as `out`.
     """
-    pieces: list[tuple[int, int, float, float]] = []  # cap slices: start, stop, cos gamma, sin gamma
-    _fill_projection(mu, axis, rng, out, work, 0, pieces)
-    z, phi = work[0], work[1]
+    n = len(out)
+    gamma = angle_between(cap.center, axis)
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    z, phi, scratch = (row[:n] for row in work)
+    ring_into(rng, math.cos(cap.half_angle), z, phi, out, scratch)
+    out *= sg
+    np.multiply(z, cg, out=scratch)
+    out += scratch
 
     def settle(threshold, flags: np.ndarray) -> None:
         idx = near_threshold(out, threshold, gap, flags)
-        if not idx.size:
-            return
-        for start, stop, cg, sg in pieces:
-            settle_into(out, idx[(idx >= start) & (idx < stop)], z, phi, cg, sg)
+        if idx.size:
+            settle_into(out, idx, z, phi, cg, sg)
 
     return settle
-
-
-def _fill_projection(
-    mu: MixedState, axis: UnitVector, rng: np.random.Generator, out: np.ndarray, work: np.ndarray, start: int, pieces: list
-) -> None:
-    """sample_projection's draw into out[start:start + len(out)]'s slot of
-    the chunk (`work` columns alike), recording each cap slice in `pieces`."""
-    n = len(out)
-    if isinstance(mu, CapUniform):
-        gamma = angle_between(mu.cap.center, axis)
-        cg, sg = math.cos(gamma), math.sin(gamma)
-        z, phi, scratch = (row[start : start + n] for row in work)
-        ring_into(rng, math.cos(mu.cap.half_angle), z, phi, out, scratch)
-        out *= sg
-        np.multiply(z, cg, out=scratch)
-        out += scratch
-        pieces.append((start, start + n, cg, sg))
-        return
-    weights = np.array([w for w, _ in mu.components])
-    counts = rng.multinomial(n, weights / weights.sum())
-    offset = 0
-    for (_, m), k in zip(mu.components, counts):
-        _fill_projection(m, axis, rng, out[offset : offset + k], work, start + offset, pieces)
-        offset += k
 
 
 def sample_state_array(mu: MixedState, rng: np.random.Generator, n: int) -> np.ndarray:
     if isinstance(mu, Uniform):
         return sample_uniform_sphere_array(rng, n)
-    if isinstance(mu, CapUniform):
-        return sample_uniform_cap_array(rng, mu.cap, n)
-    weights = np.array([w for w, _ in mu.components])
-    counts = rng.multinomial(n, weights / weights.sum())
-    blocks = [sample_state_array(m, rng, k) for (_, m), k in zip(mu.components, counts) if k]
-    out = np.concatenate(blocks)
-    rng.shuffle(out, axis=0)
-    return out
+    return sample_uniform_cap_array(rng, mu.cap, n)

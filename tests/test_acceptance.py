@@ -21,9 +21,10 @@ from qmachine.conditional import (
 from qmachine.embedding import ModelClass, check_hilbert2d, check_kolmogorov, paper_triad
 from qmachine.geometry import Z_AXIS, sample_uniform_sphere, SectorCap, unit_vector_at_angle
 from qmachine.machine import EpsilonExperiment, Outcome, estimate_probability_mc, p1_given_projection
-from qmachine.measures import CapUniform, Mixture, Uniform, outcome_law, sandwich_check
+from qmachine.measures import CapUniform, Uniform, outcome_law
 from qmachine.spin import spin_operator, spin_state, transition_probability
 from qmachine.survey import QuestionStats, build_survey_model, classify_survey, fit_epsilon_model, region_census
+from test_measures import holds, sandwich
 
 SQ2 = math.sqrt(2) / 2
 
@@ -78,34 +79,26 @@ def test_02_band_law_against_monte_carlo():
 
 
 def test_03_sandwich_theorem():
+    # mu(eig(e, a)) <= P(a | mu) <= mu(pos(e, a)) = 1 - mu(eig(e, not a)),
+    # the certainty caps measured by cap arithmetic (test_measures.sandwich).
     with Timer(3, "sandwich-theorem"):
-        r = sandwich_check(EpsilonExperiment(Z_AXIS, 1.0, 0.0), Outcome.O1, Uniform())
-        assert (r.lower, r.mid, r.upper) == (0.0, 0.5, 1.0) and r.holds
+        assert sandwich(EpsilonExperiment(Z_AXIS, 1.0, 0.0), Outcome.O1, Uniform()) == (0.0, 0.5, 1.0)
         for d in (-0.6, 0.0, 0.35):
-            r = sandwich_check(EpsilonExperiment(Z_AXIS, 0.0, d), Outcome.O1, Uniform())
-            assert r.holds
-            assert abs(r.lower - (1 - d) / 2) <= 1e-9
-            assert abs(r.lower - r.mid) <= 1e-9 and abs(r.mid - r.upper) <= 1e-9
+            lower, mid, upper = sandwich(EpsilonExperiment(Z_AXIS, 0.0, d), Outcome.O1, Uniform())
+            assert holds(lower, mid, upper)
+            assert abs(lower - (1 - d) / 2) <= 1e-9
+            assert abs(lower - mid) <= 1e-9 and abs(mid - upper) <= 1e-9
         rng = np.random.default_rng(33)
         for _ in range(200):
             epsilon = rng.uniform(0.0, 1.0)
             d = rng.uniform(-1 + epsilon, 1 - epsilon)
             e = EpsilonExperiment(sample_uniform_sphere(rng), epsilon, d)
-            kind = rng.integers(0, 3)
-            if kind == 0:
+            if rng.integers(0, 2):
                 mu = Uniform()
-            elif kind == 1:
-                mu = CapUniform(SectorCap(sample_uniform_sphere(rng), rng.uniform(0.15, math.pi)))
             else:
-                w = rng.uniform(0.1, 0.9)
-                mu = Mixture(
-                    (
-                        (w, CapUniform(SectorCap(sample_uniform_sphere(rng), rng.uniform(0.15, math.pi)))),
-                        (1 - w, Uniform()),
-                    )
-                )
+                mu = CapUniform(SectorCap(sample_uniform_sphere(rng), rng.uniform(0.15, math.pi)))
             a = Outcome.O1 if rng.integers(0, 2) else Outcome.O2
-            assert sandwich_check(e, a, mu).holds
+            assert holds(*sandwich(e, a, mu))
 
 
 def test_04_epsilon_independence_of_uniform_probability():

@@ -19,14 +19,9 @@ import pytest
 from qmachine.conditional import ConditionalQuery, conditional_closed_form, conditional_quad, symmetric_query
 from qmachine.geometry import Z_AXIS, SectorCap, angle_between, unit_vector_at_angle
 from qmachine.machine import EpsilonExperiment, Outcome
-from qmachine.measures import UNIFORM, CapUniform, Mixture, condition, outcome_law
+from qmachine.measures import CapUniform, condition, outcome_law
 
 TOL = 1e-9
-BASES = {
-    "uniform": UNIFORM,
-    "uniform_and_cap": Mixture(((0.4, UNIFORM), (0.6, CapUniform(SectorCap(Z_AXIS, 2.0))))),
-    "two_caps": Mixture(((0.3, CapUniform(SectorCap(Z_AXIS, 0.9))), (0.7, CapUniform(SectorCap(Z_AXIS, 2.6))))),
-}
 # The paper's epsilons.
 EPSILONS = (1e-6, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -68,18 +63,11 @@ def reference_cap_p1(e: EpsilonExperiment, cap: SectorCap):
         return total / (1 - mp.cos(rho))
 
 
-def reference_p1(e: EpsilonExperiment, mu):
-    if isinstance(mu, CapUniform):
-        return reference_cap_p1(e, mu.cap)
-    return sum(w * reference_p1(e, m) for w, m in mu.components)
-
-
 def _cases():
-    """(epsilon, alpha, d, c, base, target outcome, condition outcome),
-    seeded; one in ten at epsilon = 1e-6, one in ten with d = -+(1 - epsilon),
-    and one in five with alpha drawn from {0, pi, random}.  Mixture bases
-    condition on outcome 1 only: their caps, centered on the conditioning
-    axis, are then nested in the certainty cap or contain it."""
+    """(epsilon, alpha, d, c, target outcome, condition outcome), seeded;
+    one in ten at epsilon = 1e-6, one in ten with d = -+(1 - epsilon), one
+    in five with alpha drawn from {0, pi, random}, and one in three with a
+    random condition outcome, the rest conditioned on outcome 1."""
     rnd = random.Random(9)
     cases = []
     for k in range(100):
@@ -91,29 +79,27 @@ def _cases():
         alpha = rnd.uniform(0.0, math.pi)
         if k % 5 == 0:
             alpha = rnd.choice((0.0, math.pi, alpha))
-        base = ("uniform", "uniform_and_cap", "two_caps")[k % 3]
         target_outcome = rnd.choice(list(Outcome))
-        condition_outcome = rnd.choice(list(Outcome)) if base == "uniform" else Outcome.O1
-        cases.append((epsilon, alpha, d, c, base, target_outcome, condition_outcome))
+        condition_outcome = rnd.choice(list(Outcome)) if k % 3 == 0 else Outcome.O1
+        cases.append((epsilon, alpha, d, c, target_outcome, condition_outcome))
     return cases
 
 
 def test_conditional_quad_meets_its_tolerance_against_the_reference():
     worst = 0.0
-    for epsilon, alpha, d, c, base, target_outcome, condition_outcome in _cases():
+    for epsilon, alpha, d, c, target_outcome, condition_outcome in _cases():
         q = ConditionalQuery(
             target=EpsilonExperiment(unit_vector_at_angle(Z_AXIS, alpha), epsilon, d),
             cond=EpsilonExperiment(Z_AXIS, epsilon, c),
             target_outcome=target_outcome,
             condition_outcome=condition_outcome,
-            base=BASES[base],
         )
         result = conditional_quad(q)
         target = q.target if target_outcome is Outcome.O1 else q.target.flipped()
-        mu = condition(q.base, q.cond, condition_outcome)
-        err = float(abs(result.value - reference_p1(target, mu)))
-        assert err <= TOL, (epsilon, alpha, d, c, base, target_outcome, condition_outcome, err)
-        assert err <= result.error_bound, (epsilon, alpha, d, c, base, err, result.error_bound)
+        cap = condition(q.cond, condition_outcome).cap
+        err = float(abs(result.value - reference_cap_p1(target, cap)))
+        assert err <= TOL, (epsilon, alpha, d, c, target_outcome, condition_outcome, err)
+        assert err <= result.error_bound, (epsilon, alpha, d, c, err, result.error_bound)
         worst = max(worst, err)
     assert worst > 0.0  # the reference is independent: it does not round the same way
 
@@ -182,10 +168,10 @@ def test_small_conditioning_cap_meets_the_reference(total, c):
                 target=EpsilonExperiment(unit_vector_at_angle(Z_AXIS, alpha), epsilon, d),
                 cond=EpsilonExperiment(Z_AXIS, epsilon, c),
             )
-            mu = condition(q.base, q.cond, Outcome.O1)
-            assert mu.cap.half_angle < 5e-8
+            cap = condition(q.cond, Outcome.O1).cap
+            assert cap.half_angle < 5e-8
             result = conditional_quad(q)
-            err = float(abs(result.value - reference_p1(q.target, mu)))
+            err = float(abs(result.value - reference_cap_p1(q.target, cap)))
             assert err <= TOL, (total, c, alpha, d, err)
             assert err <= result.error_bound, (total, c, alpha, d, err, result.error_bound)
 

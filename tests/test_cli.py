@@ -498,6 +498,27 @@ def test_survey_angles_not_a_list_exits_2(tmp_path, capsys):
     assert err == "error: angles_deg must be a list, got 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "command, raw, message",
+    [
+        ("check", {"marg": "abc", "cond": []}, "marg must be an object, got 'abc'"),
+        ("check", {"marg": {"U": 0.5}, "cond": [5]}, "cond[0] must be an object, got Fraction(5, 1)"),
+        ("survey", [1, 2], "the survey file must be an object, got [1, 2]"),
+        ("survey", {"questions": "abc", "angles_deg": []}, "questions must be a list, got 'abc'"),
+        ("survey", {"questions": [{"label": "w", "yes": 0.5, "pre_yes": 0.1, "pre_no": 0.1}, 5], "angles_deg": [0, 60]},
+         "questions[1] must be an object, got 5"),
+    ],
+    ids=["marg-string", "cond-number", "survey-list", "questions-string", "question-number"],
+)
+def test_input_file_of_the_wrong_shape_exits_2_naming_the_path(tmp_path, capsys, command, raw, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(raw))
+    argv = ("check", "kolmogorov", "--triad", str(path)) if command == "check" else ("survey", "--input", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_check_triad_missing_key_exits_2(tmp_path, capsys):
     path = tmp_path / "triad.json"
     path.write_text(json.dumps({"marg": {"U": 0.5, "V": 0.5, "W": 0.5}}))

@@ -16,10 +16,8 @@ from qmachine.conditional import (
     symmetric_query,
 )
 from qmachine import conditional, geometry, measures
-from qmachine.errors import ConditioningError
-from qmachine.geometry import Z_AXIS, SectorCap, unit_vector_at_angle
+from qmachine.geometry import Z_AXIS, unit_vector_at_angle
 from qmachine.machine import MC_CHUNK, EpsilonExperiment, Outcome
-from qmachine.measures import UNIFORM, CapUniform, Mixture
 from qmachine.survey import QuestionStats, build_survey_model, classify_survey, predict_conditionals
 
 SQ2 = math.sqrt(2) / 2
@@ -107,30 +105,6 @@ def test_zero_radius_mirror_identity_within_the_bounds():
         assert abs(r.value + mirror.value - 1.0) <= r.error_bound + mirror.error_bound, j
 
 
-def pinned_query(base):
-    """epsilon = 1: the conditioning cap pins the state to +Z; the target
-    axis is 1 rad from it."""
-    target = EpsilonExperiment(unit_vector_at_angle(Z_AXIS, 1.0), 1.0)
-    return ConditionalQuery(target, EpsilonExperiment(Z_AXIS, 1.0), base=base)
-
-
-def test_zero_radius_cap_pins_only_where_the_base_holds_its_center():
-    # No state of `away` lies within pi - 0.5 rad of +Z, and a zero-weight
-    # component that would hold +Z prepares nothing: both routes raise.
-    away = CapUniform(SectorCap(-Z_AXIS, 0.5))
-    near_z = CapUniform(SectorCap(unit_vector_at_angle(Z_AXIS, 0.1), 0.5))
-    for base in (away, Mixture(((1.0, away), (0.0, near_z)))):
-        q = pinned_query(base)
-        with pytest.raises(ConditioningError):
-            conditional_quad(q)
-        with pytest.raises(ConditioningError):
-            conditional_mc(q, 1000, 0)
-    # A base cap around +Z holds the pinned state: the uniform base's values.
-    uniform, inside = pinned_query(UNIFORM), pinned_query(CapUniform(SectorCap(Z_AXIS, 0.5)))
-    assert conditional_quad(inside) == conditional_quad(uniform)
-    assert conditional_mc(inside, 1000, 0) == conditional_mc(uniform, 1000, 0)
-
-
 def test_classical_case_is_linear_in_the_angle():
     for alpha in (0.3, math.pi / 2, 2.6):
         r = conditional_quad(symmetric_query(1e-6, alpha))
@@ -191,27 +165,21 @@ def test_monte_carlo_agrees_with_quadrature():
         assert abs(mc.value - exact) <= 4 * max(mc.error_bound, 1e-9)
 
 
-MIXED_BASE = Mixture(((0.4, UNIFORM), (0.6, CapUniform(SectorCap(Z_AXIS, 2.0)))))
-
-
 @pytest.mark.parametrize(
     "epsilon, d, c, alpha, target_outcome",
     [
-        # The cap lies inside the conditioning region: a genuine two-cap mixture.
         (0.2, 0.3, -0.7, 1.1, Outcome.O1),
-        # The conditioning region lies inside the cap: both parts restrict to it.
         (0.2, 0.3, 0.1, 1.1, Outcome.O2),
         # epsilon = 0 targets: the step kernel under cap-uniform states.
         (0.0, 0.2, -0.5, 0.9, Outcome.O1),
         (0.0, -0.1, 0.3, 2.0, Outcome.O2),
     ],
 )
-def test_monte_carlo_agrees_with_quadrature_on_a_mixture_base(epsilon, d, c, alpha, target_outcome):
+def test_monte_carlo_agrees_with_quadrature_on_offset_bands(epsilon, d, c, alpha, target_outcome):
     q = ConditionalQuery(
         target=EpsilonExperiment(unit_vector_at_angle(Z_AXIS, alpha), epsilon, d),
         cond=EpsilonExperiment(Z_AXIS, epsilon, c),
         target_outcome=target_outcome,
-        base=MIXED_BASE,
     )
     exact = conditional_quad(q).value
     mc = conditional_mc(q, 200_000, seed=[31, int(1000 * alpha)])
@@ -450,10 +418,8 @@ def test_no_library_path_runs_quadrature(monkeypatch):
     model = build_survey_model(stats, [math.radians(a) for a in (0, 60, 120)], force_epsilon=SQ2)
     predict_conditionals(model)
     classify_survey(model)
-    base = Mixture(((0.4, UNIFORM), (0.6, CapUniform(SectorCap(Z_AXIS, 2.0)))))
     q = ConditionalQuery(
         target=EpsilonExperiment(unit_vector_at_angle(Z_AXIS, 1.0), 0.3, 0.1),
         cond=EpsilonExperiment(Z_AXIS, 0.3, -0.2),
-        base=base,
     )
     assert 0.0 <= conditional_quad(q).value <= 1.0

@@ -1,5 +1,5 @@
 """Fixed-seed Monte Carlo output is pinned: these counts were recorded with
-qmachine 0.3.0, so any change to how a kernel consumes its random stream
+qmachine 0.3.0 (the offset conditionals with 0.12.0), so any change to how a kernel consumes its random stream
 (draw order, chunking, arithmetic order) fails here rather than in a manual
 diff of CLI output."""
 
@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from qmachine.conditional import ConditionalQuery, conditional_mc, symmetric_query
-from qmachine.geometry import X_AXIS, Z_AXIS, SectorCap, unit_vector_at_angle
+from qmachine.geometry import X_AXIS, Z_AXIS, unit_vector_at_angle
 from qmachine.machine import MC_CHUNK, EpsilonExperiment, Outcome, estimate_probability_mc, uniform_into
-from qmachine.measures import UNIFORM, CapUniform, Mixture
 from qmachine.survey import QuestionStats, build_survey_model, region_census
 
 SQ2 = math.sqrt(2) / 2
@@ -24,21 +23,12 @@ def experiment(angle, epsilon, d):
 
 
 QUERIES = {
-    # Uniform base, conditioned to a cap.
+    # d = c = 0: conditioned to the cap around the conditioning axis.
     "uniform": symmetric_query(SQ2, 2.0),
-    # Cap base inside the conditioning cap: sampled as given.
-    "cap": ConditionalQuery(
-        experiment(1.1, 0.5, 0.1),
-        experiment(0.0, 0.5, -0.2),
-        base=CapUniform(SectorCap(unit_vector_at_angle(Z_AXIS, 0.3), 0.5)),
-    ),
-    "mixture": ConditionalQuery(
-        experiment(0.9, 0.3, 0.2),
-        experiment(0.0, 0.3, -0.5),
-        Outcome.O2,
-        Outcome.O1,
-        Mixture(((0.4, UNIFORM), (0.6, CapUniform(SectorCap(Z_AXIS, 2.0))))),
-    ),
+    # Offset bands on both experiments, conditioned on outcome 2: the cap
+    # around -Z, off the symmetric geometry, for either target outcome.
+    "offset_o1": ConditionalQuery(experiment(1.6, 0.5, 0.1), experiment(0.0, 0.5, -0.2), Outcome.O1, Outcome.O2),
+    "offset_o2": ConditionalQuery(experiment(2.0, 0.3, 0.2), experiment(0.0, 0.3, -0.5), Outcome.O2, Outcome.O2),
     # epsilon = 0, conditioning cap of zero radius at Z: every trial sits at
     # projection 0 = d on the X target, a tie settled by a fair coin.
     "ties": ConditionalQuery(EpsilonExperiment(X_AXIS, 0.0, 0.0), EpsilonExperiment(Z_AXIS, 0.0, 1.0)),
@@ -46,8 +36,8 @@ QUERIES = {
 
 CONDITIONAL_HITS = {
     "uniform": (17171, 17212, 51429),
-    "cap": (62094, 62118, 186450),
-    "mixture": (28258, 28281, 85136),
+    "offset_o1": (29039, 28956, 86553),
+    "offset_o2": (20407, 20452, 61436),
     "ties": (32763, 32763, 98287),
 }
 

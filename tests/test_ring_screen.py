@@ -18,7 +18,7 @@ from qmachine import measures, survey
 from qmachine.conditional import ConditionalQuery, conditional_mc, symmetric_query
 from qmachine.geometry import X_AXIS, Z_AXIS, SectorCap, angle_between, unit_vector_at_angle
 from qmachine.machine import MC_CHUNK, RING_ERR, EpsilonExperiment, Outcome, count_o1, ring_into, settle_into
-from qmachine.measures import UNIFORM, CapUniform, Mixture, condition, eig_set, sample_projection
+from qmachine.measures import condition, eig_set, sample_projection
 from qmachine.survey import FitDiagnostics, FittedQuestion, QuestionStats, SurveyModel, build_survey_model, region_census
 
 SQ2 = math.sqrt(2) / 2
@@ -77,28 +77,22 @@ def oracle_ring(rng, zlow, n):
     return z, ring
 
 
-def oracle_projection(mu, axis, rng, n):
-    if mu == UNIFORM:
-        return _uniform(rng, -1.0, 1.0, n)
-    if isinstance(mu, CapUniform):
-        gamma = angle_between(mu.cap.center, axis)
-        z, ring = oracle_ring(rng, math.cos(mu.cap.half_angle), n)
-        return z * math.cos(gamma) + ring * math.sin(gamma)
-    weights = np.array([w for w, _ in mu.components])
-    counts = rng.multinomial(n, weights / weights.sum())
-    return np.concatenate([oracle_projection(m, axis, rng, k) for (_, m), k in zip(mu.components, counts)])
+def oracle_projection(cap, axis, rng, n):
+    gamma = angle_between(cap.center, axis)
+    z, ring = oracle_ring(rng, math.cos(cap.half_angle), n)
+    return z * math.cos(gamma) + ring * math.sin(gamma)
 
 
 def oracle_conditional_hits(q, trials, seed):
     """conditional_mc's count of the queried outcome with the float64 draw,
     for a conditioning cap of positive radius."""
     rng = np.random.default_rng(seed)
-    mu = condition(q.base, q.cond, q.condition_outcome)
+    cap = condition(q.cond, q.condition_outcome).cap
     e = q.target
     hits = 0
     for start in range(0, trials, MC_CHUNK):
         k = min(MC_CHUNK, trials - start)
-        x = oracle_projection(mu, e.axis, rng, k)
+        x = oracle_projection(cap, e.axis, rng, k)
         if e.epsilon > 0.0:
             hits += int(np.count_nonzero(_uniform(rng, e.band_low, e.band_high, k) < x))
         else:
@@ -135,18 +129,8 @@ def experiment(angle, epsilon, d):
 
 QUERIES = {
     "uniform": symmetric_query(SQ2, 2.0),
-    "cap": ConditionalQuery(
-        experiment(1.1, 0.5, 0.1),
-        experiment(0.0, 0.5, -0.2),
-        base=CapUniform(SectorCap(unit_vector_at_angle(Z_AXIS, 0.3), 0.5)),
-    ),
-    "mixture": ConditionalQuery(
-        experiment(0.9, 0.3, 0.2),
-        experiment(0.0, 0.3, -0.5),
-        Outcome.O2,
-        Outcome.O1,
-        Mixture(((0.4, UNIFORM), (0.6, CapUniform(SectorCap(Z_AXIS, 2.0))))),
-    ),
+    "offset_o1": ConditionalQuery(experiment(1.6, 0.5, 0.1), experiment(0.0, 0.5, -0.2), Outcome.O1, Outcome.O2),
+    "offset_o2": ConditionalQuery(experiment(2.0, 0.3, 0.2), experiment(0.0, 0.3, -0.5), Outcome.O2, Outcome.O2),
     "epsilon_1e-6": symmetric_query(1e-6, 1.3),
     "classical": ConditionalQuery(experiment(1.7, 0.0, 0.05), experiment(0.0, 0.0, -0.1)),
 }
@@ -219,10 +203,10 @@ def refined(monkeypatch):
 def test_settle_rewrites_only_values_near_their_threshold(refined):
     k = 1_000
     rng = np.random.default_rng(4)
-    mu = CapUniform(SectorCap(Z_AXIS, 1.0))
+    cap = SectorCap(Z_AXIS, 1.0)
     axis = unit_vector_at_angle(Z_AXIS, 0.7)
     x, work, gap = np.empty(k), np.empty((3, k)), np.empty(k, dtype=np.float32)
-    settle = sample_projection(mu, axis, rng, x, work, gap)
+    settle = sample_projection(cap, axis, rng, x, work, gap)
     screened = x.copy()
     gamma = angle_between(Z_AXIS, axis)
     exact = work[0] * math.cos(gamma) + float64_ring(work[0], work[1]) * math.sin(gamma)

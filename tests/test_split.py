@@ -1,9 +1,10 @@
 """A large Monte Carlo call splits its chunk columns over the process's
 CPUs (machine.run_chunks).  The counts at 2^21 + 7 trials below were
-recorded with qmachine 0.8.1 on one core, so the split has to reproduce
-the serial stream draw for draw; the other tests force the split on small
-calls, where the fixed-seed counts, the streaming memory bounds, worker
-failures and thread counts are checked."""
+recorded on one core with qmachine 0.8.1 (the offset conditional with
+0.12.0), so the split has to reproduce the serial stream draw for draw;
+the other tests force the split on small calls, where the fixed-seed
+counts, the streaming memory bounds, worker failures and thread counts are
+checked."""
 
 import collections
 import math
@@ -28,14 +29,14 @@ N = 2**21 + 7
 
 LARGE_CONDITIONAL_HITS = {
     "uniform": 547794,
-    "cap": 1988494,
+    "offset_o1": 923630,
     # epsilon = 1: a zero-radius conditioning cap pins every trial's state.
     "pinned": 612288,
 }
 LARGE_ESTIMATE_HITS = 1442020
 LARGE_CENSUS_COUNTS = (73084, 160248, 73146, 73734, 160675, 160779, 693636, 160203, 160435, 73871, 73385, 160350, 73613)
 
-LARGE_QUERIES = {"uniform": QUERIES["uniform"], "cap": QUERIES["cap"], "pinned": symmetric_query(1.0, 2.0)}
+LARGE_QUERIES = {"uniform": QUERIES["uniform"], "offset_o1": QUERIES["offset_o1"], "pinned": symmetric_query(1.0, 2.0)}
 
 
 def census_counts(n):
@@ -102,9 +103,9 @@ def owned(parts):
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_split_conditional_mc_keeps_the_fixed_seed_counts(split, name):
     test_fixed_seed.test_conditional_mc_is_pinned(name)
-    # A mixture base draws its multinomial first, and an epsilon = 0 target
-    # its tie coins in a data-dependent number: both stay serial.
-    assert sorted(split) == ([] if name in ("mixture", "ties") else owned(machine._CPUS))
+    # An epsilon = 0 target draws its tie coins in a data-dependent number,
+    # so it stays serial.
+    assert sorted(split) == ([] if name == "ties" else owned(machine._CPUS))
 
 
 def test_split_estimate_keeps_the_fixed_seed_counts(split):
