@@ -69,7 +69,8 @@ def main() -> None:
     angles = [math.radians(a) for a in (0, 60, 120)]
     fitted = build_survey_model(stats, angles)
     forced = build_survey_model(stats, angles, force_epsilon=SQ2)
-    print(f"  fitted epsilon from 15%/15% predetermined: {fitted.epsilon:.4f}")
+    fits = ", ".join(f"{fq.label} {fq.experiment.epsilon:.4f}" for fq in fitted.questions)
+    print(f"  fitted epsilon per question from 15%/15% predetermined: {fits}")
     outcome = classify_survey(forced)
     print(f"  classification at forced epsilon sqrt(2)/2: {outcome.model_class.value}")
     census = region_census(forced, args.trials, args.seed)

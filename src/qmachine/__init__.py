@@ -10,7 +10,7 @@ conditioned states, conditional probabilities by three routes, exact
 embeddability verdicts, and the opinion-poll mapping.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .conditional import (
     ConditionalQuery,

@@ -288,7 +288,6 @@ def _cmd_survey(args) -> dict:
     census = region_census(model, args.census_trials, args.seed)
     outcome = classify_survey(model)
     return {
-        "epsilon": model.epsilon,
         "forced_epsilon": args.force_epsilon,
         "questions": [
             {
@@ -298,7 +297,6 @@ def _cmd_survey(args) -> dict:
                 "d": fq.experiment.d,
                 "predicted_yes_rate": fq.diagnostics.predicted_yes_rate,
                 "yes_rate_mismatch": fq.diagnostics.yes_rate_mismatch,
-                "flagged": fq.diagnostics.flagged,
             }
             for fq in model.questions
         ],

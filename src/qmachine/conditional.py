@@ -1,4 +1,4 @@
-"""Conditional probabilities between two band experiments sharing epsilon.
+"""Conditional probabilities between two band experiments.
 
 Three routes compute P(target outcome | conditioned on an outcome of the
 other experiment).  Conditioning prepares the state: it leaves it uniform
@@ -66,10 +66,6 @@ class ConditionalQuery:
     cond: EpsilonExperiment
     target_outcome: Outcome = Outcome.O1
     condition_outcome: Outcome = Outcome.O1
-
-    def __post_init__(self) -> None:
-        if abs(self.target.epsilon - self.cond.epsilon) > 1e-12:
-            raise ValueError("both experiments must share one epsilon")
 
 
 @dataclass(frozen=True)

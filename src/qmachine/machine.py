@@ -29,13 +29,12 @@ the CPUs the process may use, when every draw it makes fills a whole
 chunk row with rng.random (uniform_into).  Part p owns the same columns
 of every chunk and reads exactly their draws from the stream (_Window),
 so every count, and the caller's generator afterwards, is bitwise the
-serial one, in the same memory.  Two paths stay serial because where a part's draws start
-is not known in advance: an epsilon = 0 target settles ties with
-rng.integers coins whose number depends on the data, and a mixture base
-draws its multinomial split first.  Smaller calls stay serial too, since
-a thread's start and the narrower rows cost more than they save: on a
-2-vCPU VM a forced split ran 0.35x at 1e4 trials and 1.0x at 1e5, against
-1.2-1.6x from 2e6 trials up.
+serial one, in the same memory.  One path stays serial because where a
+part's draws start is not known in advance: an epsilon = 0 target settles
+ties with rng.integers coins whose number depends on the data.  Smaller
+calls stay serial too, since a thread's start and the narrower rows cost
+more than they save: on a 2-vCPU VM a forced split ran 0.35x at 1e4
+trials and 1.0x at 1e5, against 1.2-1.6x from 2e6 trials up.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ regions, and ask whether the predicted statistics admit a classical
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,11 +46,6 @@ from .machine import EpsilonExperiment, Outcome, near_threshold, ring_into, run_
 # the boundary-tight classical case needs.
 _SNAP_DENOMINATOR = 10_000
 
-# Per-question epsilon fits further apart than this draw a warning.
-_EPSILON_TOLERANCE = 1e-6
-
-_log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class QuestionStats:
@@ -73,7 +67,6 @@ class QuestionStats:
 class FitDiagnostics:
     predicted_yes_rate: float
     yes_rate_mismatch: float
-    flagged: bool  # predicted uniform yes rate off by more than 0.01
 
 
 def fit_epsilon_model(q: QuestionStats) -> tuple[float, float, FitDiagnostics]:
@@ -81,17 +74,16 @@ def fit_epsilon_model(q: QuestionStats) -> tuple[float, float, FitDiagnostics]:
 
     Predetermined-yes respondents fill the cap of uniform measure
     (1 - epsilon - d) / 2, predetermined-no the cap of (1 - epsilon + d) / 2,
-    so epsilon = 1 - yes - no and d = no - yes.
+    so epsilon = 1 - yes - no and d = no - yes.  Both fractions lie in
+    [0, 1], so yes + no <= 1 is the whole range test: it puts epsilon in
+    [0, 1] and d in [-1 + epsilon, 1 - epsilon].
     """
     a, b = q.predetermined_yes, q.predetermined_no
-    epsilon = 1.0 - a - b
+    if a + b > 1.0:
+        raise InconsistentDataError(f"question {q.label!r}: pre_yes {a} + pre_no {b} exceeds 1")
     d = b - a
-    if not -1e-12 <= epsilon <= 1.0 or not -1.0 + epsilon - 1e-12 <= d <= 1.0 - epsilon + 1e-12:
-        raise InconsistentDataError(f"fractions ({a}, {b}) leave the model's parameter range")
-    epsilon = min(1.0, max(0.0, epsilon))
     predicted = 0.5 * (1.0 - d)
-    mismatch = abs(predicted - q.yes_fraction)
-    return epsilon, d, FitDiagnostics(predicted, mismatch, mismatch > 0.01)
+    return max(0.0, 1.0 - a - b), d, FitDiagnostics(predicted, abs(predicted - q.yes_fraction))
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,6 @@ class FittedQuestion:
 
 @dataclass(frozen=True)
 class SurveyModel:
-    epsilon: float
     questions: tuple[FittedQuestion, ...]
 
 
@@ -115,31 +106,29 @@ def build_survey_model(
 ) -> SurveyModel:
     """Fit every question and place the axes coplanar at the given angles.
 
-    The model family uses one shared epsilon: if the per-question fits
-    disagree beyond _EPSILON_TOLERANCE a warning is logged and the first
-    fit wins.  `force_epsilon` overrides the fitted value (keeping each
-    question's d), for reproducing analyses at a designated epsilon.
-    Raises InconsistentDataError, naming the question, when the shared
-    epsilon leaves a question's d outside [-1 + epsilon, 1 - epsilon].
+    Each question keeps its own fitted (epsilon, d): its own share of
+    respondents who form their answer while being asked.  `force_epsilon`
+    sets every question's epsilon instead (keeping each d), for reproducing
+    analyses at a designated epsilon.  Raises InconsistentDataError, naming
+    the question, when a question's fractions sum past 1 or the forced
+    epsilon leaves its d outside [-1 + epsilon, 1 - epsilon].
     """
     if len(stats) != len(angles):
         raise ValueError("need exactly one axis angle per question")
-    fits = [fit_epsilon_model(q) for q in stats]
-    epsilons = [f[0] for f in fits]
-    if max(epsilons) - min(epsilons) > _EPSILON_TOLERANCE:
-        _log.warning("per-question epsilon fits disagree (%.4f..%.4f); using the first", min(epsilons), max(epsilons))
-    epsilon = force_epsilon if force_epsilon is not None else epsilons[0]
     questions = []
-    for q, angle, (_, d_i, diag) in zip(stats, angles, fits):
+    for q, angle in zip(stats, angles):
+        epsilon, d, diag = fit_epsilon_model(q)
+        if force_epsilon is not None:
+            epsilon = force_epsilon
         axis = unit_vector_at_angle(Z_AXIS, angle)
         try:
-            experiment = EpsilonExperiment(axis, epsilon, d_i)
+            experiment = EpsilonExperiment(axis, epsilon, d)
         except ValueError as exc:
             if not 0.0 <= epsilon <= 1.0:  # a bad epsilon, not a d the band cannot hold
                 raise
             raise InconsistentDataError(f"question {q.label!r}: {exc}") from exc
         questions.append(FittedQuestion(q.label, experiment, angle, diag))
-    return SurveyModel(epsilon, tuple(questions))
+    return SurveyModel(tuple(questions))
 
 
 @dataclass(frozen=True)
@@ -148,7 +137,7 @@ class PairConditionals:
 
     target: str
     given: str
-    angle: float
+    angle: float  # between the two axes, in [0, pi]
     yes_given_yes: float
     no_given_yes: float
     yes_given_no: float
@@ -157,6 +146,13 @@ class PairConditionals:
 
 # (target outcome, condition outcome) of PairConditionals' four values, in field order.
 _PAIR_OUTCOMES = ((Outcome.O1, Outcome.O1), (Outcome.O2, Outcome.O1), (Outcome.O1, Outcome.O2), (Outcome.O2, Outcome.O2))
+
+
+def _axis_angle(a: float, b: float) -> float:
+    """The angle between the axes at in-plane angles a and b: |a - b|
+    reduced mod 2 pi into [0, pi], exactly |a - b| where that is at most pi."""
+    delta = abs(a - b) % math.tau
+    return min(delta, math.tau - delta)
 
 
 def predict_conditionals(m: SurveyModel) -> list[PairConditionals]:
@@ -169,7 +165,7 @@ def predict_conditionals(m: SurveyModel) -> list[PairConditionals]:
                 conditional_quad(ConditionalQuery(target.experiment, given.experiment, t_out, c_out)).value
                 for t_out, c_out in _PAIR_OUTCOMES
             ]
-            rows.append(PairConditionals(target.label, given.label, abs(target.angle - given.angle), *values))
+            rows.append(PairConditionals(target.label, given.label, _axis_angle(target.angle, given.angle), *values))
     return rows
 
 

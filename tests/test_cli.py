@@ -401,7 +401,7 @@ def test_survey_pipeline(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["epsilon"] == pytest.approx(float(SQ2))
+    assert "epsilon" not in payload and not any("flagged" in q for q in payload["questions"])
     assert payload["classification"] == "neither"
     assert payload["census"]["trials"] == 50000 and payload["census"]["seed"] == 11
     assert len(payload["census"]["fractions"]) == 13
@@ -420,7 +420,7 @@ def test_survey_reruns_are_byte_identical(tmp_path, capsys):
 def test_survey_fitted_epsilon_without_forcing(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "survey", "--input", survey_file(tmp_path), "--census-trials", "1000")
     assert code == 0
-    assert json.loads(out)["epsilon"] == pytest.approx(0.70, abs=1e-12)
+    assert [q["epsilon"] for q in json.loads(out)["questions"]] == pytest.approx([0.70] * 3, abs=1e-12)
 
 
 def test_survey_all_predetermined_is_kolmogorovian(tmp_path, capsys):
@@ -439,6 +439,16 @@ def test_survey_forced_epsilon_beyond_an_offset_exits_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, "survey", "--input", str(path), "--force-epsilon", "1", "--census-trials", "10")
     assert code == 3 and not out
     assert "question 'w'" in err
+
+
+def test_survey_overfull_fractions_exit_3_naming_the_question(tmp_path, capsys):
+    path = Path(survey_file(tmp_path))
+    raw = json.loads(path.read_text())
+    raw["questions"][1].update(pre_yes=0.7, pre_no=0.4)
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "survey", "--input", str(path), "--census-trials", "10")
+    assert code == 3 and not out
+    assert "question 'v': pre_yes 0.7 + pre_no 0.4 exceeds 1" in err
 
 
 def test_survey_malformed_json_exits_2(tmp_path, capsys):

@@ -3,12 +3,13 @@
 Each case runs one CLI command in process and compares the sha256 of its
 stdout, with the `version` field normalized, to a hash recorded with
 qmachine 0.3.1 (sweep: 0.8.0, whose closed-form column is one expression
-in complementary arcs; survey_flagship: 0.7.0, whose conditionals come
-from the lens's first moment, not quadrature; survey_classical: 0.5.0).
+in complementary arcs; the survey cases: 0.14.0, whose JSON keeps each
+question's own epsilon and has no shared one).
 The cases cover every stochastic path the CLI prints:
 the pure-state kernel, the conditioned-cap sampler (flagship and offset
 bands), the sweep (epsilon 0, 1e-6 and 1, more trials than MC_CHUNK) and
-the survey census (more draws than MC_CHUNK, epsilon 0 and the flagship).
+the survey census (more draws than MC_CHUNK, epsilon 0, the flagship, and
+questions with unequal epsilons).
 The exact checker's `check kolmogorov` and `check classify` output is
 pinned too (hashes recorded with 0.8.0): the flagship triad's certificate
 and a feasible triad's witness.
@@ -31,6 +32,16 @@ OVER_CHUNK = str(MC_CHUNK + 4_464)  # 70,000: two chunks, the second short
 SURVEY = {
     "questions": [
         {"label": label, "yes": 0.5, "pre_yes": 0.15, "pre_no": 0.15} for label in ("w", "v", "u")
+    ],
+    "angles_deg": [0, 60, 120],
+}
+
+# Three questions with epsilons 0.7, 0.6 and 0.9, fitted as they are.
+SURVEY_UNEQUAL = {
+    "questions": [
+        {"label": "w", "yes": 0.5, "pre_yes": 0.15, "pre_no": 0.15},
+        {"label": "v", "yes": 0.6, "pre_yes": 0.3, "pre_no": 0.1},
+        {"label": "u", "yes": 0.5, "pre_yes": 0.05, "pre_no": 0.05},
     ],
     "angles_deg": [0, 60, 120],
 }
@@ -72,6 +83,7 @@ CASES = {
     ),
     "survey_flagship": ("survey", "--force-epsilon", SQ2, "--census-trials", OVER_CHUNK, "--seed", "6"),
     "survey_classical": ("survey", "--force-epsilon", "0", "--census-trials", OVER_CHUNK, "--seed", "7"),
+    "survey_unequal": ("survey", "--census-trials", OVER_CHUNK, "--seed", "8"),
     "check_kolmogorov_flagship": ("check", "kolmogorov", "--triad", "flagship"),
     "check_classify_flagship": ("check", "classify", "--triad", "flagship", "--gamma2", "0.78"),
     "check_kolmogorov_feasible": ("check", "kolmogorov", "--triad", "feasible"),
@@ -83,8 +95,9 @@ GOLDEN = {
     "conditional_flagship": "4cb854051a01afd2e82b9e770766eda8aeddd30c3b4a5db416f5322bd41f44da",
     "conditional_offsets": "c9228c1e58f1356225060dfee374c7211367f5f7422add2c4a3d5f317128f3f5",
     "sweep": "59c02cdc20061f03542e58879954729813a843f5ff4cd91289e6b818349cdde0",
-    "survey_flagship": "fcdd393e7cd77d8b136edaf0d6a707e6fe3b7ad5ec7095577755f9060b0184ed",
-    "survey_classical": "6853da9dce97579191be6c62a397bc8798a1bf69199dc0906cd6c7250a33b67c",
+    "survey_flagship": "a348981125e77c95d5ece3fa43797de68836d7416263eb7ba7daefa423f0d1de",
+    "survey_classical": "3cbbfc694c48c9554f1d90820a1c62fbdd707a1e6910c533e94eafa92dff44b2",
+    "survey_unequal": "53e71545b2137769624c1d9d2de0f38e97b3490b281659058b71fb75615f4b19",
     "check_kolmogorov_flagship": "bb5931f0cec7238b9322963ab351762c44366d6b0719f6e1c27b49777b8f55af",
     "check_classify_flagship": "c06ce7f17b6ad9f1bb26922fe8613c625bed7faecc148e112e0c52aace4f72a8",
     "check_kolmogorov_feasible": "b586700d0979f53e310447a1698a4b587095c907080b0366571808c1b786f7c1",
@@ -104,7 +117,7 @@ def test_cli_stdout_is_pinned(name, tmp_path, capsys):
     argv = CASES[name]
     if argv[0] == "survey":
         path = tmp_path / "survey.json"
-        path.write_text(json.dumps(SURVEY))
+        path.write_text(json.dumps(SURVEY_UNEQUAL if name == "survey_unequal" else SURVEY))
         argv = (argv[0], "--input", str(path), *argv[1:])
     elif argv[0] == "check":
         path = tmp_path / "triad.json"

@@ -17,18 +17,39 @@ from qmachine.conditional import (
 )
 from qmachine import conditional, geometry, measures
 from qmachine.geometry import Z_AXIS, unit_vector_at_angle
-from qmachine.machine import MC_CHUNK, EpsilonExperiment, Outcome
+from qmachine.machine import MC_CHUNK, EpsilonExperiment, Outcome, p1_given_projection
 from qmachine.survey import QuestionStats, build_survey_model, classify_survey, predict_conditionals
 
 SQ2 = math.sqrt(2) / 2
 
 
-def test_query_requires_shared_epsilon():
-    with pytest.raises(ValueError):
-        ConditionalQuery(
-            target=EpsilonExperiment(Z_AXIS, 0.5),
-            cond=EpsilonExperiment(unit_vector_at_angle(Z_AXIS, 1.0), 0.6),
-        )
+# (epsilon of the condition, epsilon of the target): each experiment keeps
+# its own, the condition's for the conditioning cap, the target's for the band.
+UNEQUAL_EPSILONS = ((0.3, 0.8), (0.9, 0.2), (0.5, 1.0), (0.05, 0.7))
+
+
+@pytest.mark.parametrize("eps_cond, eps_target", UNEQUAL_EPSILONS)
+def test_unequal_epsilons_monte_carlo_agrees_with_the_exact_route(eps_cond, eps_target):
+    cond = EpsilonExperiment(Z_AXIS, eps_cond, -0.2 * (1.0 - eps_cond))
+    target = EpsilonExperiment(unit_vector_at_angle(Z_AXIS, 1.6), eps_target, 0.3 * (1.0 - eps_target))
+    for seed, c_out in enumerate(Outcome):
+        q = ConditionalQuery(target, cond, Outcome.O1, c_out)
+        exact = conditional_quad(q)
+        mc = conditional_mc(q, 200_000, [41, seed])
+        assert exact.error_bound <= 1e-12
+        assert 0.0 < mc.error_bound and abs(mc.value - exact.value) <= 5 * mc.error_bound, (c_out, mc, exact)
+
+
+@pytest.mark.parametrize("eps_target", (0.0, 0.3, 1.0))
+def test_a_pinned_condition_gives_the_target_kernel_at_the_centre(eps_target):
+    # epsilon = 1 conditioning pins the state to its cap's centre, whatever
+    # the target's epsilon.
+    cond = EpsilonExperiment(Z_AXIS, 1.0)
+    target = EpsilonExperiment(unit_vector_at_angle(Z_AXIS, 1.2), eps_target, 0.4 * (1.0 - eps_target))
+    for c_out in Outcome:
+        centre = measures.eig_set(cond, c_out).center
+        r = conditional_quad(ConditionalQuery(target, cond, Outcome.O1, c_out))
+        assert r.value == p1_given_projection(target, centre.dot(target.axis))
 
 
 def test_quantum_case_via_degenerate_cap():

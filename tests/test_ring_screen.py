@@ -264,13 +264,13 @@ def test_region_census_settles_a_planted_split(refined):
     i = first_split(ring, exact)
     axis = unit_vector_at_angle(Z_AXIS, math.pi / 2)
     middle = 0.5 * (ring[i] + exact[i]) * axis.x + z[i] * axis.z
-    diag = FitDiagnostics(0.5, 0.0, False)
+    diag = FitDiagnostics(0.5, 0.0)
     questions = [
         FittedQuestion("a", EpsilonExperiment(axis, 0.0, middle), math.pi / 2, diag),
         FittedQuestion("b", EpsilonExperiment(Z_AXIS, 0.0, 0.0), 0.0, diag),
         FittedQuestion("c", EpsilonExperiment(unit_vector_at_angle(Z_AXIS, 1.0), 0.0, 0.0), 1.0, diag),
     ]
-    m = SurveyModel(0.0, tuple(questions))
+    m = SurveyModel(tuple(questions))
     census = region_census(m, k, seed)
     assert sum(refined) >= 1
     assert {key: round(p * k) for key, p in census.fractions.items()} == oracle_census_counts(m, k, seed)

@@ -25,6 +25,7 @@ def test_reproduce_headline_prints_both_certificates_and_the_classification():
     lines = run_script("reproduce_headline.py")
     assert "joint distribution: infeasible; every joint needs 7/25 <= P(not U & V & W) <= 11/100" in lines
     assert any(line.startswith("2-D transition model: infeasible; the phases would need cos(phase) = -14/11") for line in lines)
+    assert "fitted epsilon per question from 15%/15% predetermined: w 0.7000, v 0.7000, u 0.7000" in lines
     assert "classification at forced epsilon sqrt(2)/2: neither" in lines
 
 

@@ -1,4 +1,3 @@
-import logging
 import math
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ from qmachine import survey
 from qmachine.embedding import ModelClass
 from qmachine.errors import InconsistentDataError
 from qmachine.geometry import (
+    Z_AXIS,
     UnitVector,
     cap_area_fraction,
     cap_intersection_fraction,
@@ -45,14 +45,14 @@ def test_fit_symmetric_case():
     epsilon, d, diag = fit_epsilon_model(stats_for())
     assert epsilon == pytest.approx(0.70, abs=1e-12)
     assert d == 0.0
-    assert diag.predicted_yes_rate == pytest.approx(0.5) and not diag.flagged
+    assert diag.predicted_yes_rate == pytest.approx(0.5)
 
 
 def test_fit_asymmetric_case():
     epsilon, d, diag = fit_epsilon_model(QuestionStats("q", 0.45, 0.1, 0.2))
     assert epsilon == pytest.approx(0.70, abs=1e-12)
     assert d == pytest.approx(0.1, abs=1e-12)
-    assert not diag.flagged
+    assert diag.yes_rate_mismatch == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_no_predetermined_is_maximal_band():
@@ -62,12 +62,25 @@ def test_fit_no_predetermined_is_maximal_band():
 
 def test_fit_flags_inconsistent_yes_rate():
     _, _, diag = fit_epsilon_model(QuestionStats("q", 0.40, 0.15, 0.15))
-    assert diag.flagged and diag.yes_rate_mismatch == pytest.approx(0.10, abs=1e-12)
+    assert diag.yes_rate_mismatch == pytest.approx(0.10, abs=1e-12)
 
 
 def test_fit_rejects_overfull_fractions():
-    with pytest.raises(InconsistentDataError):
+    with pytest.raises(InconsistentDataError, match=r"question 'q': pre_yes 0.7 \+ pre_no 0.7 exceeds 1"):
         fit_epsilon_model(QuestionStats("q", 0.5, 0.7, 0.7))
+
+
+@pytest.mark.parametrize("a, b", ((0.1, 0.9), (0.3, 0.7), (0.0, 1.0)))
+def test_fit_accepts_fractions_summing_to_one_with_epsilon_zero(a, b):
+    # 0.1 + 0.9 exceeds 1 in exact binary; the float sum is 1.
+    epsilon, d, _ = fit_epsilon_model(QuestionStats("q", 0.5, a, b))
+    assert epsilon == 0.0 and d == b - a
+    EpsilonExperiment(Z_AXIS, epsilon, d)  # the band check accepts the fit
+
+
+def test_fit_rejects_a_sum_just_past_one():
+    with pytest.raises(InconsistentDataError, match="question 'q'"):
+        fit_epsilon_model(QuestionStats("q", 0.5, 0.5, 0.5000000000001))
 
 
 def test_fit_round_trips_through_cap_fractions():
@@ -80,23 +93,53 @@ def test_fit_round_trips_through_cap_fractions():
 
 def test_build_model_fits_and_forces():
     model = flagship_model()
-    assert model.epsilon == pytest.approx(0.70, abs=1e-12)
+    assert [q.experiment.epsilon for q in model.questions] == pytest.approx([0.70] * 3, abs=1e-12)
     forced = flagship_model(force=SQ2)
-    assert forced.epsilon == SQ2
     assert [q.experiment.epsilon for q in forced.questions] == [SQ2] * 3
 
 
-def test_build_model_warns_on_epsilon_mismatch(caplog):
-    stats = [stats_for("a"), QuestionStats("b", 0.5, 0.25, 0.25), stats_for("c")]
-    with caplog.at_level(logging.WARNING, logger="qmachine.survey"):
-        build_survey_model(stats, [0.0, 1.0, 2.0])
-    assert [r.levelno for r in caplog.records] == [logging.WARNING]
-    assert "epsilon fits disagree" in caplog.records[0].getMessage()
+UNEQUAL = (stats_for("w"), QuestionStats("v", 0.6, 0.30, 0.10), QuestionStats("u", 0.5, 0.05, 0.05))
+
+
+def unequal_model(force=None):
+    return build_survey_model(UNEQUAL, [math.radians(a) for a in (0, 60, 120)], force_epsilon=force)
+
+
+def test_build_model_keeps_each_question_epsilon():
+    model = unequal_model()
+    assert [q.experiment.epsilon for q in model.questions] == pytest.approx([0.7, 0.6, 0.9], abs=1e-12)
+    assert [q.experiment.d for q in model.questions] == pytest.approx([0.0, -0.2, 0.0], abs=1e-12)
+    assert [q.experiment.epsilon for q in unequal_model(force=SQ2).questions] == [SQ2] * 3
+
+
+def test_census_certain_shares_are_each_question_inputs():
+    n = 400_000
+    census = region_census(unequal_model(), n, seed=9)
+    for i, q in enumerate(UNEQUAL):
+        for status, expected in (("yes", q.predetermined_yes), ("no", q.predetermined_no)):
+            share = sum(p for key, p in census.fractions.items() if key[i] == status)
+            se = math.sqrt(expected * (1.0 - expected) / n)
+            assert abs(share - expected) <= 6 * se, (q.label, status, share)
 
 
 def test_build_model_validates_angle_count():
     with pytest.raises(ValueError):
         build_survey_model([stats_for()], [0.0, 1.0])
+
+
+def test_pair_angle_is_the_angle_between_the_axes():
+    stats = [stats_for(l) for l in ("w", "v", "u")]
+    rows = predict_conditionals(build_survey_model(stats, [math.radians(a) for a in (0, 350, -60)], force_epsilon=SQ2))
+    same = predict_conditionals(build_survey_model(stats, [math.radians(a) for a in (0, -10, -60)], force_epsilon=SQ2))
+    degrees = {frozenset("vw"): 10, frozenset("uw"): 60, frozenset("uv"): 50}
+    for r, s in zip(rows, same):
+        assert r.angle == pytest.approx(math.radians(degrees[frozenset((r.target, r.given))]))
+        assert r.yes_given_yes == pytest.approx(s.yes_given_yes, abs=1e-12)
+        assert r.yes_given_no == pytest.approx(s.yes_given_no, abs=1e-12)
+    # Axes at most pi apart keep |a - b| bit for bit.
+    by_label = {label: math.radians(a) for label, a in zip("wvu", (0, 60, 120))}
+    for r in predict_conditionals(flagship_model(force=SQ2)):
+        assert r.angle == abs(by_label[r.target] - by_label[r.given])
 
 
 def test_predicted_conditionals_rows():
@@ -232,8 +275,8 @@ def test_census_rejects_axes_off_the_plane():
     model = flagship_model(force=SQ2)
     tilted = UnitVector.normalized(0.6, 0.1, math.sqrt(1.0 - 0.37))
     fq = model.questions[1]
-    off_plane = FittedQuestion(fq.label, EpsilonExperiment(tilted, SQ2, 0.0), fq.angle, FitDiagnostics(0.5, 0.0, False))
-    bad = SurveyModel(model.epsilon, (model.questions[0], off_plane, model.questions[2]))
+    off_plane = FittedQuestion(fq.label, EpsilonExperiment(tilted, SQ2, 0.0), fq.angle, FitDiagnostics(0.5, 0.0))
+    bad = SurveyModel((model.questions[0], off_plane, model.questions[2]))
     with pytest.raises(ValueError, match="plane"):
         region_census(bad, 1_000, seed=0)
 
